@@ -6,6 +6,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +30,9 @@ def _setup_logging() -> None:
 def _load(args) -> scenario.ScenarioConfig:
     cfg = scenario.load_config(args.config)
     if getattr(args, "seed", None) is not None:
-        from dataclasses import replace
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "estimator", None):
-        from dataclasses import replace
-        name = {"set": "set", "fastslam": "fastslam", "both": "both"}[args.estimator]
-        cfg = replace(cfg, estimators=name)
+        cfg = replace(cfg, estimators=args.estimator)
     return cfg
 
 

@@ -70,7 +70,7 @@ def build_candidate_matrix(measurements: Sequence[Measurement],
         region = sensing.feasible_marker_region(meas.bearing, meas.range,
                                                 model, theta0, d_theta)
         reachable = geom2d.minkowski_sum(predicted_sensor_xy, region)
-        row = tuple(geom2d.intersect(pj, reachable) is not None
+        row = tuple(geom2d.intersects(pj, reachable)
                     for pj in predicted_markers)
         if not any(row):
             raise InconsistentBatch(sensor_id, q)

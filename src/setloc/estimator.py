@@ -174,7 +174,8 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
     orientation interval, then the position set (unions across hypotheses are
     over-approximated by enclosing arcs / convex hulls, which keeps every
     update a superset of the exact one).  Marker sets are narrowed last,
-    using only sensors that measured a marker under every hypothesis.
+    using only sensors that measured a marker under every hypothesis.  A
+    sensor whose bearing cone is at least pi/2 wide is skipped.
     """
     n_markers = len(predicted.markers)
     sensor_theta = list(predicted.sensor_theta)
@@ -185,6 +186,11 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
         if not batch:
             continue
         model = models.sensors[i]
+        if model.eps_bearing + predicted.sensor_theta[i].half_width >= math.pi / 2.0:
+            # the bearing cone has no bounded convex superset; skipping the
+            # batch never cuts the truth, and the orientation interval only
+            # narrows, so this sensor stays skipped
+            continue
         cmat = correspondence.build_candidate_matrix(
             batch, predicted.markers, predicted.sensor_xy[i],
             predicted.sensor_theta[i], model, sensor_id=i)

@@ -283,7 +283,7 @@ def _prune(verts: list[tuple[float, float]]) -> list[tuple[float, float]]:
 def _canonical(verts: list[tuple[float, float]]) -> tuple[Point2, ...]:
     if not verts:
         return ()
-    k = min(range(len(verts)), key=lambda i: verts[i])
+    k = verts.index(min(verts))
     ordered = verts[k:] + verts[:k]
     return tuple(Point2(x, y) for x, y in ordered)
 
@@ -402,12 +402,47 @@ def contains_polygon(outer: ConvexPolygon, inner: ConvexPolygon,
 
 
 def translate(p: ConvexPolygon, dx: float, dy: float) -> ConvexPolygon:
-    return ConvexPolygon(tuple(Point2(v.x + dx, v.y + dy) for v in p.vertices))
+    """Shift by (dx, dy); rounding can reorder near-equal x, so the start
+    vertex is re-chosen."""
+    return ConvexPolygon(_canonical([(v.x + dx, v.y + dy) for v in p.vertices]))
 
 
 def negate(p: ConvexPolygon) -> ConvexPolygon:
-    """Point reflection through the origin: {-q : q in p}."""
-    return ConvexPolygon.from_points([(-v.x, -v.y) for v in p.vertices])
+    """Point reflection through the origin: {-q : q in p}.
+
+    Negation is exact and a point reflection keeps convexity and CCW order,
+    so only the start vertex moves (to the new lexicographic minimum).
+    """
+    return ConvexPolygon(_canonical([(-v.x, -v.y) for v in p.vertices]))
+
+
+def _merge_edges(a: tuple[Point2, ...],
+                 b: tuple[Point2, ...]) -> list[tuple[float, float]]:
+    """Vertex candidates of the sum of two canonical polygons (n, m >= 3).
+
+    Both walks start at the lexicographic minima, whose sum is a vertex of
+    the result, and advance through the edges in angular order (de Berg et
+    al., Computational Geometry, section 13.3): at most n + m points.
+    """
+    n, m = len(a), len(b)
+    out: list[tuple[float, float]] = []
+    i = j = 0
+    while i < n or j < m:
+        pa, pb = a[i % n], b[j % m]
+        out.append((pa.x + pb.x, pa.y + pb.y))
+        if i == n:
+            j += 1
+            continue
+        if j == m:
+            i += 1
+            continue
+        qa, qb = a[(i + 1) % n], b[(j + 1) % m]
+        c = (qa.x - pa.x) * (qb.y - pb.y) - (qa.y - pa.y) * (qb.x - pb.x)
+        if c >= 0.0:
+            i += 1
+        if c <= 0.0:
+            j += 1
+    return out
 
 
 def minkowski_sum(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
@@ -416,8 +451,13 @@ def minkowski_sum(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
         return translate(a, b.vertices[0].x, b.vertices[0].y)
     if a.is_point:
         return translate(b, a.vertices[0].x, a.vertices[0].y)
-    sums = [(va.x + vb.x, va.y + vb.y) for va in a.vertices for vb in b.vertices]
-    return ConvexPolygon.from_points(sums)
+    if a.is_segment or b.is_segment:
+        # a segment's two edges are antiparallel, so the edge merge cannot
+        # order them; the pairwise sums are only 2m points
+        sums = [(va.x + vb.x, va.y + vb.y)
+                for va in a.vertices for vb in b.vertices]
+        return ConvexPolygon.from_points(sums)
+    return ConvexPolygon.from_points(_merge_edges(a.vertices, b.vertices))
 
 
 def convex_hull(sets: Sequence[ConvexPolygon]) -> ConvexPolygon:
@@ -526,6 +566,38 @@ def _intersect_point(pt: Point2, other: ConvexPolygon) -> ConvexPolygon | None:
     return None
 
 
+def _strictly_convex(ring: list[tuple[float, float]]) -> bool:
+    """Whether every vertex of the ring turns strictly left.
+
+    Such a ring, started at its lexicographic minimum, is exactly what the
+    monotone-chain hull returns for its points.
+    """
+    n = len(ring)
+    if n < 3:
+        return False
+    for i in range(n):
+        a, b, c = ring[i - 1], ring[i], ring[(i + 1) % n]
+        if _cross(a[0], a[1], b[0], b[1], c[0], c[1]) <= 0.0:
+            return False
+    return True
+
+
+def _clip(a: ConvexPolygon, b: ConvexPolygon) -> list[tuple[float, float]] | None:
+    """Sutherland-Hodgman clip of polygon a by the half-planes of polygon b.
+
+    The output runs CCW like a; None when it is empty.
+    """
+    pts = [(v.x, v.y) for v in a.vertices]
+    v = b.vertices
+    for i in range(len(v)):
+        p = v[i]
+        q = v[(i + 1) % len(v)]
+        pts = _clip_poly_halfplane(pts, p.x, p.y, q.x, q.y)
+        if not pts:
+            return None
+    return pts
+
+
 def intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
     """Exact intersection; None signals disjoint sets (a value, not an error)."""
     if a.is_point:
@@ -538,14 +610,23 @@ def intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
         return _clip_segment(a, b)
     if b.is_segment:
         return _clip_segment(b, a)
-    pts = [(v.x, v.y) for v in a.vertices]
-    for i in range(b.n):
-        p = b.vertices[i]
-        q = b.vertices[(i + 1) % b.n]
-        pts = _clip_poly_halfplane(pts, p.x, p.y, q.x, q.y)
-        if not pts:
-            return None
-    return ConvexPolygon.from_points(pts)
+    pts = _clip(a, b)
+    if pts is None:
+        return None
+    k = pts.index(min(pts))
+    ring = pts[k:] + pts[:k]
+    if not _strictly_convex(ring):
+        # a collapsed clip, or rounding left a duplicate, collinear or reflex
+        # vertex: let the hull pick the extreme points
+        return ConvexPolygon.from_points(pts)
+    return ConvexPolygon(_canonical(_prune(ring)))
+
+
+def intersects(a: ConvexPolygon, b: ConvexPolygon) -> bool:
+    """Whether intersect(a, b) is non-empty, without building the polygon."""
+    if a.n <= 2 or b.n <= 2:
+        return intersect(a, b) is not None
+    return _clip(a, b) is not None
 
 
 # --- outer approximations --------------------------------------------------

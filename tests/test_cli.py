@@ -112,6 +112,21 @@ def test_run_fault_exit_code(tmp_path, capsys):
     assert code == 0
 
 
+def test_run_skips_sensors_whose_cone_is_too_wide(tmp_path, capsys):
+    # a 200 degree orientation interval leaves every bearing cone without a
+    # bounded convex superset: validate accepts it, and run must not crash
+    text = scenario.builtin_config_text("parking").replace(
+        "sensor_theta_deg = 2.0", "sensor_theta_deg = 200")
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert run_cli("validate", "--config", str(cfg)) == 0
+    code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                   "--estimator", "set")
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "containment_rate=100.0%" in out
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert run_cli("validate", "--config", str(tmp_path / "nope.cfg")) == 1
 
