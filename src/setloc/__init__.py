@@ -7,7 +7,7 @@ from .sensing import Measurement, SensorModel, SensorPose
 from .correspondence import (Assignment, CandidateMatrix, CapExceeded,
                              InconsistentBatch)
 from .estimator import (EmptySetFault, EstimatorModels, EstimatorState,
-                        RigidBodySpec)
+                        RigidBodySpec, StepFault)
 from .scenario import ConfigError, RunRecord, ScenarioConfig, ScenarioFault
 
 __version__ = "0.1.0"
@@ -18,5 +18,5 @@ __all__ = [
     "EstimatorModels", "EstimatorState", "InconsistentBatch", "Interval",
     "MarkerOffset", "Measurement", "Point2", "RigidBodySpec", "RobotModel",
     "RobotPose", "RunRecord", "ScenarioConfig", "ScenarioFault",
-    "SectorTooWide", "SensorModel", "SensorPose", "__version__",
+    "SectorTooWide", "SensorModel", "SensorPose", "StepFault", "__version__",
 ]

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import scenario
+from . import estimator, scenario
 from .scenario import ConfigError, ScenarioFault
 
 EXIT_OK = 0
@@ -22,9 +22,14 @@ log = logging.getLogger("setloc")
 
 
 def _setup_logging() -> None:
+    # a handler of its own on the current stderr, so that repeated in-process
+    # calls neither duplicate output nor depend on the root logger's set-up
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    log.handlers[:] = [handler]
+    log.propagate = False
     level = os.environ.get("SETLOC_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(getattr(logging, level, logging.WARNING))
 
 
 def _load(args) -> scenario.ScenarioConfig:
@@ -36,8 +41,18 @@ def _load(args) -> scenario.ScenarioConfig:
     return cfg
 
 
+def _warn_wide_cones(cfg: scenario.ScenarioConfig) -> None:
+    _, _, sensor_theta = scenario.initial_sets(cfg)
+    for i, (site, theta) in enumerate(zip(cfg.sensors, sensor_theta)):
+        if estimator.bearing_cone_too_wide(site.model, theta):
+            log.warning("[sensor.%d]: eps_bearing plus half the initial "
+                        "orientation interval reaches 90 degrees; every "
+                        "measurement of this sensor will be skipped", i + 1)
+
+
 def _cmd_run(args) -> int:
     cfg = _load(args)
+    _warn_wide_cones(cfg)
     problems = scenario.validate_config(cfg)
     if problems:
         for p in problems:
@@ -93,6 +108,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = _load(args)
+    _warn_wide_cones(cfg)
     problems = scenario.validate_config(cfg)
     if problems:
         for p in problems:
@@ -127,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--estimator", choices=["set", "fastslam", "both"])
     run.add_argument("--fallback-predict", action="store_true",
                      help="keep the predicted sets instead of aborting on an "
-                          "empty intersection")
+                          "estimator fault (either motion model)")
     run.add_argument("--timings", action="store_true",
                      help="write measured wall times into metrics.csv "
                           "(breaks byte-for-byte reproducibility)")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 from . import correspondence, geom2d, sensing
@@ -35,6 +36,17 @@ class EmptySetFault(Exception):
         self.what = what
         self.sensor = sensor
         self.marker = marker
+
+
+class StepFault(Exception):
+    """A step's update failed.  ``cause`` is the EmptySetFault,
+    InconsistentBatch or CapExceeded; ``predicted`` is the step's k-stamped
+    prediction, which alone is still a valid (if loose) bound."""
+
+    def __init__(self, cause: Exception, predicted: "EstimatorState"):
+        super().__init__(str(cause))
+        self.cause = cause
+        self.predicted = predicted
 
 
 @dataclass(frozen=True)
@@ -75,6 +87,9 @@ class EstimatorModels:
     max_vertices: int = geom2d.V_MAX
     ball_segments: int = geom2d.DEFAULT_BALL_SEGMENTS
     assignment_cap: int = correspondence.DEFAULT_ASSIGNMENT_CAP
+    # motion model: None is the bicycle, a number the speed bound of a robot
+    # that may move in any direction
+    omni_v_max: float | None = None
 
 
 @dataclass(frozen=True)
@@ -82,9 +97,13 @@ class EstimatorState:
     markers: tuple[ConvexPolygon, ...]
     sensor_xy: tuple[ConvexPolygon, ...]
     sensor_theta: tuple[AngleInterval, ...]
-    body: ConvexPolygon
     heading: AngleInterval
     k: int = 0
+
+    @cached_property
+    def body(self) -> ConvexPolygon:
+        """Convex envelope of the marker sets: the guaranteed body bound."""
+        return geom2d.convex_hull(list(self.markers))
 
 
 def make_state(markers: Sequence[ConvexPolygon],
@@ -92,14 +111,11 @@ def make_state(markers: Sequence[ConvexPolygon],
                sensor_theta: Sequence[AngleInterval],
                spec: RigidBodySpec | None = None,
                k: int = 0) -> EstimatorState:
-    """Assemble a state, deriving the body hull and (if possible) heading."""
-    body = geom2d.convex_hull(list(markers))
-    heading = AngleInterval.full()
+    """Assemble a state, deriving the heading if possible."""
     state = EstimatorState(tuple(markers), tuple(sensor_xy),
-                           tuple(sensor_theta), body, heading, k)
+                           tuple(sensor_theta), AngleInterval.full(), k)
     if spec is not None and len(markers) >= 2:
-        heading = estimate_heading(state, spec)
-        state = replace(state, heading=heading)
+        state = replace(state, heading=estimate_heading(state, spec))
     return state
 
 
@@ -133,9 +149,8 @@ def propagate(state: EstimatorState, u: Control,
              for d in (u.delta - robot.eps_delta, u.delta + robot.eps_delta)]
     turn = Interval(min(rates), max(rates))
     heading = state.heading.shift(turn.mid).widen(0.5 * turn.width)
-    body = geom2d.convex_hull(new_markers)
     return EstimatorState(tuple(new_markers), state.sensor_xy,
-                          state.sensor_theta, body, heading, state.k)
+                          state.sensor_theta, heading, state.k)
 
 
 def propagate_omnidirectional(state: EstimatorState, v_max: float,
@@ -151,13 +166,19 @@ def propagate_omnidirectional(state: EstimatorState, v_max: float,
     new_markers = tuple(
         geom2d.simplify_outer(geom2d.minkowski_sum(p, ball), max_vertices)
         for p in state.markers)
-    return replace(state, markers=new_markers,
-                   body=geom2d.convex_hull(list(new_markers)))
+    return replace(state, markers=new_markers)
 
 
 # ---------------------------------------------------------------------------
 # measurement update
 # ---------------------------------------------------------------------------
+
+def bearing_cone_too_wide(model: SensorModel, theta: AngleInterval) -> bool:
+    """Whether a sensor's bearing cone is at least pi/2 wide and so has no
+    bounded convex superset.  update skips such a sensor's batches; that never
+    cuts the truth, and the orientation interval only narrows."""
+    return model.eps_bearing + theta.half_width >= math.pi / 2.0
+
 
 def _bearing_span(marker_set: ConvexPolygon,
                   sensor_set: ConvexPolygon) -> AngleInterval:
@@ -175,7 +196,7 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
     over-approximated by enclosing arcs / convex hulls, which keeps every
     update a superset of the exact one).  Marker sets are narrowed last,
     using only sensors that measured a marker under every hypothesis.  A
-    sensor whose bearing cone is at least pi/2 wide is skipped.
+    sensor whose bearing cone is too wide (bearing_cone_too_wide) is skipped.
     """
     n_markers = len(predicted.markers)
     sensor_theta = list(predicted.sensor_theta)
@@ -186,10 +207,7 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
         if not batch:
             continue
         model = models.sensors[i]
-        if model.eps_bearing + predicted.sensor_theta[i].half_width >= math.pi / 2.0:
-            # the bearing cone has no bounded convex superset; skipping the
-            # batch never cuts the truth, and the orientation interval only
-            # narrows, so this sensor stays skipped
+        if bearing_cone_too_wide(model, predicted.sensor_theta[i]):
             continue
         cmat = correspondence.build_candidate_matrix(
             batch, predicted.markers, predicted.sensor_xy[i],
@@ -231,7 +249,6 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
         xy_options = []
         for a in assigns:
             region: ConvexPolygon | None = None
-            alive = True
             for q, j in enumerate(a):
                 back = sensing.feasible_sensor_region(
                     batch[q].bearing, batch[q].range, model,
@@ -239,9 +256,8 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
                 cand = geom2d.minkowski_sum(predicted.markers[j], back)
                 region = cand if region is None else geom2d.intersect(region, cand)
                 if region is None:
-                    alive = False
                     break
-            if alive and region is not None:
+            else:
                 xy_options.append(region)
         if not xy_options:
             raise EmptySetFault("position update", sensor=i)
@@ -270,9 +286,8 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
                 raise EmptySetFault("marker update", sensor=i, marker=j)
             markers[j] = geom2d.simplify_outer(narrowed, models.max_vertices)
 
-    body = geom2d.convex_hull(markers)
     return EstimatorState(tuple(markers), tuple(sensor_xy), tuple(sensor_theta),
-                          body, predicted.heading, predicted.k)
+                          predicted.heading, predicted.k)
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +317,7 @@ def refine_rigid_body(state: EstimatorState, spec: RigidBodySpec,
         if narrowed is None:
             raise EmptySetFault("rigid-body refinement", marker=i)
         markers[i] = geom2d.simplify_outer(narrowed, max_vertices)
-    return replace(state, markers=tuple(markers),
-                   body=geom2d.convex_hull(markers))
-
-
-def estimate_body(state: EstimatorState) -> ConvexPolygon:
-    """Convex envelope of the marker sets: the guaranteed body bound."""
-    return geom2d.convex_hull(list(state.markers))
+    return replace(state, markers=tuple(markers))
 
 
 def estimate_heading(state: EstimatorState, spec: RigidBodySpec) -> AngleInterval:
@@ -333,24 +342,29 @@ def estimate_heading(state: EstimatorState, spec: RigidBodySpec) -> AngleInterva
     return acc
 
 
-def step(state: EstimatorState, u: Control,
+def step(state: EstimatorState, u: Control | None,
          batches: Sequence[Sequence[Measurement]], models: EstimatorModels,
-         spec: RigidBodySpec, fallback_predict: bool = False) -> EstimatorState:
-    """Full cycle: propagate, update, refine, reconstruct body and heading.
+         spec: RigidBodySpec) -> EstimatorState:
+    """Full cycle: propagate under the models' motion model (the
+    omnidirectional one takes no control, u may be None), update, and with
+    two or more markers refine the marker sets and reconstruct the heading.
 
-    With fallback_predict an empty-set fault is swallowed and the predicted
-    state is returned instead of aborting; the prediction alone is still a
-    valid (if loose) bound.
+    Raises StepFault when the update, refinement or heading fails.
     """
-    predicted = propagate(state, u, models)
+    if models.omni_v_max is None:
+        predicted = propagate(state, u, models)
+    else:
+        predicted = propagate_omnidirectional(state, models.omni_v_max,
+                                              models.robot.dt,
+                                              models.max_vertices)
+    predicted = replace(predicted, k=state.k + 1)
     try:
         updated = update(predicted, batches, models)
+        if spec.n < 2:
+            return updated
         refined = refine_rigid_body(updated, spec, models.max_vertices,
                                     models.ball_segments)
-        heading = estimate_heading(refined, spec)
-    except (EmptySetFault, correspondence.InconsistentBatch):
-        if not fallback_predict:
-            raise
-        return replace(predicted, body=estimate_body(predicted), k=state.k + 1)
-    return replace(refined, body=estimate_body(refined), heading=heading,
-                   k=state.k + 1)
+        return replace(refined, heading=estimate_heading(refined, spec))
+    except (EmptySetFault, correspondence.InconsistentBatch,
+            correspondence.CapExceeded) as exc:
+        raise StepFault(exc, predicted) from exc

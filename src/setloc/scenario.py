@@ -1,9 +1,10 @@
 """Synthetic-world runner: configs, truth simulation, metrics and sweeps.
 
-The world integrates the vehicle pose with bounded uniform noise and keeps
-the markers rigidly attached to the body, generates per-sensor measurement
-batches (shuffled, so correspondence is genuinely latent), feeds the chosen
-estimators and scores them per step.
+A run is world -> measurement stream -> tracker -> scorer.  A per-mode world
+moves the truth with bounded uniform noise; per-sensor measurement batches
+are drawn from it (shuffled, so correspondence is genuinely latent); one
+loop steps the chosen estimators under the run's fault policy and scores
+them per step.  Replay runs the same tracker over a recorded stream.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import estimator as est
 from . import fastslam as fs
 from . import geom2d
-from .correspondence import CapExceeded, InconsistentBatch
 from .geom2d import AngleInterval, ConvexPolygon, wrap_angle
 from .kinematics import Control, MarkerOffset, RobotModel, RobotPose, bicycle_step, place_marker
 from .sensing import ANGLE_RANGE, Measurement, SensorModel, SensorPose, measure
@@ -117,12 +117,6 @@ def body_polygon(pose: RobotPose, robot: RobotModel) -> ConvexPolygon:
     return ConvexPolygon.from_points(pts)
 
 
-def disk_outer_polygon(center: tuple[float, float], radius: float,
-                       k: int = 32) -> ConvexPolygon:
-    ball = geom2d.ball_outer_polygon(radius, "l2", k)
-    return geom2d.translate(ball, center[0], center[1])
-
-
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
@@ -135,15 +129,19 @@ class Metrics:
     contained_heading: bool
 
 
-def compute_metrics(body_est: ConvexPolygon, heading_est: AngleInterval,
-                    truth_region: ConvexPolygon, truth_theta: float) -> Metrics:
-    """Body-overlap ratio and heading-interval deviation against the truth."""
+def _overlap_ratio(body_est: ConvexPolygon, truth_region: ConvexPolygon) -> float:
+    """Share of the body estimate's area that the true body covers."""
     est_area = geom2d.area(body_est)
     overlap = geom2d.intersect(body_est, truth_region)
     if overlap is None or est_area <= 0.0:
-        m1 = 0.0
-    else:
-        m1 = geom2d.area(overlap) / est_area
+        return 0.0
+    return geom2d.area(overlap) / est_area
+
+
+def compute_metrics(body_est: ConvexPolygon, heading_est: AngleInterval,
+                    truth_region: ConvexPolygon, truth_theta: float) -> Metrics:
+    """Body-overlap ratio and heading-interval deviation against the truth."""
+    m1 = _overlap_ratio(body_est, truth_region)
     hi_dev = abs(wrap_angle(heading_est.hi - truth_theta))
     lo_dev = abs(wrap_angle(heading_est.lo - truth_theta))
     m2 = hi_dev + lo_dev if not heading_est.is_full else 2.0 * math.pi
@@ -196,20 +194,17 @@ class RunRecord:
     def fs_m2(self) -> list[float]:
         return [r.fs_metrics.m2 for r in self.rows if r.fs_metrics]
 
+    def _set_contained(self) -> list[bool]:
+        return [r.set_metrics.contained_body and r.set_metrics.contained_heading
+                and r.set_contained_markers and r.set_contained_sensors
+                for r in self.rows if r.set_metrics]
+
     def set_containment_ok(self) -> bool:
-        return all(r.set_metrics.contained_body and r.set_metrics.contained_heading
-                   and r.set_contained_markers and r.set_contained_sensors
-                   for r in self.rows if r.set_metrics)
+        return all(self._set_contained())
 
     def containment_rate(self) -> float:
-        rows = [r for r in self.rows if r.set_metrics]
-        if not rows:
-            return math.nan
-        good = sum(
-            1 for r in rows
-            if r.set_metrics.contained_body and r.set_metrics.contained_heading
-            and r.set_contained_markers and r.set_contained_sensors)
-        return good / len(rows)
+        held = self._set_contained()
+        return sum(held) / len(held) if held else math.nan
 
     def to_csv(self, include_timings: bool = False) -> str:
         out = io.StringIO()
@@ -260,8 +255,8 @@ def measurement_from_line(line: str) -> tuple[int, Measurement]:
         raise ConfigError(f"bad measurement record {line!r}: {exc}") from exc
 
 
-def batches_from_lines(lines: Sequence[str], n_steps: int,
-                       n_sensors: int) -> list[list[list[Measurement]]]:
+def batches_from_lines(lines: Sequence[str], n_steps: int, n_sensors: int,
+                       n_markers: int) -> list[list[list[Measurement]]]:
     """Group serialized measurement records into per-step, per-sensor batches."""
     out: list[list[list[Measurement]]] = \
         [[[] for _ in range(n_sensors)] for _ in range(n_steps)]
@@ -272,8 +267,11 @@ def batches_from_lines(lines: Sequence[str], n_steps: int,
         if not (1 <= step <= n_steps and 0 <= m.sensor_id < n_sensors):
             raise ConfigError(f"measurement record out of range: {line!r}")
         out[step - 1][m.sensor_id].append(m)
-    for step_batches in out:
-        for batch in step_batches:
+    for step, step_batches in enumerate(out, start=1):
+        for sensor, batch in enumerate(step_batches):
+            if len(batch) > n_markers:
+                raise ConfigError(f"step {step}, sensor {sensor}: {len(batch)} "
+                                  f"measurement records for {n_markers} markers")
             batch.sort(key=lambda m: m.slot)
     return out
 
@@ -363,8 +361,56 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# simulation
+# simulation: world -> measurement stream -> tracker -> scorer
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Truth:
+    """The world's true state after one step."""
+
+    markers: tuple[tuple[float, float], ...]
+    region: ConvexPolygon                 # true body
+    heading: float | None                 # None: the world keeps no heading
+    pose: tuple[float, ...]               # as geometry.ndjson records it
+
+
+def _bicycle_truth(pose: RobotPose, cfg: ScenarioConfig) -> Truth:
+    return Truth(tuple(place_marker(pose, off) for off in cfg.offsets),
+                 body_polygon(pose, cfg.robot), pose.theta,
+                 (pose.x, pose.y, pose.theta))
+
+
+def _bicycle_world(cfg: ScenarioConfig, trajectory: Sequence[tuple[float, float]],
+                   rng: np.random.Generator) -> Iterator[tuple[int, Control, Truth]]:
+    """(k, control, truth) of a vehicle under bounded speed and steering noise."""
+    robot = cfg.robot
+    pose = cfg.start
+    for k, (v, delta) in enumerate(trajectory, start=1):
+        u = Control(v, delta)
+        w_v = rng.uniform(-robot.eps_v, robot.eps_v)
+        w_d = rng.uniform(-robot.eps_delta, robot.eps_delta)
+        assert abs(w_v) <= robot.eps_v and abs(w_d) <= robot.eps_delta
+        pose = bicycle_step(pose, u, w_v, w_d, robot)
+        yield k, u, _bicycle_truth(pose, cfg)
+
+
+def _omni_world(cfg: ScenarioConfig, trajectory: Sequence[tuple[float, float]],
+                rng: np.random.Generator) -> Iterator[tuple[int, None, Truth]]:
+    """(k, control, truth) of an omnidirectional robot's centre; its motion
+    model takes no control, only the speed bound."""
+    dt = cfg.robot.dt
+    v_max = cfg.omni_v_max
+    center = (cfg.start.x, cfg.start.y)
+    disk = geom2d.ball_outer_polygon(cfg.omni_radius, "l2", 32)
+    for k, (speed, heading) in enumerate(trajectory, start=1):
+        # speed wanders within its bound; the direction follows the leg
+        sp = rng.uniform(0.0, min(speed, v_max)) if v_max > 0.0 else 0.0
+        center = (center[0] + sp * dt * math.cos(heading),
+                  center[1] + sp * dt * math.sin(heading))
+        region = geom2d.translate(disk, *center) if cfg.omni_radius > 0.0 \
+            else ConvexPolygon.point(*center)
+        yield k, None, Truth((center,), region, None, center)
+
 
 def _measurement_batches(markers: Sequence[tuple[float, float]],
                          sensors: Sequence[SensorSite],
@@ -387,6 +433,61 @@ def _measurement_batches(markers: Sequence[tuple[float, float]],
     return batches
 
 
+def _start_tracker(cfg: ScenarioConfig, steps: int | None):
+    """The estimator's models, rigid-body spec, initial state and the legs."""
+    omni_v_max = cfg.omni_v_max if cfg.mode == MODE_OMNI else None
+    models = est.EstimatorModels(cfg.robot, cfg.offsets, cfg.sensor_models(),
+                                 assignment_cap=cfg.assignment_cap,
+                                 omni_v_max=omni_v_max)
+    spec = est.RigidBodySpec.from_offsets(cfg.offsets)
+    state = est.make_state(*initial_sets(cfg), spec)
+    trajectory = cfg.trajectory if steps is None else cfg.trajectory[:steps]
+    return models, spec, state, trajectory
+
+
+def _track(state: est.EstimatorState, u: Control | None,
+           batches: Sequence[Sequence[Measurement]],
+           models: est.EstimatorModels, spec: est.RigidBodySpec,
+           fallback_predict: bool = False) -> tuple[est.EstimatorState, bool]:
+    """One estimator step under the run's fault policy: a fault aborts with
+    ScenarioFault, or under fallback_predict keeps the step's prediction (and
+    says so in the returned flag)."""
+    try:
+        return est.step(state, u, batches, models, spec), False
+    except est.StepFault as fault:
+        if not fallback_predict:
+            raise ScenarioFault(fault.predicted.k, fault.cause) from fault
+        return fault.predicted, True
+
+
+def _score_set(row: StepRecord, state: est.EstimatorState, truth: Truth,
+               sensors: Sequence[SensorSite],
+               body_ball: ConvexPolygon | None) -> ConvexPolygon:
+    """Fill the set estimator's columns of a row; returns the body set scored
+    (without a true heading: the marker set grown by the body disk)."""
+    markers_in = all(geom2d.contains(p, t)
+                     for p, t in zip(state.markers, truth.markers))
+    if truth.heading is None:
+        body = state.markers[0] if body_ball is None \
+            else geom2d.minkowski_sum(state.markers[0], body_ball)
+        row.set_metrics = Metrics(
+            _overlap_ratio(body, truth.region), 0.0,
+            markers_in and geom2d.contains_polygon(body, truth.region), True)
+        row.set_heading_width = 2.0 * math.pi
+    else:
+        body = state.body
+        row.set_metrics = compute_metrics(body, state.heading, truth.region,
+                                          truth.heading)
+        row.set_heading_width = state.heading.width
+    row.set_contained_markers = markers_in
+    row.set_contained_sensors = all(
+        geom2d.contains(state.sensor_xy[i], site.pose.xy)
+        and state.sensor_theta[i].contains(site.pose.theta)
+        for i, site in enumerate(sensors))
+    row.set_body_area = geom2d.area(body)
+    return body
+
+
 def simulate_run(cfg: ScenarioConfig, steps: int | None = None,
                  fallback_predict: bool = False,
                  record_geometry: bool = False,
@@ -397,41 +498,25 @@ def simulate_run(cfg: ScenarioConfig, steps: int | None = None,
     problems = validate_config(cfg)
     if problems:
         raise ConfigError("; ".join(problems))
-    if cfg.mode == MODE_OMNI:
-        return _simulate_omni(cfg, steps, record_geometry, record_measurements)
-
     ss = np.random.SeedSequence(cfg.seed)
     rng_proc, rng_meas, rng_shuf, rng_fs = \
         (np.random.default_rng(c) for c in ss.spawn(4))
-
-    robot = cfg.robot
-    offsets = cfg.offsets
-    spec = est.RigidBodySpec.from_offsets(offsets)
-    models = est.EstimatorModels(robot, offsets, cfg.sensor_models(),
-                                 assignment_cap=cfg.assignment_cap)
-
-    pose = cfg.start
-    marker0, sensor_xy0, sensor_theta0 = initial_sets(cfg)
-    state = est.make_state(marker0, sensor_xy0, sensor_theta0, spec)
+    models, spec, state, trajectory = _start_tracker(cfg, steps)
     ps = None
     if cfg.wants("fastslam"):
-        ps = fs.init_particles(marker0, sensor_xy0, sensor_theta0,
-                               cfg.fastslam_particles, rng_fs)
+        ps = fs.init_particles(state.markers, state.sensor_xy,
+                               state.sensor_theta, cfg.fastslam_particles,
+                               rng_fs)
+    omni = cfg.mode == MODE_OMNI
+    body_ball = geom2d.ball_outer_polygon(cfg.omni_radius, "l2") \
+        if omni and cfg.omni_radius > 0.0 else None
 
     rec = RunRecord(cfg.mode, cfg.seed)
-    if record_geometry:
-        _dump_state(rec, 0, state, pose, robot, cfg, None)
-
-    trajectory = cfg.trajectory if steps is None else cfg.trajectory[:steps]
-    for k, (v, delta) in enumerate(trajectory, start=1):
-        u = Control(v, delta)
-        w_v = rng_proc.uniform(-robot.eps_v, robot.eps_v)
-        w_d = rng_proc.uniform(-robot.eps_delta, robot.eps_delta)
-        assert abs(w_v) <= robot.eps_v and abs(w_d) <= robot.eps_delta
-        pose = bicycle_step(pose, u, w_v, w_d, robot)
-        true_markers = [place_marker(pose, off) for off in offsets]
-        truth_region = body_polygon(pose, robot)
-        batches = _measurement_batches(true_markers, cfg.sensors,
+    if record_geometry and not omni:
+        _dump_state(rec, 0, state, _bicycle_truth(cfg.start, cfg), None)
+    world = _omni_world if omni else _bicycle_world
+    for k, u, truth in world(cfg, trajectory, rng_proc):
+        batches = _measurement_batches(truth.markers, cfg.sensors,
                                        rng_meas, rng_shuf)
         if record_measurements:
             rec.measurements.extend(measurement_to_line(k, m)
@@ -440,65 +525,49 @@ def simulate_run(cfg: ScenarioConfig, steps: int | None = None,
 
         if cfg.wants("set"):
             t0 = time.perf_counter()
-            try:
-                state = est.step(state, u, batches, models, spec)
-            except (est.EmptySetFault, InconsistentBatch, CapExceeded) as exc:
-                if not fallback_predict:
-                    raise ScenarioFault(k, exc) from exc
-                predicted = est.propagate(state, u, models)
-                state = replace(predicted, body=est.estimate_body(predicted),
-                                k=state.k + 1)
-                rec.set_fallbacks += 1
+            state, fell_back = _track(state, u, batches, models, spec,
+                                      fallback_predict)
             row.set_wall_ms = 1e3 * (time.perf_counter() - t0)
-            row.set_metrics = compute_metrics(state.body, state.heading,
-                                              truth_region, pose.theta)
-            row.set_contained_markers = all(
-                geom2d.contains(state.markers[j], true_markers[j])
-                for j in range(len(offsets)))
-            row.set_contained_sensors = all(
-                geom2d.contains(state.sensor_xy[i], site.pose.xy)
-                and state.sensor_theta[i].contains(site.pose.theta)
-                for i, site in enumerate(cfg.sensors))
-            row.set_body_area = geom2d.area(state.body)
-            row.set_heading_width = state.heading.width
+            rec.set_fallbacks += fell_back
+            body = _score_set(row, state, truth, cfg.sensors, body_ball)
             if track_sensor_sets:
                 rec.sensor_track.append(
                     (tuple(geom2d.area(p) for p in state.sensor_xy),
                      tuple(t.width for t in state.sensor_theta),
                      tuple(len(b) for b in batches)))
 
+        fs_dump = None
         if ps is not None:
             t0 = time.perf_counter()
-            ps = fs.predict(ps, u, robot, offsets, spec, rng_fs)
+            ps = fs.predict(ps, u, cfg.robot, cfg.offsets, spec, rng_fs)
             ps = fs.weight_update(ps, batches, cfg.sensor_models())
             ps = fs.resample(ps, rng_fs)
-            body = fs.estimate_body_particles(ps)
-            heading = fs.heading_interval_particles(ps, spec)
+            fs_dump = (fs.estimate_body_particles(ps),
+                       fs.heading_interval_particles(ps, spec))
             row.fs_wall_ms = 1e3 * (time.perf_counter() - t0)
-            row.fs_metrics = compute_metrics(body, heading,
-                                             truth_region, pose.theta)
-            row.fs_body_area = geom2d.area(body)
-            row.fs_heading_width = heading.width
+            row.fs_metrics = compute_metrics(*fs_dump, truth.region,
+                                             truth.heading)
+            row.fs_body_area = geom2d.area(fs_dump[0])
+            row.fs_heading_width = fs_dump[1].width
             rec.fs_degenerate_resets = ps.degenerate_resets
 
         rec.rows.append(row)
-        if record_geometry:
-            fs_dump = None
-            if ps is not None:
-                fs_dump = (fs.estimate_body_particles(ps),
-                           fs.heading_interval_particles(ps, spec))
-            _dump_state(rec, k, state if cfg.wants("set") else None,
-                        pose, robot, cfg, fs_dump)
+        if record_geometry and omni:
+            rec.geometry += [
+                _geometry_line(k, "truth/center", pose=truth.pose),
+                _geometry_line(k, "set/marker1", poly=state.markers[0]),
+                _geometry_line(k, "set/body", poly=body)]
+        elif record_geometry:
+            _dump_state(rec, k, state if cfg.wants("set") else None, truth,
+                        fs_dump)
     return rec
 
 
 def _dump_state(rec: RunRecord, k: int, state: est.EstimatorState | None,
-                pose: RobotPose, robot: RobotModel, cfg: ScenarioConfig,
+                truth: Truth,
                 fs_dump: tuple[ConvexPolygon, AngleInterval] | None) -> None:
-    rec.geometry.append(_geometry_line(k, "truth/pose",
-                                       pose=(pose.x, pose.y, pose.theta)))
-    rec.geometry.append(_geometry_line(k, "truth/body",
-                                       poly=body_polygon(pose, robot)))
+    rec.geometry.append(_geometry_line(k, "truth/pose", pose=truth.pose))
+    rec.geometry.append(_geometry_line(k, "truth/body", poly=truth.region))
     if state is not None:
         for j, p in enumerate(state.markers):
             rec.geometry.append(_geometry_line(k, f"set/marker{j + 1}", poly=p))
@@ -515,101 +584,22 @@ def _dump_state(rec: RunRecord, k: int, state: est.EstimatorState | None,
                                            interval=fs_dump[1]))
 
 
-def _simulate_omni(cfg: ScenarioConfig, steps: int | None,
-                   record_geometry: bool,
-                   record_measurements: bool = False) -> RunRecord:
-    ss = np.random.SeedSequence(cfg.seed)
-    rng_proc, rng_meas, rng_shuf, _ = \
-        (np.random.default_rng(c) for c in ss.spawn(4))
-
-    dt = cfg.robot.dt
-    v_max = cfg.omni_v_max
-    models = est.EstimatorModels(cfg.robot, cfg.offsets, cfg.sensor_models(),
-                                 assignment_cap=cfg.assignment_cap)
-    center = (cfg.start.x, cfg.start.y)
-    marker0, sensor_xy0, sensor_theta0 = initial_sets(cfg)
-    state = est.make_state(marker0, sensor_xy0, sensor_theta0)
-    body_ball = geom2d.ball_outer_polygon(cfg.omni_radius, "l2") \
-        if cfg.omni_radius > 0.0 else None
-
-    rec = RunRecord(cfg.mode, cfg.seed)
-    trajectory = cfg.trajectory if steps is None else cfg.trajectory[:steps]
-    for k, (speed, heading) in enumerate(trajectory, start=1):
-        # speed wanders within its bound; the direction follows the leg
-        sp = rng_proc.uniform(0.0, min(speed, v_max)) if v_max > 0.0 else 0.0
-        center = (center[0] + sp * dt * math.cos(heading),
-                  center[1] + sp * dt * math.sin(heading))
-        batches = _measurement_batches([center], cfg.sensors, rng_meas, rng_shuf)
-        if record_measurements:
-            rec.measurements.extend(measurement_to_line(k, m)
-                                    for b in batches for m in b)
-        t0 = time.perf_counter()
-        try:
-            predicted = est.propagate_omnidirectional(state, v_max, dt,
-                                                      models.max_vertices)
-            state = replace(est.update(predicted, batches, models), k=k)
-        except (est.EmptySetFault, InconsistentBatch, CapExceeded) as exc:
-            raise ScenarioFault(k, exc) from exc
-        wall = 1e3 * (time.perf_counter() - t0)
-        body = state.markers[0]
-        if body_ball is not None:
-            body = geom2d.minkowski_sum(state.markers[0], body_ball)
-        truth_region = disk_outer_polygon(center, cfg.omni_radius) \
-            if cfg.omni_radius > 0.0 else ConvexPolygon.point(*center)
-        contained = (geom2d.contains(state.markers[0], center)
-                     and geom2d.contains_polygon(body, truth_region))
-        overlap = geom2d.intersect(body, truth_region)
-        m1 = 0.0
-        if overlap is not None and geom2d.area(body) > 0.0:
-            m1 = geom2d.area(overlap) / geom2d.area(body)
-        row = StepRecord(k)
-        row.set_metrics = Metrics(m1, 0.0, contained, True)
-        row.set_contained_markers = geom2d.contains(state.markers[0], center)
-        row.set_contained_sensors = all(
-            geom2d.contains(state.sensor_xy[i], site.pose.xy)
-            and state.sensor_theta[i].contains(site.pose.theta)
-            for i, site in enumerate(cfg.sensors))
-        row.set_body_area = geom2d.area(body)
-        row.set_heading_width = 2.0 * math.pi
-        row.set_wall_ms = wall
-        rec.rows.append(row)
-        if record_geometry:
-            rec.geometry.append(_geometry_line(k, "truth/center", pose=center))
-            rec.geometry.append(_geometry_line(k, "set/marker1",
-                                               poly=state.markers[0]))
-            rec.geometry.append(_geometry_line(k, "set/body", poly=body))
-    return rec
-
-
 def replay_run(cfg: ScenarioConfig, measurement_lines: Sequence[str],
                steps: int | None = None) -> list[est.EstimatorState]:
     """Drive the guaranteed estimator from a recorded measurement stream.
 
     This is the stand-in for live sensor ingestion: controls come from the
     config's trajectory, measurements from the serialized records.  The
-    returned per-step states match a simulate_run that produced the stream.
+    returned per-step states match a simulate_run that produced the stream;
+    a stream the estimator cannot explain raises ScenarioFault.
     """
-    trajectory = cfg.trajectory if steps is None else cfg.trajectory[:steps]
+    models, spec, state, trajectory = _start_tracker(cfg, steps)
     batches_per_step = batches_from_lines(measurement_lines, len(trajectory),
-                                          cfg.n_sensors)
-    models = est.EstimatorModels(cfg.robot, cfg.offsets, cfg.sensor_models(),
-                                 assignment_cap=cfg.assignment_cap)
-    marker0, sensor_xy0, sensor_theta0 = initial_sets(cfg)
+                                          cfg.n_sensors, cfg.n_markers)
     states: list[est.EstimatorState] = []
-    if cfg.mode == MODE_OMNI:
-        state = est.make_state(marker0, sensor_xy0, sensor_theta0)
-        for k, _ in enumerate(trajectory, start=1):
-            predicted = est.propagate_omnidirectional(
-                state, cfg.omni_v_max, cfg.robot.dt, models.max_vertices)
-            state = replace(est.update(predicted, batches_per_step[k - 1],
-                                       models), k=k)
-            states.append(state)
-        return states
-    spec = est.RigidBodySpec.from_offsets(cfg.offsets)
-    state = est.make_state(marker0, sensor_xy0, sensor_theta0, spec)
-    for k, (v, delta) in enumerate(trajectory, start=1):
-        state = est.step(state, Control(v, delta), batches_per_step[k - 1],
-                         models, spec)
+    for leg, batches in zip(trajectory, batches_per_step):
+        u = None if cfg.mode == MODE_OMNI else Control(*leg)
+        state, _ = _track(state, u, batches, models, spec)
         states.append(state)
     return states
 
@@ -659,23 +649,17 @@ def _sweep_cell(args: tuple[ScenarioConfig, str, float, int, int | None]
     cfg, parameter, value, seed, steps = args
     cell_cfg = replace(apply_parameter(cfg, parameter, value), seed=seed)
     rows: list[SweepRow] = []
-    try:
-        rec = simulate_run(cell_cfg, steps=steps, fallback_predict=True)
-        faulted = False
-    except ScenarioFault:
-        rec = None
-        faulted = True
-    for name, m1s, m2s in (("set", rec.set_m1() if rec else [],
-                            rec.set_m2() if rec else []),
-                           ("fastslam", rec.fs_m1() if rec else [],
-                            rec.fs_m2() if rec else [])):
+    # under the fallback policy every cell runs to its end
+    rec = simulate_run(cell_cfg, steps=steps, fallback_predict=True)
+    for name, m1s, m2s in (("set", rec.set_m1(), rec.set_m2()),
+                           ("fastslam", rec.fs_m1(), rec.fs_m2())):
         if not cell_cfg.wants(name):
             continue
         if m1s:
             rows.append(SweepRow(parameter, value, seed, name,
                                  float(np.mean(m1s)), float(np.std(m1s)),
                                  float(np.mean(m2s)), float(np.std(m2s)),
-                                 len(m1s), faulted))
+                                 len(m1s), False))
         else:
             rows.append(SweepRow(parameter, value, seed, name,
                                  math.nan, math.nan, math.nan, math.nan,

@@ -119,12 +119,17 @@ def test_run_skips_sensors_whose_cone_is_too_wide(tmp_path, capsys):
         "sensor_theta_deg = 2.0", "sensor_theta_deg = 200")
     cfg = tmp_path / "wide.cfg"
     cfg.write_text(text, encoding="utf-8")
+    # both commands warn once per sensor and keep their exit codes
     assert run_cli("validate", "--config", str(cfg)) == 0
+    err = capsys.readouterr().err
+    assert err.count("WARNING setloc") == 21
+    assert "[sensor.21]" in err and "skipped" in err
     code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o"),
                    "--estimator", "set")
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert code == 0
-    assert "containment_rate=100.0%" in out
+    assert "containment_rate=100.0%" in captured.out
+    assert captured.err.count("WARNING setloc") == 21
 
 
 def test_missing_config_file(tmp_path, capsys):

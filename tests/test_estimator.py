@@ -6,15 +6,17 @@ import pytest
 
 from setloc import estimator as est
 from setloc import geom2d
+from setloc.correspondence import CapExceeded, InconsistentBatch
 from setloc.estimator import (EmptySetFault, EstimatorModels,
-                              RigidBodySpec, estimate_body, estimate_heading,
+                              RigidBodySpec, StepFault, estimate_heading,
                               make_state, propagate, propagate_omnidirectional,
                               refine_rigid_body, step, update)
 from setloc.geom2d import AngleInterval, ConvexPolygon
 from setloc.kinematics import (Control, MarkerOffset, RobotModel, RobotPose,
                                bicycle_step, place_marker)
 from setloc.scenario import corner_marker_offsets
-from setloc.sensing import ANGLE_ONLY, ANGLE_RANGE, SensorModel, SensorPose, measure
+from setloc.sensing import (ANGLE_ONLY, ANGLE_RANGE, Measurement, SensorModel,
+                            SensorPose, measure)
 
 ROBOT = RobotModel(wheelbase=2.1, dt=0.5, body_length=4.0, body_width=1.8,
                    eps_v=0.1, eps_delta=math.radians(0.5))
@@ -268,7 +270,7 @@ def test_refine_containment_random():
 def test_estimates_exact_points():
     pose = RobotPose(2.0, -1.0, 1.1)
     state = point_state(pose, [SensorPose(0, 0, 0)])
-    body = estimate_body(state)
+    body = state.body
     truth = geom2d.convex_hull([ConvexPolygon.point(*place_marker(pose, o))
                                 for o in OFFSETS])
     assert geom2d.contains_polygon(body, truth, tol=1e-9)
@@ -285,7 +287,7 @@ def test_estimates_inflated_boxes():
                                 *place_marker(pose, o)) for o in OFFSETS]
     state = make_state(markers, [ConvexPolygon.point(0, 0)],
                        [AngleInterval(0, 0)], SPEC)
-    body = estimate_body(state)
+    body = state.body
     for j in range(4):
         assert geom2d.contains_polygon(body, state.markers[j])
     heading = estimate_heading(state, SPEC)
@@ -325,20 +327,33 @@ def test_step_zero_noise_straight_regression():
 
 
 def test_step_fallback_returns_prediction():
+    # a step that cannot use its measurements raises StepFault carrying the
+    # step's prediction, the bound a fallback policy keeps
     pose = RobotPose(0.0, 0.0, 0.0)
     sensors = [SensorPose(10.0, 0.0, math.pi)]
     models = EstimatorModels(ROBOT, OFFSETS, (PANORAMIC,))
     state = boxed_state(np.random.default_rng(3), pose, sensors,
                         0.2, 0.05, 0.02)
+    u = Control(0.0, 0.0)
+    predicted = replace(propagate(state, u, models), k=state.k + 1)
     # an impossible measurement batch: bearing pointing away from every marker
-    bogus = [[
-        __import__("setloc.sensing", fromlist=["Measurement"]).Measurement(
-            math.pi, 5.0, 0, 0)]]
-    with pytest.raises((EmptySetFault, Exception)):
-        step(state, Control(0.0, 0.0), bogus, models, SPEC)
-    out = step(state, Control(0.0, 0.0), bogus, models, SPEC,
-               fallback_predict=True)
-    assert out.k == state.k + 1
+    bogus = [[Measurement(math.pi, 5.0, 0, 0)]]
+    with pytest.raises(StepFault) as info:
+        step(state, u, bogus, models, SPEC)
+    assert isinstance(info.value.cause, (EmptySetFault, InconsistentBatch))
+    assert info.value.predicted == predicted
+    # marker sets that each cover every marker make all 4! assignments
+    # consistent, so a cap of one (CapExceeded) raises the same fault
+    big = ConvexPolygon.box(-4.0, 4.0, -4.0, 4.0)
+    state = make_state([big] * 4, [ConvexPolygon.point(*sensors[0].xy)],
+                       [AngleInterval(sensors[0].theta, 0.0)], SPEC)
+    batches = world_measurements(np.random.default_rng(4), pose, sensors,
+                                 (PANORAMIC,))
+    capped = EstimatorModels(ROBOT, OFFSETS, (PANORAMIC,), assignment_cap=1)
+    with pytest.raises(StepFault) as info:
+        step(state, u, batches, capped, SPEC)
+    assert isinstance(info.value.cause, CapExceeded)
+    assert info.value.predicted.k == state.k + 1
 
 
 def test_propagate_omnidirectional():

@@ -1,16 +1,18 @@
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from setloc import estimator as est
 from setloc import geom2d, scenario
 from setloc.geom2d import AngleInterval, ConvexPolygon
 from setloc.kinematics import RobotModel, RobotPose
-from setloc.scenario import (ConfigError, SensorSite, body_polygon,
-                             compute_metrics, corner_marker_offsets,
-                             load_builtin, parse_config, sensitivity_sweep,
-                             simulate_run, validate_config)
+from setloc.scenario import (ConfigError, ScenarioFault, SensorSite,
+                             body_polygon, compute_metrics,
+                             corner_marker_offsets, load_builtin, parse_config,
+                             sensitivity_sweep, simulate_run, validate_config)
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +233,54 @@ def test_replay_matches_recorded_omni_run():
     for row, state in zip(rec.rows, states):
         body = geom2d.minkowski_sum(state.markers[0], ball)
         assert geom2d.area(body) == row.set_body_area
+
+
+@pytest.mark.parametrize("name", ["parking", "omni"])
+def test_fault_policy_is_the_same_in_both_modes(name, monkeypatch):
+    cfg = replace(load_builtin(name), estimators="set")
+    real_update = est.update
+    calls = []
+
+    def update_failing_at_step_3(predicted, batches, models):
+        calls.append(predicted.k)
+        if len(calls) == 3:
+            raise est.EmptySetFault("injected")
+        return real_update(predicted, batches, models)
+
+    monkeypatch.setattr(est, "update", update_failing_at_step_3)
+    with pytest.raises(ScenarioFault) as info:
+        simulate_run(cfg, steps=5)
+    assert info.value.step == 3
+    assert isinstance(info.value.cause, est.EmptySetFault)
+    calls.clear()
+    rec = simulate_run(cfg, steps=5, fallback_predict=True)
+    assert [r.k for r in rec.rows] == [1, 2, 3, 4, 5]
+    assert rec.set_fallbacks == 1
+    assert rec.set_containment_ok()
+
+
+def test_replay_of_corrupted_stream_faults_at_its_step(parking):
+    cfg = mini_cfg(parking, estimators="set", seed=11)
+    rec = simulate_run(cfg, steps=6, record_measurements=True)
+    lines = list(rec.measurements)
+    q = next(i for i, line in enumerate(lines) if json.loads(line)["step"] == 4)
+    obj = json.loads(lines[q])
+    obj["bearing"] = geom2d.wrap_angle(obj["bearing"] + math.pi)
+    lines[q] = json.dumps(obj)
+    with pytest.raises(ScenarioFault) as info:
+        scenario.replay_run(cfg, lines, steps=6)
+    assert info.value.step == 4
+
+
+def test_replay_rejects_more_measurements_than_markers():
+    cfg = load_builtin("omni")
+    rec = simulate_run(cfg, steps=5, record_measurements=True)
+    obj = json.loads(rec.measurements[-1])
+    obj["slot"] += 1
+    lines = rec.measurements + [json.dumps(obj)]
+    with pytest.raises(ConfigError, match=f"step {obj['step']}, "
+                                          f"sensor {obj['sensor']}"):
+        scenario.replay_run(cfg, lines, steps=5)
 
 
 def test_sweep_initial_uncertainty_claim(parking):
