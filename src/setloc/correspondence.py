@@ -39,6 +39,11 @@ class CapExceeded(Exception):
 class CandidateMatrix:
     rows: tuple[tuple[bool, ...], ...]   # |measurements| x n_markers
     sensor_id: int = -1
+    # per measurement, as the feasibility test built them: the sector of
+    # marker positions seen from the sensor, and the reachable set
+    # sensor_xy + sector
+    sectors: tuple[ConvexPolygon, ...] = ()
+    reachable: tuple[ConvexPolygon, ...] = ()
 
     @property
     def n_rows(self) -> int:
@@ -60,22 +65,28 @@ def build_candidate_matrix(measurements: Sequence[Measurement],
     Entry (q, j) is true iff marker j's predicted set meets the region the
     sensor's predicted position plus the measurement cone allows.  A row with
     no feasible marker means the batch violates the modeling assumptions.
+    The matrix keeps each measurement's sector and reachable set for reuse.
     """
     if len(measurements) > len(predicted_markers):
         raise ValueError("more measurements than markers in one batch")
     theta0 = predicted_sensor_theta.center
     d_theta = predicted_sensor_theta.half_width
     rows = []
+    sectors = []
+    reachables = []
     for q, meas in enumerate(measurements):
-        region = sensing.feasible_marker_region(meas.bearing, meas.range,
+        sector = sensing.feasible_marker_region(meas.bearing, meas.range,
                                                 model, theta0, d_theta)
-        reachable = geom2d.minkowski_sum(predicted_sensor_xy, region)
+        reachable = geom2d.minkowski_sum(predicted_sensor_xy, sector)
         row = tuple(geom2d.intersects(pj, reachable)
                     for pj in predicted_markers)
         if not any(row):
             raise InconsistentBatch(sensor_id, q)
         rows.append(row)
-    return CandidateMatrix(tuple(rows), sensor_id)
+        sectors.append(sector)
+        reachables.append(reachable)
+    return CandidateMatrix(tuple(rows), sensor_id, tuple(sectors),
+                           tuple(reachables))
 
 
 def enumerate_assignments(c: CandidateMatrix,

@@ -201,7 +201,8 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
     n_markers = len(predicted.markers)
     sensor_theta = list(predicted.sensor_theta)
     sensor_xy = list(predicted.sensor_xy)
-    per_sensor: list[tuple[int, Sequence[Measurement], list[Assignment]]] = []
+    per_sensor: list[tuple[int, list[Assignment], correspondence.CandidateMatrix,
+                           tuple[ConvexPolygon, ...]]] = []
 
     for i, batch in enumerate(batches):
         if not batch:
@@ -244,43 +245,55 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
             raise EmptySetFault("orientation update", sensor=i)
         sensor_theta[i] = new_theta
 
-        # position: intersect per-hypothesis back-projected regions, hull the
-        # union, then intersect with the prediction
+        # each measurement's sector under the new orientation interval; the
+        # candidate matrix built them under the predicted one
+        if new_theta == predicted.sensor_theta[i]:
+            sectors = cmat.sectors
+        else:
+            sectors = tuple(sensing.feasible_marker_region(
+                m.bearing, m.range, model, new_theta.center,
+                new_theta.half_width) for m in batch)
+
+        # position: per hypothesis, clip the prediction by every matched
+        # marker set plus the reflected sector (the sensor positions that see
+        # the marker there), then hull the union over hypotheses
+        backs = [geom2d.negate(sector) for sector in sectors]
         xy_options = []
         for a in assigns:
-            region: ConvexPolygon | None = None
+            region = predicted.sensor_xy[i]
             for q, j in enumerate(a):
-                back = sensing.feasible_sensor_region(
-                    batch[q].bearing, batch[q].range, model,
-                    new_theta.center, new_theta.half_width)
-                cand = geom2d.minkowski_sum(predicted.markers[j], back)
-                region = cand if region is None else geom2d.intersect(region, cand)
+                region = geom2d.intersect_sum(region, predicted.markers[j],
+                                              backs[q])
                 if region is None:
                     break
             else:
                 xy_options.append(region)
         if not xy_options:
             raise EmptySetFault("position update", sensor=i)
-        new_xy = geom2d.intersect(predicted.sensor_xy[i],
-                                  geom2d.convex_hull(xy_options))
-        if new_xy is None:
-            raise EmptySetFault("position update", sensor=i)
+        # the hull of one set, however often it is listed, is that set
+        new_xy = xy_options[0]
+        if any(option is not new_xy for option in xy_options):
+            new_xy = geom2d.convex_hull(xy_options)
         sensor_xy[i] = geom2d.simplify_outer(new_xy, models.max_vertices)
 
-        per_sensor.append((i, batch, assigns))
+        per_sensor.append((i, assigns, cmat, sectors))
 
     # markers: only sensors certain to have measured marker j may narrow it
     markers = list(predicted.markers)
-    for i, batch, assigns in per_sensor:
-        model = models.sensors[i]
+    for i, assigns, cmat, sectors in per_sensor:
         certain = correspondence.markers_with_certain_measurement(assigns, n_markers)
-        theta = sensor_theta[i]
+        # the candidate matrix's reachable sets hold while neither the
+        # sensor's position set nor its sectors changed
+        unchanged = (sectors is cmat.sectors
+                     and sensor_xy[i] == predicted.sensor_xy[i])
         for j in certain:
             slots = sorted({q for a in assigns for q, jj in enumerate(a) if jj == j})
-            cones = [sensing.feasible_marker_region(
-                batch[q].bearing, batch[q].range, model,
-                theta.center, theta.half_width) for q in slots]
-            region = geom2d.minkowski_sum(sensor_xy[i], geom2d.convex_hull(cones))
+            if unchanged and len(slots) == 1:
+                region = cmat.reachable[slots[0]]
+            else:
+                cone = sectors[slots[0]] if len(slots) == 1 else \
+                    geom2d.convex_hull([sectors[q] for q in slots])
+                region = geom2d.minkowski_sum(sensor_xy[i], cone)
             narrowed = geom2d.intersect(markers[j], region)
             if narrowed is None:
                 raise EmptySetFault("marker update", sensor=i, marker=j)

@@ -249,7 +249,12 @@ def _hull_chain(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
 
 
 def _prune(verts: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Merge near-duplicate vertices and drop near-collinear ones (EPS_GEOM)."""
+    """Merge near-duplicate vertices and drop near-collinear ones (EPS_GEOM).
+
+    A vertex goes only when it lies within EPS_GEOM of the chord between its
+    neighbours; the tip of a sliver is on the chord's line but beyond its
+    ends, and dropping it would cut the set.
+    """
     n = len(verts)
     if n <= 1:
         return verts
@@ -273,7 +278,8 @@ def _prune(verts: list[tuple[float, float]]) -> list[tuple[float, float]]:
                 dev = math.hypot(b[0] - a[0], b[1] - a[1])
             else:
                 dev = abs(_cross(a[0], a[1], b[0], b[1], c[0], c[1])) / base
-            if dev <= EPS_GEOM:
+            if dev <= EPS_GEOM and _dist_point_segment(
+                    b[0], b[1], a[0], a[1], c[0], c[1]) <= EPS_GEOM:
                 out.pop(i)
                 changed = True
                 break
@@ -286,6 +292,45 @@ def _canonical(verts: list[tuple[float, float]]) -> tuple[Point2, ...]:
     k = verts.index(min(verts))
     ordered = verts[k:] + verts[:k]
     return tuple(Point2(x, y) for x, y in ordered)
+
+
+def _convex_ring(pts: list[tuple[float, float]]) -> list[tuple[float, float]] | None:
+    """pts rotated to their lexicographic minimum if they already are a
+    strictly convex CCW ring that winds once, else None.
+
+    Such a ring is exactly what the monotone-chain hull returns for its
+    points.  Left turns alone do not show it: a pentagram-order ring turns
+    left at every vertex and winds twice.  So the points must also rise
+    lexicographically to their maximum and then fall back, as the lower and
+    upper chains of a convex polygon do.
+    """
+    n = len(pts)
+    if n < 3:
+        return None
+    k = pts.index(min(pts))
+    ring = pts[k:] + pts[:k]
+    i = 1
+    while i < n and ring[i] > ring[i - 1]:
+        i += 1
+    while i < n and ring[i] < ring[i - 1]:
+        i += 1
+    if i < n:
+        return None
+    for i in range(n):
+        a, b, c = ring[i - 1], ring[i], ring[(i + 1) % n]
+        if _cross(a[0], a[1], b[0], b[1], c[0], c[1]) <= 0.0:
+            return None
+    return ring
+
+
+def _hull_vertices(pts: list[tuple[float, float]]) -> tuple[Point2, ...]:
+    """Canonical vertices of the convex hull of pts (non-empty); a ring that
+    is already convex skips the sort-and-chain hull."""
+    ring = _convex_ring(pts)
+    hull = _prune(ring if ring is not None else _hull_chain(pts))
+    if not hull:                      # everything collapsed to one point
+        hull = [min(pts)]
+    return _canonical(hull)
 
 
 @dataclass(frozen=True)
@@ -305,11 +350,7 @@ class ConvexPolygon:
         pts = [(float(x), float(y)) for x, y in points]
         if not pts:
             raise ValueError("a polygon needs at least one point")
-        hull = _hull_chain(pts)
-        hull = _prune(hull)
-        if not hull:                      # everything collapsed to one point
-            hull = [min(pts)]
-        return cls(_canonical(hull))
+        return cls(_hull_vertices(pts))
 
     @classmethod
     def point(cls, x: float, y: float) -> "ConvexPolygon":
@@ -472,42 +513,70 @@ def convex_hull(sets: Sequence[ConvexPolygon]) -> ConvexPolygon:
 
 # --- intersection ----------------------------------------------------------
 
+# a directed line (ax, ay, bx, by); its closed left side is the half-plane
+Line = tuple[float, float, float, float]
+
+
+def _edge_lines(p: ConvexPolygon) -> list[Line]:
+    """The lines through a polygon's edges, in vertex order."""
+    v = p.vertices
+    n = len(v)
+    return [(v[i].x, v[i].y, v[(i + 1) % n].x, v[(i + 1) % n].y)
+            for i in range(n)]
+
+
 def _clip_poly_halfplane(pts: list[tuple[float, float]], ax: float, ay: float,
                          bx: float, by: float) -> list[tuple[float, float]]:
-    # keep the closed left side of the directed line a->b
+    # keep the closed left side of the directed line a->b; pts itself when
+    # the line cuts nothing
     ex, ey = bx - ax, by - ay
     elen = math.hypot(ex, ey)
     if elen <= EPS_GEOM:
         return pts
     slack = -EPS_GEOM * elen
+    sides = [ex * (y - ay) - ey * (x - ax) for x, y in pts]
+    if min(sides) >= slack:
+        return pts
     out: list[tuple[float, float]] = []
     n = len(pts)
     for i in range(n):
-        cx, cy = pts[i]
-        nx, ny = pts[(i + 1) % n]
-        sc = ex * (cy - ay) - ey * (cx - ax)
-        sn = ex * (ny - ay) - ey * (nx - ax)
+        sc = sides[i]
+        sn = sides[(i + 1) % n]
         cin = sc >= slack
-        nin = sn >= slack
         if cin:
-            out.append((cx, cy))
-        if cin != nin:
+            out.append(pts[i])
+        if cin != (sn >= slack):
+            (cx, cy), (nx, ny) = pts[i], pts[(i + 1) % n]
             t = sc / (sc - sn)
             out.append((cx + t * (nx - cx), cy + t * (ny - cy)))
     return out
 
 
-def _clip_segment(seg: ConvexPolygon, poly: ConvexPolygon) -> ConvexPolygon | None:
+def _clip_ring(pts: list[tuple[float, float]],
+               lines: Sequence[Line]) -> list[tuple[float, float]] | None:
+    """Sutherland-Hodgman clip of a ring by the left sides of lines.
+
+    The output runs like pts and is pts itself when no line cuts it; None
+    when it is empty.
+    """
+    for line in lines:
+        pts = _clip_poly_halfplane(pts, *line)
+        if not pts:
+            return None
+    return pts
+
+
+def _clip_segment(seg: ConvexPolygon,
+                  lines: Sequence[Line]) -> ConvexPolygon | None:
+    """Parametric clip of a segment by the left sides of lines; seg itself
+    when no line cuts it."""
     (ax, ay), (bx, by) = seg.vertices
     t0, t1 = 0.0, 1.0
-    v = poly.vertices
-    for i in range(len(v)):
-        p = v[i]
-        q = v[(i + 1) % len(v)]
-        ex, ey = q.x - p.x, q.y - p.y
+    for px, py, qx, qy in lines:
+        ex, ey = qx - px, qy - py
         elen = math.hypot(ex, ey)
-        sa = ex * (ay - p.y) - ey * (ax - p.x)
-        sb = ex * (by - p.y) - ey * (bx - p.x)
+        sa = ex * (ay - py) - ey * (ax - px)
+        sb = ex * (by - py) - ey * (bx - px)
         slack = -EPS_GEOM * elen
         da = sa - slack
         db = sb - slack
@@ -519,6 +588,8 @@ def _clip_segment(seg: ConvexPolygon, poly: ConvexPolygon) -> ConvexPolygon | No
             t1 = min(t1, da / (da - db))
         if t0 > t1:
             return None
+    if t0 == 0.0 and t1 == 1.0:
+        return seg
     pa = (ax + t0 * (bx - ax), ay + t0 * (by - ay))
     pb = (ax + t1 * (bx - ax), ay + t1 * (by - ay))
     return ConvexPolygon.from_points([pa, pb])
@@ -566,36 +637,12 @@ def _intersect_point(pt: Point2, other: ConvexPolygon) -> ConvexPolygon | None:
     return None
 
 
-def _strictly_convex(ring: list[tuple[float, float]]) -> bool:
-    """Whether every vertex of the ring turns strictly left.
-
-    Such a ring, started at its lexicographic minimum, is exactly what the
-    monotone-chain hull returns for its points.
-    """
-    n = len(ring)
-    if n < 3:
-        return False
-    for i in range(n):
-        a, b, c = ring[i - 1], ring[i], ring[(i + 1) % n]
-        if _cross(a[0], a[1], b[0], b[1], c[0], c[1]) <= 0.0:
-            return False
-    return True
-
-
 def _clip(a: ConvexPolygon, b: ConvexPolygon) -> list[tuple[float, float]] | None:
     """Sutherland-Hodgman clip of polygon a by the half-planes of polygon b.
 
     The output runs CCW like a; None when it is empty.
     """
-    pts = [(v.x, v.y) for v in a.vertices]
-    v = b.vertices
-    for i in range(len(v)):
-        p = v[i]
-        q = v[(i + 1) % len(v)]
-        pts = _clip_poly_halfplane(pts, p.x, p.y, q.x, q.y)
-        if not pts:
-            return None
-    return pts
+    return _clip_ring([(v.x, v.y) for v in a.vertices], _edge_lines(b))
 
 
 def intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
@@ -607,19 +654,15 @@ def intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
     if a.is_segment and b.is_segment:
         return _seg_seg(a, b)
     if a.is_segment:
-        return _clip_segment(a, b)
+        return _clip_segment(a, _edge_lines(b))
     if b.is_segment:
-        return _clip_segment(b, a)
+        return _clip_segment(b, _edge_lines(a))
     pts = _clip(a, b)
     if pts is None:
         return None
-    k = pts.index(min(pts))
-    ring = pts[k:] + pts[:k]
-    if not _strictly_convex(ring):
-        # a collapsed clip, or rounding left a duplicate, collinear or reflex
-        # vertex: let the hull pick the extreme points
-        return ConvexPolygon.from_points(pts)
-    return ConvexPolygon(_canonical(_prune(ring)))
+    # a collapsed clip, or rounding that left a duplicate, collinear or
+    # reflex vertex, goes through the hull
+    return ConvexPolygon(_hull_vertices(pts))
 
 
 def intersects(a: ConvexPolygon, b: ConvexPolygon) -> bool:
@@ -627,6 +670,63 @@ def intersects(a: ConvexPolygon, b: ConvexPolygon) -> bool:
     if a.n <= 2 or b.n <= 2:
         return intersect(a, b) is not None
     return _clip(a, b) is not None
+
+
+_AXES = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+
+
+def _support(p: ConvexPolygon, nx: float, ny: float) -> Point2:
+    """A vertex of p that maximises n . v."""
+    return max(p.vertices, key=lambda v: nx * v.x + ny * v.y)
+
+
+def _sum_lines(a: ConvexPolygon, b: ConvexPolygon) -> list[Line]:
+    """Boundary lines of a + b: the support half-planes
+    n . x <= h_a(n) + h_b(n) over the outward edge normals n of both operands
+    (de Berg et al., section 13.3).
+
+    An edge of one operand, moved by the other's support vertex for its
+    normal, is an edge of the sum.  For two polygons these are the edges of
+    the merge ring.  When neither operand has an area the sum may be a point
+    or a segment, so the axis normals cap it (its bounding box).
+    """
+    if a.n >= 3 and b.n >= 3:
+        ring = _merge_edges(a.vertices, b.vertices)
+        n = len(ring)
+        return [(*ring[i], *ring[(i + 1) % n]) for i in range(n)]
+    lines: list[Line] = []
+    for own, other in ((a, b), (b, a)):
+        if own.n < 2:
+            continue
+        for px, py, qx, qy in _edge_lines(own):
+            w = _support(other, qy - py, px - qx)
+            lines.append((px + w.x, py + w.y, qx + w.x, qy + w.y))
+    if a.n <= 2 and b.n <= 2:
+        for nx, ny in _AXES:
+            wa, wb = _support(a, nx, ny), _support(b, nx, ny)
+            x, y = wa.x + wb.x, wa.y + wb.y
+            lines.append((x, y, x - ny, y + nx))
+    return lines
+
+
+def intersect_sum(s: ConvexPolygon, a: ConvexPolygon,
+                  b: ConvexPolygon) -> ConvexPolygon | None:
+    """intersect(s, minkowski_sum(a, b)) without building the sum.
+
+    s is clipped by the support half-planes of a + b (_sum_lines), each with
+    the same EPS_GEOM outward slack as intersect.  Returns s itself when no
+    half-plane cuts it and None when the result is empty.
+    """
+    lines = _sum_lines(a, b)
+    if s.is_segment:
+        return _clip_segment(s, lines)
+    ring = [(v.x, v.y) for v in s.vertices]
+    pts = _clip_ring(ring, lines)
+    if pts is ring:
+        return s
+    if pts is None:
+        return None
+    return ConvexPolygon(_hull_vertices(pts))
 
 
 # --- outer approximations --------------------------------------------------
@@ -681,15 +781,15 @@ def sector_outer_polygon(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
     m = max(2, math.ceil(2.0 * w / _SECTOR_MAX_STEP))
     step = 2.0 * w / m
     rc = r_hi / math.cos(0.5 * step)
-    pts: list[tuple[float, float]] = []
-    if r_lo > EPS_GEOM:
-        pts.append((r_lo * math.cos(c - w), r_lo * math.sin(c - w)))
-        pts.append((r_lo * math.cos(c + w), r_lo * math.sin(c + w)))
-    else:
-        pts.append((0.0, 0.0))
+    # CCW ring: inner corner, outer arc, the other inner corner
+    inner = r_lo > EPS_GEOM
+    pts = [(r_lo * math.cos(c - w), r_lo * math.sin(c - w)) if inner
+           else (0.0, 0.0)]
     for j in range(m + 1):
         a = c - w + j * step
         pts.append((rc * math.cos(a), rc * math.sin(a)))
+    if inner:
+        pts.append((r_lo * math.cos(c + w), r_lo * math.sin(c + w)))
     return ConvexPolygon.from_points(pts)
 
 
@@ -732,6 +832,8 @@ def simplify_outer(p: ConvexPolygon, v_max: int = V_MAX) -> ConvexPolygon:
     """
     if v_max < 3:
         raise ValueError("v_max must be >= 3")
+    if p.n <= v_max:
+        return p
     verts = [(v.x, v.y) for v in p.vertices]
     while len(verts) > v_max:
         n = len(verts)

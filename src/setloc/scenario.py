@@ -434,7 +434,11 @@ def _measurement_batches(markers: Sequence[tuple[float, float]],
 
 
 def _start_tracker(cfg: ScenarioConfig, steps: int | None):
-    """The estimator's models, rigid-body spec, initial state and the legs."""
+    """The estimator's models, rigid-body spec, initial state and the legs;
+    raises ConfigError for a config validate_config rejects."""
+    problems = validate_config(cfg)
+    if problems:
+        raise ConfigError("; ".join(problems))
     omni_v_max = cfg.omni_v_max if cfg.mode == MODE_OMNI else None
     models = est.EstimatorModels(cfg.robot, cfg.offsets, cfg.sensor_models(),
                                  assignment_cap=cfg.assignment_cap,
@@ -495,9 +499,6 @@ def simulate_run(cfg: ScenarioConfig, steps: int | None = None,
                  record_measurements: bool = False) -> RunRecord:
     """Run the world and the selected estimators; raises ScenarioFault on an
     estimator abort under the default fault policy."""
-    problems = validate_config(cfg)
-    if problems:
-        raise ConfigError("; ".join(problems))
     ss = np.random.SeedSequence(cfg.seed)
     rng_proc, rng_meas, rng_shuf, rng_fs = \
         (np.random.default_rng(c) for c in ss.spawn(4))

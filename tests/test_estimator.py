@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from setloc import estimator as est
-from setloc import geom2d
+from setloc import geom2d, sensing
 from setloc.correspondence import CapExceeded, InconsistentBatch
 from setloc.estimator import (EmptySetFault, EstimatorModels,
                               RigidBodySpec, StepFault, estimate_heading,
@@ -405,3 +405,29 @@ def test_stationary_repeated_updates_monotone():
         assert a <= prev_area + 1e-12
         prev_area = a
         assert geom2d.contains(state.markers[0], center)
+
+
+def test_update_reuses_the_candidate_matrix_sectors(monkeypatch):
+    # with an exact orientation the interval cannot narrow, so every sector
+    # and reachable set the candidate matrix built is reused: one marker
+    # sector per measurement, no sensor sector at all
+    rng = np.random.default_rng(3)
+    pose = RobotPose(5.0, 3.0, 0.7)
+    sensors = [SensorPose(0.0, 0.0, 0.2), SensorPose(12.0, -1.0, 2.0)]
+    state = boxed_state(rng, pose, sensors, 0.3, 0.05, 0.0)
+    models = EstimatorModels(ROBOT, OFFSETS, (PANORAMIC, PANORAMIC))
+    batches = world_measurements(rng, pose, sensors, (PANORAMIC, PANORAMIC))
+    calls = {"feasible_marker_region": 0, "feasible_sensor_region": 0}
+    for name in calls:
+        real = getattr(sensing, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(sensing, name, counted)
+    out = update(state, batches, models)
+    assert out.sensor_theta == state.sensor_theta
+    assert calls == {"feasible_marker_region": sum(map(len, batches)),
+                     "feasible_sensor_region": 0}
+    assert_containment(out, pose, sensors)

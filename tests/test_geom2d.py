@@ -36,6 +36,15 @@ def test_minkowski_box_sum():
     assert out == ConvexPolygon.box(0, 2, 0, 2)
 
 
+def test_minkowski_sliver_keeps_its_tips():
+    # the four pairwise sums are collinear within 1e-101; the middle two are
+    # dropped, the ends (0, 0) and (1e-101, 2) must stay
+    a = ConvexPolygon.from_points([(0.0, 0.0), (0.0, 1.0)])
+    b = ConvexPolygon.from_points([(0.0, 0.0), (1e-101, 1.0)])
+    out = minkowski_sum(a, b)
+    assert out.vertices == ((0.0, 0.0), (1e-101, 2.0))
+
+
 def test_minkowski_sampling_containment():
     # rejection-sampling oracle: p in a and q in b implies p+q in a (+) b
     rng = np.random.default_rng(7)
@@ -287,7 +296,7 @@ def test_sector_too_wide():
 
 def test_simplify_small_unchanged():
     tri = ConvexPolygon.from_points([(0, 0), (1, 0), (0, 1)])
-    assert simplify_outer(tri, 8) == tri
+    assert simplify_outer(tri, 8) is tri
 
 
 def test_simplify_regular_polygon_area_bound():

@@ -111,3 +111,105 @@ def test_intersect_matches_hull_of_clip_output(a, b):
     else:
         assert out == ConvexPolygon.from_points(pts)
         out.validate()
+
+
+def within(p: ConvexPolygon, q: ConvexPolygon, tol: float) -> bool:
+    """Every vertex of p within tol of q (of each edge's half-plane, when q
+    has an area)."""
+    return all(geom2d.contains(q, v, tol) for v in p.vertices)
+
+
+@settings(max_examples=400, deadline=None)
+@given(polygons, polygons, polygons)
+@example(  # a sliver sum whose tip (0, 0) the hull's pruning used to drop
+    ConvexPolygon.point(0.0, 0.0),
+    ConvexPolygon.from_points([(0.0, 0.0), (0.0, 1.0)]),
+    ConvexPolygon.from_points([(0.0, 0.0), (3.2826778072258016e-101, 1.0)]))
+@example(  # a point sum: the caps' slack reaches just past EPS_GEOM
+    ConvexPolygon.from_points([(0.0, 0.0), (0.0, -2.0)]),
+    ConvexPolygon.point(0.0, 0.0), ConvexPolygon.point(0.0, 0.0))
+@example(  # s crosses the slack band of a segment sum at a shallow angle
+    ConvexPolygon.from_points([(0.0, 0.0), (0.0, 1.0)]),
+    ConvexPolygon.from_points([(0.0, 1.0), (1.0, -1.0)]),
+    ConvexPolygon.point(0.0, 0.0))
+def test_intersect_sum_matches_intersect_of_the_sum(s, a, b):
+    """Equal up to the clips' slack: both keep EPS_GEOM past every line, and
+    where s crosses a line at a shallow angle that slack stretches along s,
+    so the two results are compared by containment, not vertex distance."""
+    total = geom2d.minkowski_sum(a, b)
+    out = geom2d.intersect_sum(s, a, b)
+    ref = geom2d.intersect(s, total)
+    assert (out is None) == (ref is None)
+    if out is None:
+        return
+    tol = 2 * geom2d.EPS_GEOM
+    assert within(ref, out, tol)
+    assert within(out, s, tol) and within(out, total, tol)
+    out.validate()
+
+
+@st.composite
+def inside_sum(draw):
+    """(s, a, b) with s inside a + b: the sum itself, b moved by a vertex of
+    a, or one vertex sum."""
+    a, b = draw(polygons), draw(polygons)
+    va = draw(st.sampled_from(a.vertices))
+    vb = draw(st.sampled_from(b.vertices))
+    s = draw(st.sampled_from([
+        geom2d.minkowski_sum(a, b),
+        geom2d.minkowski_sum(ConvexPolygon((va,)), b),
+        ConvexPolygon.point(va.x + vb.x, va.y + vb.y)]))
+    return s, a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(inside_sum())
+def test_intersect_sum_returns_a_set_inside_the_sum_itself(case):
+    s, a, b = case
+    assert geom2d.intersect_sum(s, a, b) is s
+
+
+def hull_path(pts) -> ConvexPolygon:
+    """What from_points returns through the sort-and-chain hull."""
+    return ConvexPolygon(geom2d._canonical(geom2d._prune(geom2d._hull_chain(
+        [(float(x), float(y)) for x, y in pts]))))
+
+
+def rotated(pts, k: int):
+    k %= len(pts)
+    return list(pts[k:]) + list(pts[:k])
+
+
+areas = hulls.filter(lambda p: p.n >= 3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(areas, areas, st.integers(0, 63))
+def test_ring_fast_path_equals_the_hull_path(p, q, k):
+    # canonical polygons and the edge merge's candidates are convex rings
+    for ring in (rotated(p.vertices, k),
+                 rotated(geom2d._merge_edges(p.vertices, q.vertices), k)):
+        assert ConvexPolygon.from_points(ring) == hull_path(ring)
+    assert geom2d._convex_ring(rotated(p.vertices, k)) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(areas, st.integers(0, 63))
+def test_rings_that_are_not_convex_take_the_hull_path(p, k):
+    v = list(p.vertices)
+    if len(v) >= 5:
+        # pentagram order: every turn is left, but the ring winds twice
+        odd = v[:len(v) - 1 + len(v) % 2]
+        star = [odd[2 * i % len(odd)] for i in range(len(odd))]
+        n = len(star)
+        assert all(geom2d._cross(*star[i - 1], *star[i], *star[(i + 1) % n]) > 0
+                   for i in range(n))
+        rings = [star]
+    else:
+        rings = []
+    rings += [v[::-1],                                   # clockwise
+              v[:1] + v]                                 # duplicate vertex
+    for ring in rings:
+        ring = rotated(ring, k)
+        assert geom2d._convex_ring(ring) is None
+        assert ConvexPolygon.from_points(ring) == hull_path(ring)

@@ -311,3 +311,12 @@ def test_apply_parameter_routing(parking):
     assert out.robot.eps_v == 0.2
     out = scenario.apply_parameter(parking, "eps_delta", 1.0)
     assert out.robot.eps_delta == pytest.approx(math.radians(1.0))
+
+
+def test_replay_rejects_a_config_validate_rejects():
+    cfg = load_builtin("omni")
+    rec = simulate_run(cfg, steps=3, record_measurements=True)
+    bad = replace(cfg, omni_v_max=-1.0)
+    assert validate_config(bad)
+    with pytest.raises(ConfigError, match="omni v_max must be >= 0"):
+        scenario.replay_run(bad, rec.measurements, steps=3)
