@@ -38,12 +38,9 @@ class CapExceeded(Exception):
 @dataclass(frozen=True)
 class CandidateMatrix:
     rows: tuple[tuple[bool, ...], ...]   # |measurements| x n_markers
-    sensor_id: int = -1
-    # per measurement, as the feasibility test built them: the sector of
-    # marker positions seen from the sensor, and the reachable set
-    # sensor_xy + sector
+    # per measurement, as the feasibility test built it: the sector of
+    # marker positions seen from the sensor
     sectors: tuple[ConvexPolygon, ...] = ()
-    reachable: tuple[ConvexPolygon, ...] = ()
 
     @property
     def n_rows(self) -> int:
@@ -65,7 +62,7 @@ def build_candidate_matrix(measurements: Sequence[Measurement],
     Entry (q, j) is true iff marker j's predicted set meets the region the
     sensor's predicted position plus the measurement cone allows.  A row with
     no feasible marker means the batch violates the modeling assumptions.
-    The matrix keeps each measurement's sector and reachable set for reuse.
+    The matrix keeps each measurement's sector for reuse.
     """
     if len(measurements) > len(predicted_markers):
         raise ValueError("more measurements than markers in one batch")
@@ -73,7 +70,6 @@ def build_candidate_matrix(measurements: Sequence[Measurement],
     d_theta = predicted_sensor_theta.half_width
     rows = []
     sectors = []
-    reachables = []
     for q, meas in enumerate(measurements):
         sector = sensing.feasible_marker_region(meas.bearing, meas.range,
                                                 model, theta0, d_theta)
@@ -84,9 +80,7 @@ def build_candidate_matrix(measurements: Sequence[Measurement],
             raise InconsistentBatch(sensor_id, q)
         rows.append(row)
         sectors.append(sector)
-        reachables.append(reachable)
-    return CandidateMatrix(tuple(rows), sensor_id, tuple(sectors),
-                           tuple(reachables))
+    return CandidateMatrix(tuple(rows), tuple(sectors))
 
 
 def enumerate_assignments(c: CandidateMatrix,

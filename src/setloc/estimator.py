@@ -201,8 +201,7 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
     n_markers = len(predicted.markers)
     sensor_theta = list(predicted.sensor_theta)
     sensor_xy = list(predicted.sensor_xy)
-    per_sensor: list[tuple[int, list[Assignment], correspondence.CandidateMatrix,
-                           tuple[ConvexPolygon, ...]]] = []
+    per_sensor: list[tuple[int, list[Assignment], tuple[ConvexPolygon, ...]]] = []
 
     for i, batch in enumerate(batches):
         if not batch:
@@ -276,25 +275,19 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
             new_xy = geom2d.convex_hull(xy_options)
         sensor_xy[i] = geom2d.simplify_outer(new_xy, models.max_vertices)
 
-        per_sensor.append((i, assigns, cmat, sectors))
+        per_sensor.append((i, assigns, sectors))
 
-    # markers: only sensors certain to have measured marker j may narrow it
+    # markers: only sensors certain to have measured marker j may narrow it,
+    # to the sensor set plus the sector (or the hull of the sectors) of the
+    # slots that measured it
     markers = list(predicted.markers)
-    for i, assigns, cmat, sectors in per_sensor:
+    for i, assigns, sectors in per_sensor:
         certain = correspondence.markers_with_certain_measurement(assigns, n_markers)
-        # the candidate matrix's reachable sets hold while neither the
-        # sensor's position set nor its sectors changed
-        unchanged = (sectors is cmat.sectors
-                     and sensor_xy[i] == predicted.sensor_xy[i])
         for j in certain:
             slots = sorted({q for a in assigns for q, jj in enumerate(a) if jj == j})
-            if unchanged and len(slots) == 1:
-                region = cmat.reachable[slots[0]]
-            else:
-                cone = sectors[slots[0]] if len(slots) == 1 else \
-                    geom2d.convex_hull([sectors[q] for q in slots])
-                region = geom2d.minkowski_sum(sensor_xy[i], cone)
-            narrowed = geom2d.intersect(markers[j], region)
+            cone = sectors[slots[0]] if len(slots) == 1 else \
+                geom2d.convex_hull([sectors[q] for q in slots])
+            narrowed = geom2d.intersect_sum(markers[j], sensor_xy[i], cone)
             if narrowed is None:
                 raise EmptySetFault("marker update", sensor=i, marker=j)
             markers[j] = geom2d.simplify_outer(narrowed, models.max_vertices)
@@ -325,8 +318,7 @@ def refine_rigid_body(state: EstimatorState, spec: RigidBodySpec,
         if ball is None:
             ball = geom2d.ball_outer_polygon(r, "l2", ball_segments)
             balls[r] = ball
-        allowed = geom2d.minkowski_sum(markers[j], ball)
-        narrowed = geom2d.intersect(markers[i], allowed)
+        narrowed = geom2d.intersect_sum(markers[i], markers[j], ball)
         if narrowed is None:
             raise EmptySetFault("rigid-body refinement", marker=i)
         markers[i] = geom2d.simplify_outer(narrowed, max_vertices)

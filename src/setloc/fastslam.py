@@ -179,7 +179,9 @@ def estimate_body_particles(ps: ParticleSet) -> ConvexPolygon:
 
 def heading_interval_particles(ps: ParticleSet,
                                spec: RigidBodySpec) -> AngleInterval:
-    """Smallest arc containing every particle's implied heading."""
-    headings = _particle_headings(ps.markers, spec)
+    """Smallest arc containing every particle's implied heading.  Only the
+    distinct headings are enclosed, in first-occurrence order, which gives
+    the same arc (enclose_angles keeps the first of equally good starts)."""
+    headings = dict.fromkeys(_particle_headings(ps.markers, spec).tolist())
     arcs = [AngleInterval(h, 0.0) for h in headings]
     return geom2d.enclose_angles(arcs)

@@ -672,26 +672,26 @@ def intersects(a: ConvexPolygon, b: ConvexPolygon) -> bool:
     return _clip(a, b) is not None
 
 
-_AXES = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
-
-
 def _support(p: ConvexPolygon, nx: float, ny: float) -> Point2:
     """A vertex of p that maximises n . v."""
     return max(p.vertices, key=lambda v: nx * v.x + ny * v.y)
 
 
 def _sum_lines(a: ConvexPolygon, b: ConvexPolygon) -> list[Line]:
-    """Boundary lines of a + b: the support half-planes
-    n . x <= h_a(n) + h_b(n) over the outward edge normals n of both operands
-    (de Berg et al., section 13.3).
+    """Boundary lines of a + b, one operand with an area: the support
+    half-planes n . x <= h_a(n) + h_b(n) over the outward edge normals n of
+    both operands (de Berg et al., section 13.3).
 
     An edge of one operand, moved by the other's support vertex for its
     normal, is an edge of the sum.  For two polygons these are the edges of
-    the merge ring.  When neither operand has an area the sum may be a point
-    or a segment, so the axis normals cap it (its bounding box).
+    the merge ring, or of its hull where rounding left a duplicate,
+    collinear or reflex vertex: those are the edges of minkowski_sum(a, b),
+    so intersect_sum clips by the same lines as intersect with the built sum.
     """
     if a.n >= 3 and b.n >= 3:
         ring = _merge_edges(a.vertices, b.vertices)
+        if _convex_ring(ring) is None:
+            ring = [(v.x, v.y) for v in _hull_vertices(ring)]
         n = len(ring)
         return [(*ring[i], *ring[(i + 1) % n]) for i in range(n)]
     lines: list[Line] = []
@@ -701,11 +701,6 @@ def _sum_lines(a: ConvexPolygon, b: ConvexPolygon) -> list[Line]:
         for px, py, qx, qy in _edge_lines(own):
             w = _support(other, qy - py, px - qx)
             lines.append((px + w.x, py + w.y, qx + w.x, qy + w.y))
-    if a.n <= 2 and b.n <= 2:
-        for nx, ny in _AXES:
-            wa, wb = _support(a, nx, ny), _support(b, nx, ny)
-            x, y = wa.x + wb.x, wa.y + wb.y
-            lines.append((x, y, x - ny, y + nx))
     return lines
 
 
@@ -715,8 +710,15 @@ def intersect_sum(s: ConvexPolygon, a: ConvexPolygon,
 
     s is clipped by the support half-planes of a + b (_sum_lines), each with
     the same EPS_GEOM outward slack as intersect.  Returns s itself when no
-    half-plane cuts it and None when the result is empty.
+    half-plane cuts it and None when the result is empty.  When neither
+    operand has an area, the sum has at most four vertices and may be a
+    point or a segment, which intersect clips by s rather than s by it; that
+    sum is built and intersected (s itself when s lies within EPS_GEOM of
+    it), so both give the same set.
     """
+    if a.n <= 2 and b.n <= 2:
+        total = minkowski_sum(a, b)
+        return s if contains_polygon(total, s) else intersect(s, total)
     lines = _sum_lines(a, b)
     if s.is_segment:
         return _clip_segment(s, lines)

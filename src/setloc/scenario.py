@@ -625,7 +625,7 @@ class SweepRow:
 
 def apply_parameter(cfg: ScenarioConfig, parameter: str,
                     value: float) -> ScenarioConfig:
-    """Deriva a config with one swept quantity replaced everywhere it acts."""
+    """Derive a config with one swept quantity replaced everywhere it acts."""
     if parameter == "eps_wa":
         sensors = tuple(SensorSite(s.pose, replace(s.model,
                         eps_bearing=math.radians(value))) for s in cfg.sensors)
@@ -650,7 +650,8 @@ def _sweep_cell(args: tuple[ScenarioConfig, str, float, int, int | None]
     cfg, parameter, value, seed, steps = args
     cell_cfg = replace(apply_parameter(cfg, parameter, value), seed=seed)
     rows: list[SweepRow] = []
-    # under the fallback policy every cell runs to its end
+    # under the fallback policy every cell runs to its end; a set row whose
+    # sets were only carried predictions at some step shows as faulted
     rec = simulate_run(cell_cfg, steps=steps, fallback_predict=True)
     for name, m1s, m2s in (("set", rec.set_m1(), rec.set_m2()),
                            ("fastslam", rec.fs_m1(), rec.fs_m2())):
@@ -660,7 +661,8 @@ def _sweep_cell(args: tuple[ScenarioConfig, str, float, int, int | None]
             rows.append(SweepRow(parameter, value, seed, name,
                                  float(np.mean(m1s)), float(np.std(m1s)),
                                  float(np.mean(m2s)), float(np.std(m2s)),
-                                 len(m1s), False))
+                                 len(m1s),
+                                 name == "set" and rec.set_fallbacks > 0))
         else:
             rows.append(SweepRow(parameter, value, seed, name,
                                  math.nan, math.nan, math.nan, math.nan,

@@ -85,8 +85,10 @@ def measure(sensor: SensorPose, model: SensorModel, marker: tuple[float, float],
     return Measurement(wrap_angle(true_bearing + w_a), rng, sensor_id, slot)
 
 
-def _measurement_sector(alpha: float, r: float | None, model: SensorModel,
-                        theta_c: float, d_theta_c: float) -> ConvexPolygon:
+def feasible_marker_region(alpha: float, r: float | None, model: SensorModel,
+                           theta_c: float, d_theta_c: float) -> ConvexPolygon:
+    """Sensor-centered polygon covering marker positions consistent with
+    one measurement, given sensor orientation in theta_c +- d_theta_c."""
     if d_theta_c < 0.0:
         raise ValueError("orientation half-width must be >= 0")
     half = model.eps_bearing + d_theta_c
@@ -101,15 +103,9 @@ def _measurement_sector(alpha: float, r: float | None, model: SensorModel,
     return geom2d.sector_outer_polygon(cone, radii)
 
 
-def feasible_marker_region(alpha: float, r: float | None, model: SensorModel,
-                           theta_c: float, d_theta_c: float) -> ConvexPolygon:
-    """Sensor-centered polygon covering marker positions consistent with
-    one measurement, given sensor orientation in theta_c +- d_theta_c."""
-    return _measurement_sector(alpha, r, model, theta_c, d_theta_c)
-
-
 def feasible_sensor_region(alpha: float, r: float | None, model: SensorModel,
                            theta_c: float, d_theta_c: float) -> ConvexPolygon:
     """Marker-centered polygon covering sensor positions consistent with
     one measurement: the marker region reflected through the origin."""
-    return geom2d.negate(_measurement_sector(alpha, r, model, theta_c, d_theta_c))
+    return geom2d.negate(feasible_marker_region(alpha, r, model, theta_c,
+                                                d_theta_c))

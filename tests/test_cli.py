@@ -1,9 +1,13 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from setloc import cli, scenario
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*args):
@@ -137,7 +141,12 @@ def test_missing_config_file(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # the subprocess does not inherit pytest's pythonpath setting, so point
+    # it at this checkout's sources; an installed package is not needed
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-m", "setloc.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "run" in proc.stdout and "sweep" in proc.stdout

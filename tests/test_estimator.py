@@ -409,8 +409,8 @@ def test_stationary_repeated_updates_monotone():
 
 def test_update_reuses_the_candidate_matrix_sectors(monkeypatch):
     # with an exact orientation the interval cannot narrow, so every sector
-    # and reachable set the candidate matrix built is reused: one marker
-    # sector per measurement, no sensor sector at all
+    # the candidate matrix built is reused by the position and marker
+    # phases: one marker sector per measurement, no sensor sector at all
     rng = np.random.default_rng(3)
     pose = RobotPose(5.0, 3.0, 0.7)
     sensors = [SensorPose(0.0, 0.0, 0.2), SensorPose(12.0, -1.0, 2.0)]

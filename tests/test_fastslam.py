@@ -105,6 +105,22 @@ def test_single_particle_tracks_truth_exactly():
     assert h.width < 1e-9
 
 
+def test_heading_interval_after_resampling_matches_every_particle():
+    # resampling leaves many copies of few particles; the interval over the
+    # distinct headings must equal the one over every particle's heading
+    rng = np.random.default_rng(12)
+    pose = RobotPose(5.0, 5.0, 3.0)
+    boxes = [geom2d.translate(ConvexPolygon.box(-0.5, 0.5, -0.5, 0.5),
+                              *place_marker(pose, o)) for o in OFFSETS]
+    ps = fs.init_particles(boxes, [ConvexPolygon.point(0, 0)],
+                           [AngleInterval(0, 0)], 100, rng)
+    ps = fs.resample(replace(ps, weights=rng.dirichlet(np.full(100, 0.1))), rng)
+    headings = fs._particle_headings(ps.markers, SPEC)
+    assert len(set(headings.tolist())) < 50
+    every = geom2d.enclose_angles([AngleInterval(h, 0.0) for h in headings])
+    assert fs.heading_interval_particles(ps, SPEC) == every
+
+
 def test_particle_hull_area_band_at_start():
     # hull of 100 particles sampled from the initial boxes lands in a
     # predictable band relative to the hull of the boxes themselves

@@ -45,6 +45,39 @@ def test_minkowski_sliver_keeps_its_tips():
     assert out.vertices == ((0.0, 0.0), (1e-101, 2.0))
 
 
+def test_intersect_sum_clips_by_the_hull_of_a_collinear_merge_ring():
+    # a marker set and the distance disk of a parking rigid-body step: their
+    # merge ring has a collinear vertex on the sum's bottom edge, and the two
+    # half-edges clip s to a vertex one ulp off the one intersect finds
+    s = ConvexPolygon.from_points([
+        (18.89005507729368, 13.954999892383597),
+        (18.91364059842345, 13.921895627222243),
+        (18.95135586493827, 13.87204907445973),
+        (18.962782366102847, 13.865121002117615),
+        (19.046708100358135, 13.884488415210308),
+        (19.047006598737468, 13.884651192607414),
+        (19.103194255146022, 14.027103822401688),
+        (19.10794004572192, 14.068249108985045),
+        (19.089489068318656, 14.080933169251722),
+        (18.998435519652812, 14.115976412751742),
+        (18.89881336061742, 14.064902498495975),
+        (18.89005507729368, 14.04256466362313)])
+    a = ConvexPolygon.from_points([
+        (18.779032622549288, 15.778357244800798),
+        (18.795046751597898, 15.738923092256176),
+        (18.891424376655404, 15.731086068208791),
+        (18.96782367277957, 15.731086068208791),
+        (18.9739528834951, 15.759248770873139),
+        (18.9739528834951, 15.827412678799458),
+        (18.93726858375766, 15.915976412751743),
+        (18.849810819283732, 15.915976412751743),
+        (18.818791291083766, 15.894618954635005),
+        (18.780317949871797, 15.801655909987932)])
+    b = geom2d.ball_outer_polygon(1.8, "l2", 16)
+    assert geom2d._convex_ring(geom2d._merge_edges(a.vertices, b.vertices)) is None
+    assert geom2d.intersect_sum(s, a, b) == intersect(s, minkowski_sum(a, b))
+
+
 def test_minkowski_sampling_containment():
     # rejection-sampling oracle: p in a and q in b implies p+q in a (+) b
     rng = np.random.default_rng(7)

@@ -5,15 +5,18 @@ exactly the vertices the generic hull (``ConvexPolygon.from_points``) would
 return for the same point cloud.  The strategies aim at the inputs where an
 edge merge or a clip goes wrong first: points, segments, collinear runs,
 boxes (parallel edges in both operands) and large coordinate offsets.
+The arc operations are checked against what they must enclose.
 """
 
 from __future__ import annotations
+
+import math
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setloc import geom2d
-from setloc.geom2d import ConvexPolygon
+from setloc.geom2d import AngleInterval, ConvexPolygon
 
 coord = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False,
                   allow_infinity=False, allow_subnormal=False)
@@ -132,6 +135,11 @@ def within(p: ConvexPolygon, q: ConvexPolygon, tol: float) -> bool:
     ConvexPolygon.from_points([(0.0, 0.0), (0.0, 1.0)]),
     ConvexPolygon.from_points([(0.0, 1.0), (1.0, -1.0)]),
     ConvexPolygon.point(0.0, 0.0))
+@example(  # a segment sum touches s at a vertex, at slope 1/2: clipping the
+    # segment by s stretches past the vertex by EPS_GEOM * sqrt(5)
+    ConvexPolygon.from_points([(0.0, 0.0), (0.0, 1.0), (2.0, 1.0)]),
+    ConvexPolygon.point(0.0, 0.0),
+    ConvexPolygon.from_points([(0.0, 0.0), (1.0, 0.0)]))
 def test_intersect_sum_matches_intersect_of_the_sum(s, a, b):
     """Equal up to the clips' slack: both keep EPS_GEOM past every line, and
     where s crosses a line at a shallow angle that slack stretches along s,
@@ -164,6 +172,10 @@ def inside_sum(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(inside_sum())
+@example((  # a segment sum that intersect would round (4.7e-92 to 0.0)
+    ConvexPolygon.from_points([(-1.0, 0.0), (4.6949326410541904e-92, 0.0)]),
+    ConvexPolygon.point(4.6949326410541904e-92, 0.0),
+    ConvexPolygon.from_points([(0.0, 0.0), (-1.0, 0.0)])))
 def test_intersect_sum_returns_a_set_inside_the_sum_itself(case):
     s, a, b = case
     assert geom2d.intersect_sum(s, a, b) is s
@@ -213,3 +225,94 @@ def test_rings_that_are_not_convex_take_the_hull_path(p, k):
         ring = rotated(ring, k)
         assert geom2d._convex_ring(ring) is None
         assert ConvexPolygon.from_points(ring) == hull_path(ring)
+
+
+# --- arcs ------------------------------------------------------------------
+
+ARC_TOL = 1e-12
+# multiples of pi/4 make ties between starts, where the first one must win
+quarters = st.sampled_from([k * math.pi / 4.0 for k in range(-4, 5)])
+arcs = st.builds(
+    AngleInterval,
+    st.one_of(quarters,
+              st.floats(min_value=-10.0, max_value=10.0,
+                        allow_subnormal=False)),
+    st.one_of(st.just(0.0), st.just(math.pi), quarters.map(abs),
+              st.floats(min_value=0.0, max_value=math.pi,
+                        allow_subnormal=False)))
+
+
+def covers(outer: AngleInterval, inner: AngleInterval, tol: float) -> bool:
+    """Whether outer contains the whole arc inner, up to tol radians."""
+    if outer.is_full:
+        return True
+    d = (inner.lo - outer.lo) % geom2d.TWO_PI
+    if d > geom2d.TWO_PI - tol:
+        d -= geom2d.TWO_PI
+    return d >= -tol and d + inner.width <= outer.width + tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(arcs, min_size=1, max_size=8))
+def test_enclose_angles_covers_every_arc(items):
+    out = geom2d.enclose_angles(items)
+    assert all(covers(out, a, ARC_TOL) for a in items)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(arcs, st.integers(1, 3)), min_size=1, max_size=6),
+       st.lists(st.integers(0, 63), max_size=4))
+@example(  # both starts need pi; the first must win over its later repeat
+    [(AngleInterval(0.0, 0.0), 1), (AngleInterval(math.pi, 0.0), 1)], [0])
+def test_enclose_angles_ignores_duplicates(counted, tail):
+    # repeats after an arc's first occurrence, in place or at the end, leave
+    # the result unchanged to the last bit
+    distinct = [a for a, _ in counted]
+    repeated = [a for a, k in counted for _ in range(k)]
+    repeated += [distinct[k % len(distinct)] for k in tail]
+    assert geom2d.enclose_angles(repeated) == geom2d.enclose_angles(distinct)
+
+
+@st.composite
+def near_origin(draw):
+    """A polygon with the origin inside, outside, on a vertex or an edge, or
+    just off it (by less or more than EPS_GEOM)."""
+    p = draw(hulls)
+    v = p.vertices
+    i = draw(st.integers(0, len(v) - 1))
+    a, b = v[i], v[(i + 1) % len(v)]
+    t = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    x, y = a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)
+    jitter = st.sampled_from([0.0, 5e-10, -5e-10, 2e-9, -2e-9, 1e-6, -1e-6])
+    dx, dy = draw(jitter), draw(jitter)
+    return draw(st.sampled_from([p, geom2d.translate(p, dx - x, dy - y)]))
+
+
+def direction_tol(p: ConvexPolygon, q) -> float:
+    """Angle error of q's direction from rounding at p's coordinate scale."""
+    scale = max(max(abs(v.x), abs(v.y)) for v in p.vertices)
+    return ARC_TOL + 1e-14 * scale / math.hypot(*q)
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_origin(), st.lists(st.integers(0, 10), min_size=1, max_size=12))
+def test_angular_hull_contains_every_direction(p, weights):
+    out = geom2d.angular_hull(p)
+    v = p.vertices
+    points = [(q.x, q.y) for q in v]
+    # an interior point: a convex combination of the vertices (integer
+    # weights, so the combination rounds only at the coordinates' scale)
+    w = [weights[k % len(weights)] for k in range(len(v))]
+    if sum(w) > 0.0:
+        points.append((sum(wk * q.x for wk, q in zip(w, v)) / sum(w),
+                       sum(wk * q.y for wk, q in zip(w, v)) / sum(w)))
+    for q in points:
+        if math.hypot(*q) > geom2d.EPS_GEOM:
+            assert out.contains(math.atan2(q[1], q[0]), direction_tol(p, q))
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_origin())
+def test_angular_hull_is_full_exactly_when_the_origin_is_in_the_set(p):
+    assert geom2d.angular_hull(p).is_full == geom2d.contains(
+        p, (0.0, 0.0), geom2d.EPS_GEOM)

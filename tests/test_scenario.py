@@ -197,6 +197,18 @@ def test_sweep_row_count_and_order(parking):
     assert keys == sorted(keys)
 
 
+def test_sweep_cell_that_fell_back_shows_as_faulted(parking):
+    # wide initial marker sets and a cap of one hypothesis make every update
+    # fail, so each step keeps only its prediction
+    cfg = replace(parking, initial_marker_area=25.0, assignment_cap=1,
+                  estimators="set")
+    rows = sensitivity_sweep(cfg, "eps_wa", [1.0], 1, steps=4)
+    assert [(r.estimator, r.steps, r.faulted) for r in rows] == [("set", 4, True)]
+    cell = replace(scenario.apply_parameter(cfg, "eps_wa", 1.0), seed=cfg.seed)
+    assert simulate_run(cell, steps=4, fallback_predict=True).set_fallbacks == 4
+    assert scenario.sweep_to_csv(rows).splitlines()[1].endswith(",4,1")
+
+
 def test_sweep_unknown_parameter(parking):
     with pytest.raises(ConfigError, match="unknown sweep parameter"):
         sensitivity_sweep(parking, "nope", [1.0], 1)
