@@ -1,7 +1,6 @@
 """Guaranteed set-membership localization with infrastructure sensors."""
 
-from .geom2d import (AngleInterval, ConvexPolygon, Interval, Point2,
-                     SectorTooWide)
+from .geom2d import AngleInterval, ConvexPolygon, Interval, Point2
 from .kinematics import Control, MarkerOffset, RobotModel, RobotPose
 from .sensing import Measurement, SensorModel, SensorPose
 from .correspondence import (Assignment, CandidateMatrix, CapExceeded,
@@ -18,5 +17,5 @@ __all__ = [
     "EstimatorModels", "EstimatorState", "InconsistentBatch", "Interval",
     "MarkerOffset", "Measurement", "Point2", "RigidBodySpec", "RobotModel",
     "RobotPose", "RunRecord", "ScenarioConfig", "ScenarioFault",
-    "SectorTooWide", "SensorModel", "SensorPose", "StepFault", "__version__",
+    "SensorModel", "SensorPose", "StepFault", "__version__",
 ]

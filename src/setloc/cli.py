@@ -41,22 +41,28 @@ def _load(args) -> scenario.ScenarioConfig:
     return cfg
 
 
-def _warn_wide_cones(cfg: scenario.ScenarioConfig) -> None:
+def _load_valid(args) -> scenario.ScenarioConfig | None:
+    """The config the arguments select, or None after printing every problem
+    validate_config finds.  A valid config is checked for sensors whose
+    measurements update will skip, with one warning per sensor."""
+    cfg = _load(args)
+    problems = scenario.validate_config(cfg)
+    for p in problems:
+        print(f"config error: {p}", file=sys.stderr)
+    if problems:
+        return None
     _, _, sensor_theta = scenario.initial_sets(cfg)
     for i, (site, theta) in enumerate(zip(cfg.sensors, sensor_theta)):
         if estimator.bearing_cone_too_wide(site.model, theta):
             log.warning("[sensor.%d]: eps_bearing plus half the initial "
                         "orientation interval reaches 90 degrees; every "
                         "measurement of this sensor will be skipped", i + 1)
+    return cfg
 
 
 def _cmd_run(args) -> int:
-    cfg = _load(args)
-    _warn_wide_cones(cfg)
-    problems = scenario.validate_config(cfg)
-    if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
+    cfg = _load_valid(args)
+    if cfg is None:
         return EXIT_CONFIG
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -81,11 +87,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load(args)
-    problems = scenario.validate_config(cfg)
-    if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
+    cfg = _load_valid(args)
+    if cfg is None:
         return EXIT_CONFIG
     try:
         values = [float(v) for v in args.values.split(",") if v]
@@ -94,25 +97,16 @@ def _cmd_sweep(args) -> int:
         return EXIT_CONFIG
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        rows = scenario.sensitivity_sweep(cfg, args.parameter, values,
-                                          args.seeds, steps=args.steps,
-                                          jobs=args.jobs)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    rows = scenario.sensitivity_sweep(cfg, args.parameter, values, args.seeds,
+                                      steps=args.steps, jobs=args.jobs)
     (out / "sweep.csv").write_text(scenario.sweep_to_csv(rows), encoding="utf-8")
     print(f"wrote {len(rows)} sweep rows to {out / 'sweep.csv'}")
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
-    cfg = _load(args)
-    _warn_wide_cones(cfg)
-    problems = scenario.validate_config(cfg)
-    if problems:
-        for p in problems:
-            print(f"invalid: {p}", file=sys.stderr)
+    cfg = _load_valid(args)
+    if cfg is None:
         return EXIT_CONFIG
     print(f"ok: {cfg.mode} scenario, {cfg.n_sensors} sensors, "
           f"{cfg.n_markers} markers, {len(cfg.trajectory)} steps")

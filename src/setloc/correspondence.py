@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import geom2d, sensing
-from .geom2d import AngleInterval, ConvexPolygon
-from .sensing import Measurement, SensorModel
+from . import geom2d
+from .geom2d import ConvexPolygon
 
 DEFAULT_ASSIGNMENT_CAP = 1000
 
@@ -38,9 +37,6 @@ class CapExceeded(Exception):
 @dataclass(frozen=True)
 class CandidateMatrix:
     rows: tuple[tuple[bool, ...], ...]   # |measurements| x n_markers
-    # per measurement, as the feasibility test built it: the sector of
-    # marker positions seen from the sensor
-    sectors: tuple[ConvexPolygon, ...] = ()
 
     @property
     def n_rows(self) -> int:
@@ -51,36 +47,29 @@ class CandidateMatrix:
         return len(self.rows[0]) if self.rows else 0
 
 
-def build_candidate_matrix(measurements: Sequence[Measurement],
+def build_candidate_matrix(sectors: Sequence[ConvexPolygon],
                            predicted_markers: Sequence[ConvexPolygon],
                            predicted_sensor_xy: ConvexPolygon,
-                           predicted_sensor_theta: AngleInterval,
-                           model: SensorModel,
                            sensor_id: int = -1) -> CandidateMatrix:
     """Feasibility of each (measurement, marker) pair.
 
-    Entry (q, j) is true iff marker j's predicted set meets the region the
-    sensor's predicted position plus the measurement cone allows.  A row with
-    no feasible marker means the batch violates the modeling assumptions.
-    The matrix keeps each measurement's sector for reuse.
+    ``sectors[q]`` is measurement q's sector of marker positions seen from
+    the sensor (sensing.feasible_marker_region under the predicted
+    orientation).  Entry (q, j) is true iff marker j's predicted set meets
+    the sensor's predicted position plus that sector.  A row with no
+    feasible marker means the batch violates the modeling assumptions.
     """
-    if len(measurements) > len(predicted_markers):
+    if len(sectors) > len(predicted_markers):
         raise ValueError("more measurements than markers in one batch")
-    theta0 = predicted_sensor_theta.center
-    d_theta = predicted_sensor_theta.half_width
     rows = []
-    sectors = []
-    for q, meas in enumerate(measurements):
-        sector = sensing.feasible_marker_region(meas.bearing, meas.range,
-                                                model, theta0, d_theta)
+    for q, sector in enumerate(sectors):
         reachable = geom2d.minkowski_sum(predicted_sensor_xy, sector)
         row = tuple(geom2d.intersects(pj, reachable)
                     for pj in predicted_markers)
         if not any(row):
             raise InconsistentBatch(sensor_id, q)
         rows.append(row)
-        sectors.append(sector)
-    return CandidateMatrix(tuple(rows), tuple(sectors))
+    return CandidateMatrix(tuple(rows))
 
 
 def enumerate_assignments(c: CandidateMatrix,

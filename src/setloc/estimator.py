@@ -84,12 +84,15 @@ class EstimatorModels:
     robot: RobotModel
     offsets: tuple[MarkerOffset, ...]
     sensors: tuple[SensorModel, ...]
-    max_vertices: int = geom2d.V_MAX
-    ball_segments: int = geom2d.DEFAULT_BALL_SEGMENTS
     assignment_cap: int = correspondence.DEFAULT_ASSIGNMENT_CAP
     # motion model: None is the bicycle, a number the speed bound of a robot
     # that may move in any direction
     omni_v_max: float | None = None
+
+    @cached_property
+    def spec(self) -> RigidBodySpec:
+        """The rigid-body constraints the marker offsets imply."""
+        return RigidBodySpec.from_offsets(self.offsets)
 
 
 @dataclass(frozen=True)
@@ -139,10 +142,10 @@ def propagate(state: EstimatorState, u: Control,
                                      cover_rigid_step=True)
         box = ConvexPolygon.box(dx.lo, dx.hi, dy.lo, dy.hi)
         grown = geom2d.minkowski_sum(poly, box)
-        if robot.eps_f > 0.0:
-            grown = geom2d.minkowski_sum(
-                grown, geom2d.ball_outer_polygon(robot.eps_f, "linf"))
-        new_markers.append(geom2d.simplify_outer(grown, models.max_vertices))
+        if robot.eps_f > geom2d.EPS_GEOM:
+            grown = geom2d.minkowski_sum(grown, ConvexPolygon.box(
+                -robot.eps_f, robot.eps_f, -robot.eps_f, robot.eps_f))
+        new_markers.append(geom2d.simplify_outer(grown))
     v_lo, v_hi = u.v - robot.eps_v, u.v + robot.eps_v
     rates = [(v * robot.dt / robot.wheelbase) * math.sin(d)
              for v in (v_lo, v_hi)
@@ -154,18 +157,16 @@ def propagate(state: EstimatorState, u: Control,
 
 
 def propagate_omnidirectional(state: EstimatorState, v_max: float,
-                              dt: float, max_vertices: int = geom2d.V_MAX
-                              ) -> EstimatorState:
+                              dt: float) -> EstimatorState:
     """Prediction for a robot only known to move slower than v_max."""
     if v_max < 0.0:
         raise ValueError("v_max must be >= 0")
     r = v_max * dt
-    if r <= 0.0:
+    if r <= geom2d.EPS_GEOM:
         return state
-    ball = geom2d.ball_outer_polygon(r, "linf")
-    new_markers = tuple(
-        geom2d.simplify_outer(geom2d.minkowski_sum(p, ball), max_vertices)
-        for p in state.markers)
+    box = ConvexPolygon.box(-r, r, -r, r)
+    new_markers = tuple(geom2d.simplify_outer(geom2d.minkowski_sum(p, box))
+                        for p in state.markers)
     return replace(state, markers=new_markers)
 
 
@@ -178,6 +179,15 @@ def bearing_cone_too_wide(model: SensorModel, theta: AngleInterval) -> bool:
     bounded convex superset.  update skips such a sensor's batches; that never
     cuts the truth, and the orientation interval only narrows."""
     return model.eps_bearing + theta.half_width >= math.pi / 2.0
+
+
+def _sectors(batch: Sequence[Measurement], model: SensorModel,
+             theta: AngleInterval) -> tuple[ConvexPolygon, ...]:
+    """Each measurement's sector of marker positions seen from the sensor,
+    under the sensor orientation interval theta."""
+    return tuple(sensing.feasible_marker_region(
+        m.bearing, m.range, model, theta.center, theta.half_width)
+        for m in batch)
 
 
 def _bearing_span(marker_set: ConvexPolygon,
@@ -209,9 +219,9 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
         model = models.sensors[i]
         if bearing_cone_too_wide(model, predicted.sensor_theta[i]):
             continue
+        sectors = _sectors(batch, model, predicted.sensor_theta[i])
         cmat = correspondence.build_candidate_matrix(
-            batch, predicted.markers, predicted.sensor_xy[i],
-            predicted.sensor_theta[i], model, sensor_id=i)
+            sectors, predicted.markers, predicted.sensor_xy[i], sensor_id=i)
         assigns = correspondence.enumerate_assignments(cmat, models.assignment_cap)
         if not assigns:
             raise EmptySetFault("no consistent correspondence", sensor=i)
@@ -244,14 +254,10 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
             raise EmptySetFault("orientation update", sensor=i)
         sensor_theta[i] = new_theta
 
-        # each measurement's sector under the new orientation interval; the
-        # candidate matrix built them under the predicted one
-        if new_theta == predicted.sensor_theta[i]:
-            sectors = cmat.sectors
-        else:
-            sectors = tuple(sensing.feasible_marker_region(
-                m.bearing, m.range, model, new_theta.center,
-                new_theta.half_width) for m in batch)
+        # the position and marker phases use the sectors under the new
+        # orientation interval
+        if new_theta != predicted.sensor_theta[i]:
+            sectors = _sectors(batch, model, new_theta)
 
         # position: per hypothesis, clip the prediction by every matched
         # marker set plus the reflected sector (the sensor positions that see
@@ -273,7 +279,7 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
         new_xy = xy_options[0]
         if any(option is not new_xy for option in xy_options):
             new_xy = geom2d.convex_hull(xy_options)
-        sensor_xy[i] = geom2d.simplify_outer(new_xy, models.max_vertices)
+        sensor_xy[i] = geom2d.simplify_outer(new_xy)
 
         per_sensor.append((i, assigns, sectors))
 
@@ -290,7 +296,7 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
             narrowed = geom2d.intersect_sum(markers[j], sensor_xy[i], cone)
             if narrowed is None:
                 raise EmptySetFault("marker update", sensor=i, marker=j)
-            markers[j] = geom2d.simplify_outer(narrowed, models.max_vertices)
+            markers[j] = geom2d.simplify_outer(narrowed)
 
     return EstimatorState(tuple(markers), tuple(sensor_xy), tuple(sensor_theta),
                           predicted.heading, predicted.k)
@@ -300,10 +306,8 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
 # rigid-body refinement and reconstruction
 # ---------------------------------------------------------------------------
 
-def refine_rigid_body(state: EstimatorState, spec: RigidBodySpec,
-                      max_vertices: int = geom2d.V_MAX,
-                      ball_segments: int = geom2d.DEFAULT_BALL_SEGMENTS
-                      ) -> EstimatorState:
+def refine_rigid_body(state: EstimatorState,
+                      spec: RigidBodySpec) -> EstimatorState:
     """One sweep of pairwise distance constraints over the marker sets.
 
     Marker i must lie within distance r_ij of marker j, so intersecting with
@@ -316,12 +320,12 @@ def refine_rigid_body(state: EstimatorState, spec: RigidBodySpec,
         r = spec.distances[i][j]
         ball = balls.get(r)
         if ball is None:
-            ball = geom2d.ball_outer_polygon(r, "l2", ball_segments)
+            ball = geom2d.ball_outer_polygon(r)
             balls[r] = ball
         narrowed = geom2d.intersect_sum(markers[i], markers[j], ball)
         if narrowed is None:
             raise EmptySetFault("rigid-body refinement", marker=i)
-        markers[i] = geom2d.simplify_outer(narrowed, max_vertices)
+        markers[i] = geom2d.simplify_outer(narrowed)
     return replace(state, markers=tuple(markers))
 
 
@@ -348,8 +352,8 @@ def estimate_heading(state: EstimatorState, spec: RigidBodySpec) -> AngleInterva
 
 
 def step(state: EstimatorState, u: Control | None,
-         batches: Sequence[Sequence[Measurement]], models: EstimatorModels,
-         spec: RigidBodySpec) -> EstimatorState:
+         batches: Sequence[Sequence[Measurement]],
+         models: EstimatorModels) -> EstimatorState:
     """Full cycle: propagate under the models' motion model (the
     omnidirectional one takes no control, u may be None), update, and with
     two or more markers refine the marker sets and reconstruct the heading.
@@ -360,15 +364,14 @@ def step(state: EstimatorState, u: Control | None,
         predicted = propagate(state, u, models)
     else:
         predicted = propagate_omnidirectional(state, models.omni_v_max,
-                                              models.robot.dt,
-                                              models.max_vertices)
+                                              models.robot.dt)
     predicted = replace(predicted, k=state.k + 1)
+    spec = models.spec
     try:
         updated = update(predicted, batches, models)
         if spec.n < 2:
             return updated
-        refined = refine_rigid_body(updated, spec, models.max_vertices,
-                                    models.ball_segments)
+        refined = refine_rigid_body(updated, spec)
         return replace(refined, heading=estimate_heading(refined, spec))
     except (EmptySetFault, correspondence.InconsistentBatch,
             correspondence.CapExceeded) as exc:

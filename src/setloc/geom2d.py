@@ -22,10 +22,6 @@ _SECTOR_MAX_STEP = math.pi / 16.0
 TWO_PI = 2.0 * math.pi
 
 
-class SectorTooWide(ValueError):
-    """Sector half-width is >= pi/2, so no bounded convex superset exists."""
-
-
 def wrap_angle(a: float) -> float:
     """Wrap an angle to (-pi, pi]."""
     a = math.remainder(a, TWO_PI)
@@ -37,9 +33,6 @@ def wrap_angle(a: float) -> float:
 class Point2(NamedTuple):
     x: float
     y: float
-
-
-ORIGIN = Point2(0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -733,24 +726,19 @@ def intersect_sum(s: ConvexPolygon, a: ConvexPolygon,
 
 # --- outer approximations --------------------------------------------------
 
-def ball_outer_polygon(radius: float, norm: str = "l2",
+def ball_outer_polygon(radius: float,
                        k: int = DEFAULT_BALL_SEGMENTS) -> ConvexPolygon:
-    """Convex polygon containing the origin-centered norm ball.
+    """Regular k-gon circumscribed about the origin-centered disk.
 
-    linf gives the exact square of half-width radius.  l2 gives a regular
-    k-gon circumscribed about the disk (apothem == radius), so the polygon
-    always covers the disk at the cost of a sec(pi/k)**2 area factor.
+    The apothem equals radius, so the polygon always covers the disk at the
+    cost of a sec(pi/k)**2 area factor.
     """
     if radius < 0.0:
         raise ValueError("radius must be >= 0")
     if radius <= EPS_GEOM:
         return ConvexPolygon.point(0.0, 0.0)
-    if norm == "linf":
-        return ConvexPolygon.box(-radius, radius, -radius, radius)
-    if norm != "l2":
-        raise ValueError(f"unknown norm {norm!r}")
     if k < 4:
-        raise ValueError("l2 ball polygon needs k >= 4")
+        raise ValueError("ball polygon needs k >= 4")
     rc = radius / math.cos(math.pi / k)
     pts = []
     for j in range(k):
@@ -768,7 +756,7 @@ def sector_outer_polygon(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
     sector has a bounded convex superset.
     """
     if angle.half_width >= math.pi / 2.0:
-        raise SectorTooWide(f"sector half-width {angle.half_width:.4f} >= pi/2")
+        raise ValueError(f"sector half-width {angle.half_width:.4f} >= pi/2")
     if rng.lo < 0.0:
         raise ValueError("range lower bound must be >= 0")
     r_lo, r_hi = rng.lo, rng.hi

@@ -95,25 +95,26 @@ class ScenarioConfig:
         return self.estimators in (which, "both")
 
 
-def corner_marker_offsets(robot: RobotModel) -> tuple[MarkerOffset, ...]:
-    """Markers at the four body corners, symmetric overhangs over the axle."""
+def _body_corners(robot: RobotModel) -> tuple[tuple[float, float], ...]:
+    """Body-frame corners of the body rectangle, counter-clockwise from the
+    rear right; the overhangs over the axle are symmetric."""
     rear = -(robot.body_length - robot.wheelbase) / 2.0
     front = rear + robot.body_length
     half_w = robot.body_width / 2.0
-    corners = [(rear, -half_w), (front, -half_w), (front, half_w), (rear, half_w)]
+    return ((rear, -half_w), (front, -half_w), (front, half_w), (rear, half_w))
+
+
+def corner_marker_offsets(robot: RobotModel) -> tuple[MarkerOffset, ...]:
+    """Markers at the four body corners."""
     return tuple(MarkerOffset(math.hypot(x, y), math.atan2(y, x))
-                 for x, y in corners)
+                 for x, y in _body_corners(robot))
 
 
 def body_polygon(pose: RobotPose, robot: RobotModel) -> ConvexPolygon:
     """True body rectangle in world coordinates."""
-    rear = -(robot.body_length - robot.wheelbase) / 2.0
-    front = rear + robot.body_length
-    half_w = robot.body_width / 2.0
     c, s = math.cos(pose.theta), math.sin(pose.theta)
     pts = [(pose.x + c * bx - s * by, pose.y + s * bx + c * by)
-           for bx, by in ((rear, -half_w), (front, -half_w),
-                          (front, half_w), (rear, half_w))]
+           for bx, by in _body_corners(robot)]
     return ConvexPolygon.from_points(pts)
 
 
@@ -329,9 +330,15 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         problems.append("no sensors configured")
     if cfg.estimators not in ("set", "fastslam", "both"):
         problems.append(f"unknown estimators selection {cfg.estimators!r}")
+    if cfg.assignment_cap < 1:
+        problems.append("[scenario] assignment_cap must be >= 1")
+    if cfg.fastslam_particles < 1:
+        problems.append("[fastslam] particles must be >= 1")
     if cfg.mode == MODE_OMNI:
         if cfg.omni_v_max < 0.0:
             problems.append("omni v_max must be >= 0")
+        if cfg.omni_radius < 0.0:
+            problems.append("[omni] body_radius must be >= 0")
         if cfg.wants("fastslam"):
             problems.append("fastslam estimator supports bicycle mode only")
         for i, (speed, _) in enumerate(cfg.trajectory):
@@ -344,6 +351,10 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
                 problems.append(f"trajectory leg {i + 1}: |delta|+eps_delta "
                                 f"reaches pi/2")
                 break
+    if not 0.0 <= cfg.initial_sensor_theta <= 2.0 * math.pi:
+        # initial_sets cannot build the orientation intervals
+        problems.append("[initial_sets] sensor_theta_deg must be in [0, 360]")
+        return problems
     # the containment hypothesis: every true state inside its initial set
     markers, sensor_xy, sensor_theta = initial_sets(cfg)
     for j, off in enumerate(cfg.offsets):
@@ -401,7 +412,7 @@ def _omni_world(cfg: ScenarioConfig, trajectory: Sequence[tuple[float, float]],
     dt = cfg.robot.dt
     v_max = cfg.omni_v_max
     center = (cfg.start.x, cfg.start.y)
-    disk = geom2d.ball_outer_polygon(cfg.omni_radius, "l2", 32)
+    disk = geom2d.ball_outer_polygon(cfg.omni_radius, 32)
     for k, (speed, heading) in enumerate(trajectory, start=1):
         # speed wanders within its bound; the direction follows the leg
         sp = rng.uniform(0.0, min(speed, v_max)) if v_max > 0.0 else 0.0
@@ -434,8 +445,8 @@ def _measurement_batches(markers: Sequence[tuple[float, float]],
 
 
 def _start_tracker(cfg: ScenarioConfig, steps: int | None):
-    """The estimator's models, rigid-body spec, initial state and the legs;
-    raises ConfigError for a config validate_config rejects."""
+    """The estimator's models, initial state and the legs; raises
+    ConfigError for a config validate_config rejects."""
     problems = validate_config(cfg)
     if problems:
         raise ConfigError("; ".join(problems))
@@ -443,21 +454,20 @@ def _start_tracker(cfg: ScenarioConfig, steps: int | None):
     models = est.EstimatorModels(cfg.robot, cfg.offsets, cfg.sensor_models(),
                                  assignment_cap=cfg.assignment_cap,
                                  omni_v_max=omni_v_max)
-    spec = est.RigidBodySpec.from_offsets(cfg.offsets)
-    state = est.make_state(*initial_sets(cfg), spec)
+    state = est.make_state(*initial_sets(cfg), models.spec)
     trajectory = cfg.trajectory if steps is None else cfg.trajectory[:steps]
-    return models, spec, state, trajectory
+    return models, state, trajectory
 
 
 def _track(state: est.EstimatorState, u: Control | None,
            batches: Sequence[Sequence[Measurement]],
-           models: est.EstimatorModels, spec: est.RigidBodySpec,
+           models: est.EstimatorModels,
            fallback_predict: bool = False) -> tuple[est.EstimatorState, bool]:
     """One estimator step under the run's fault policy: a fault aborts with
     ScenarioFault, or under fallback_predict keeps the step's prediction (and
     says so in the returned flag)."""
     try:
-        return est.step(state, u, batches, models, spec), False
+        return est.step(state, u, batches, models), False
     except est.StepFault as fault:
         if not fallback_predict:
             raise ScenarioFault(fault.predicted.k, fault.cause) from fault
@@ -502,14 +512,14 @@ def simulate_run(cfg: ScenarioConfig, steps: int | None = None,
     ss = np.random.SeedSequence(cfg.seed)
     rng_proc, rng_meas, rng_shuf, rng_fs = \
         (np.random.default_rng(c) for c in ss.spawn(4))
-    models, spec, state, trajectory = _start_tracker(cfg, steps)
+    models, state, trajectory = _start_tracker(cfg, steps)
     ps = None
     if cfg.wants("fastslam"):
         ps = fs.init_particles(state.markers, state.sensor_xy,
                                state.sensor_theta, cfg.fastslam_particles,
                                rng_fs)
     omni = cfg.mode == MODE_OMNI
-    body_ball = geom2d.ball_outer_polygon(cfg.omni_radius, "l2") \
+    body_ball = geom2d.ball_outer_polygon(cfg.omni_radius) \
         if omni and cfg.omni_radius > 0.0 else None
 
     rec = RunRecord(cfg.mode, cfg.seed)
@@ -526,7 +536,7 @@ def simulate_run(cfg: ScenarioConfig, steps: int | None = None,
 
         if cfg.wants("set"):
             t0 = time.perf_counter()
-            state, fell_back = _track(state, u, batches, models, spec,
+            state, fell_back = _track(state, u, batches, models,
                                       fallback_predict)
             row.set_wall_ms = 1e3 * (time.perf_counter() - t0)
             rec.set_fallbacks += fell_back
@@ -540,11 +550,11 @@ def simulate_run(cfg: ScenarioConfig, steps: int | None = None,
         fs_dump = None
         if ps is not None:
             t0 = time.perf_counter()
-            ps = fs.predict(ps, u, cfg.robot, cfg.offsets, spec, rng_fs)
+            ps = fs.predict(ps, u, cfg.robot, cfg.offsets, models.spec, rng_fs)
             ps = fs.weight_update(ps, batches, cfg.sensor_models())
             ps = fs.resample(ps, rng_fs)
             fs_dump = (fs.estimate_body_particles(ps),
-                       fs.heading_interval_particles(ps, spec))
+                       fs.heading_interval_particles(ps, models.spec))
             row.fs_wall_ms = 1e3 * (time.perf_counter() - t0)
             row.fs_metrics = compute_metrics(*fs_dump, truth.region,
                                              truth.heading)
@@ -594,13 +604,13 @@ def replay_run(cfg: ScenarioConfig, measurement_lines: Sequence[str],
     returned per-step states match a simulate_run that produced the stream;
     a stream the estimator cannot explain raises ScenarioFault.
     """
-    models, spec, state, trajectory = _start_tracker(cfg, steps)
+    models, state, trajectory = _start_tracker(cfg, steps)
     batches_per_step = batches_from_lines(measurement_lines, len(trajectory),
                                           cfg.n_sensors, cfg.n_markers)
     states: list[est.EstimatorState] = []
     for leg, batches in zip(trajectory, batches_per_step):
         u = None if cfg.mode == MODE_OMNI else Control(*leg)
-        state, _ = _track(state, u, batches, models, spec)
+        state, _ = _track(state, u, batches, models)
         states.append(state)
     return states
 

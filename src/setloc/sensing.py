@@ -91,11 +91,7 @@ def feasible_marker_region(alpha: float, r: float | None, model: SensorModel,
     one measurement, given sensor orientation in theta_c +- d_theta_c."""
     if d_theta_c < 0.0:
         raise ValueError("orientation half-width must be >= 0")
-    half = model.eps_bearing + d_theta_c
-    if half >= math.pi / 2.0:
-        raise geom2d.SectorTooWide(
-            f"bearing cone half-width {half:.4f} rad is not convexly boundable")
-    cone = AngleInterval(alpha + theta_c, half)
+    cone = AngleInterval(alpha + theta_c, model.eps_bearing + d_theta_c)
     if r is None or model.kind == ANGLE_ONLY:
         radii = Interval(0.0, model.max_range)
     else:

@@ -161,8 +161,8 @@ def test_c4_geometry_fuzz():
             violations += 1
 
     # norm-ball polygons
-    ball2 = geom2d.ball_outer_polygon(1.7, "l2", 16)
-    ballinf = geom2d.ball_outer_polygon(0.4, "linf")
+    ball2 = geom2d.ball_outer_polygon(1.7, 16)
+    ballinf = geom2d.ConvexPolygon.box(-0.4, 0.4, -0.4, 0.4)
     ang = rng.random(n) * 2 * math.pi
     rad = 1.7 * np.sqrt(rng.random(n))
     for t, d in zip(ang, rad):
@@ -267,11 +267,11 @@ def test_c5_kinematics_oracle():
 # ---------------------------------------------------------------------------
 
 def test_c6_correspondence_enumeration():
-    from test_correspondence import worked_example_setup
+    from test_correspondence import sectors_of, worked_example_setup
     from setloc.correspondence import (build_candidate_matrix,
                                        markers_with_certain_measurement)
     batch, markers, sxy, sth, model = worked_example_setup()
-    cmat = build_candidate_matrix(batch, markers, sxy, sth, model)
+    cmat = build_candidate_matrix(sectors_of(batch, model, sth), markers, sxy)
     example_ok = (cmat.rows == ((False, False, True, False),
                                 (True, False, True, True))
                   and enumerate_assignments(cmat) == [(2, 0), (2, 3)]

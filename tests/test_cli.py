@@ -136,6 +136,46 @@ def test_run_skips_sensors_whose_cone_is_too_wide(tmp_path, capsys):
     assert captured.err.count("WARNING setloc") == 21
 
 
+@pytest.mark.parametrize("name, old, new, key", [
+    ("parking", "particles = 100", "particles = 0", "particles"),
+    ("parking", "particles = 100", "particles = -3", "particles"),
+    ("parking", "assignment_cap = 1000", "assignment_cap = 0",
+     "assignment_cap"),
+    ("omni", "body_radius = 0.12", "body_radius = -0.5", "body_radius"),
+    ("parking", "sensor_theta_deg = 2.0", "sensor_theta_deg = -2",
+     "sensor_theta_deg"),
+    ("parking", "sensor_theta_deg = 2.0", "sensor_theta_deg = 720",
+     "sensor_theta_deg"),
+])
+def test_validate_rejects_what_run_cannot_run(tmp_path, capsys, name, old,
+                                              new, key):
+    text = scenario.builtin_config_text(name)
+    assert old in text
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(old, new), encoding="utf-8")
+    assert run_cli("validate", "--config", str(cfg)) == 1
+    assert key in capsys.readouterr().err
+    code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                   "--steps", "2")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert key in err and "Traceback" not in err
+
+
+def test_sweep_warns_about_sensors_whose_cone_is_too_wide(tmp_path, capsys):
+    text = scenario.builtin_config_text("parking").replace(
+        "sensor_theta_deg = 2.0", "sensor_theta_deg = 200")
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    code = run_cli("sweep", "--config", str(cfg), "--parameter", "eps_wa",
+                   "--values", "1", "--seeds", "1", "--steps", "1",
+                   "--estimator", "set", "--out", str(tmp_path / "s"))
+    assert code == 0
+    err = capsys.readouterr().err
+    assert err.count("WARNING setloc") == 21
+    assert "[sensor.21]" in err and "skipped" in err
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert run_cli("validate", "--config", str(tmp_path / "nope.cfg")) == 1
 

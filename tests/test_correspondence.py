@@ -9,7 +9,8 @@ from setloc.correspondence import (CandidateMatrix, CapExceeded,
                                    enumerate_assignments,
                                    markers_with_certain_measurement)
 from setloc.geom2d import AngleInterval, ConvexPolygon
-from setloc.sensing import ANGLE_ONLY, Measurement, SensorModel
+from setloc.sensing import (ANGLE_ONLY, Measurement, SensorModel,
+                            feasible_marker_region)
 
 
 def brute_force_assignments(rows):
@@ -24,6 +25,13 @@ def brute_force_assignments(rows):
 
 def tiny_box(x, y, h=0.005):
     return ConvexPolygon.box(x - h, x + h, y - h, y + h)
+
+
+def sectors_of(batch, model, theta):
+    """Each measurement's sector under the orientation interval theta, as
+    the estimator's update builds them for the candidate matrix."""
+    return [feasible_marker_region(m.bearing, m.range, model, theta.center,
+                                   theta.half_width) for m in batch]
 
 
 def worked_example_setup():
@@ -47,14 +55,14 @@ def worked_example_setup():
 
 def test_candidate_matrix_worked_example():
     batch, markers, sxy, sth, model = worked_example_setup()
-    cmat = build_candidate_matrix(batch, markers, sxy, sth, model)
+    cmat = build_candidate_matrix(sectors_of(batch, model, sth), markers, sxy)
     assert cmat.rows == ((False, False, True, False),
                          (True, False, True, True))
 
 
 def test_assignments_worked_example():
     batch, markers, sxy, sth, model = worked_example_setup()
-    cmat = build_candidate_matrix(batch, markers, sxy, sth, model)
+    cmat = build_candidate_matrix(sectors_of(batch, model, sth), markers, sxy)
     assigns = enumerate_assignments(cmat)
     assert assigns == [(2, 0), (2, 3)]
     assert markers_with_certain_measurement(assigns, 4) == frozenset({2})
@@ -64,8 +72,9 @@ def test_single_feasible_entry_from_separated_geometry():
     model = SensorModel(ANGLE_ONLY, math.radians(0.5), 0.0, 2 * math.pi, 50.0)
     markers = [tiny_box(10.0, 0.0), tiny_box(-10.0, 0.0), tiny_box(0.0, 10.0)]
     cmat = build_candidate_matrix(
-        [Measurement(0.0, None, 0, 0)], markers, ConvexPolygon.point(0, 0),
-        AngleInterval(0.0, math.radians(0.5)), model)
+        sectors_of([Measurement(0.0, None, 0, 0)], model,
+                   AngleInterval(0.0, math.radians(0.5))),
+        markers, ConvexPolygon.point(0, 0))
     assert cmat.rows == ((True, False, False),)
 
 
@@ -74,8 +83,9 @@ def test_aligned_batch_diagonal():
     angs = [0.0, 0.8, 1.6]
     markers = [tiny_box(8 * math.cos(a), 8 * math.sin(a)) for a in angs]
     batch = [Measurement(a, None, 0, i) for i, a in enumerate(angs)]
-    cmat = build_candidate_matrix(batch, markers, ConvexPolygon.point(0, 0),
-                                  AngleInterval(0.0, math.radians(0.1)), model)
+    cmat = build_candidate_matrix(
+        sectors_of(batch, model, AngleInterval(0.0, math.radians(0.1))),
+        markers, ConvexPolygon.point(0, 0))
     assert cmat.rows == ((True, False, False),
                          (False, True, False),
                          (False, False, True))
@@ -87,9 +97,9 @@ def test_inconsistent_batch_raises():
     markers = [tiny_box(10.0, 0.0)]
     with pytest.raises(InconsistentBatch) as err:
         build_candidate_matrix(
-            [Measurement(math.pi / 2, None, 3, 0)], markers,
-            ConvexPolygon.point(0, 0), AngleInterval(0.0, 0.01), model,
-            sensor_id=3)
+            sectors_of([Measurement(math.pi / 2, None, 3, 0)], model,
+                       AngleInterval(0.0, 0.01)),
+            markers, ConvexPolygon.point(0, 0), sensor_id=3)
     assert err.value.sensor_id == 3
 
 

@@ -197,7 +197,7 @@ def test_update_monte_carlo_containment():
         pose = bicycle_step(pose, u, w_v, w_d, ROBOT)
         batches = world_measurements(rng, pose, sensors,
                                      (PANORAMIC, PANORAMIC))
-        new_state = step(state, u, batches, models, SPEC)
+        new_state = step(state, u, batches, models)
         assert_containment(new_state, pose, sensors)
         assert new_state.k == state.k + 1
     assert faults == 0
@@ -245,7 +245,7 @@ def test_refine_shrinks_huge_set():
     out = refine_rigid_body(state, SPEC)
     r01 = SPEC.distances[0][1]
     allowed = geom2d.minkowski_sum(markers[1],
-                                   geom2d.ball_outer_polygon(r01, "l2"))
+                                   geom2d.ball_outer_polygon(r01))
     assert geom2d.contains_polygon(allowed, out.markers[0], tol=1e-9)
     assert geom2d.contains(out.markers[0], place_marker(pose, OFFSETS[0]))
 
@@ -315,7 +315,7 @@ def test_step_zero_noise_straight_regression():
         u = Control(0.25, 0.0)
         pose = bicycle_step(pose, u, 0.0, 0.0, EXACT_ROBOT)
         batches = world_measurements(rng, pose, sensors, (EXACT_SENSOR,) * 3)
-        state = step(state, u, batches, models, SPEC)
+        state = step(state, u, batches, models)
         for j, off in enumerate(OFFSETS):
             truth = place_marker(pose, off)
             v = state.markers[j].vertices[0]
@@ -339,7 +339,7 @@ def test_step_fallback_returns_prediction():
     # an impossible measurement batch: bearing pointing away from every marker
     bogus = [[Measurement(math.pi, 5.0, 0, 0)]]
     with pytest.raises(StepFault) as info:
-        step(state, u, bogus, models, SPEC)
+        step(state, u, bogus, models)
     assert isinstance(info.value.cause, (EmptySetFault, InconsistentBatch))
     assert info.value.predicted == predicted
     # marker sets that each cover every marker make all 4! assignments
@@ -351,7 +351,7 @@ def test_step_fallback_returns_prediction():
                                  (PANORAMIC,))
     capped = EstimatorModels(ROBOT, OFFSETS, (PANORAMIC,), assignment_cap=1)
     with pytest.raises(StepFault) as info:
-        step(state, u, batches, capped, SPEC)
+        step(state, u, batches, capped)
     assert isinstance(info.value.cause, CapExceeded)
     assert info.value.predicted.k == state.k + 1
 
@@ -407,14 +407,18 @@ def test_stationary_repeated_updates_monotone():
         assert geom2d.contains(state.markers[0], center)
 
 
-def test_update_reuses_the_candidate_matrix_sectors(monkeypatch):
-    # with an exact orientation the interval cannot narrow, so every sector
-    # the candidate matrix built is reused by the position and marker
-    # phases: one marker sector per measurement, no sensor sector at all
+@pytest.mark.parametrize("theta_half, builds", [(0.0, 1), (0.3, 2)])
+def test_update_builds_sectors_again_only_when_the_orientation_narrows(
+        monkeypatch, theta_half, builds):
+    # update builds each measurement's sector under the predicted orientation
+    # for the candidate matrix, and a second time, for the position and
+    # marker phases, only when the orientation interval narrows: an exact
+    # orientation cannot narrow, a 0.3 rad half-width does; no sensor sector
+    # is built at all
     rng = np.random.default_rng(3)
     pose = RobotPose(5.0, 3.0, 0.7)
     sensors = [SensorPose(0.0, 0.0, 0.2), SensorPose(12.0, -1.0, 2.0)]
-    state = boxed_state(rng, pose, sensors, 0.3, 0.05, 0.0)
+    state = boxed_state(rng, pose, sensors, 0.3, 0.05, theta_half)
     models = EstimatorModels(ROBOT, OFFSETS, (PANORAMIC, PANORAMIC))
     batches = world_measurements(rng, pose, sensors, (PANORAMIC, PANORAMIC))
     calls = {"feasible_marker_region": 0, "feasible_sensor_region": 0}
@@ -427,7 +431,10 @@ def test_update_reuses_the_candidate_matrix_sectors(monkeypatch):
 
         monkeypatch.setattr(sensing, name, counted)
     out = update(state, batches, models)
-    assert out.sensor_theta == state.sensor_theta
-    assert calls == {"feasible_marker_region": sum(map(len, batches)),
+    assert all(b for b in batches)
+    assert [new != old for new, old in zip(out.sensor_theta,
+                                           state.sensor_theta)] == \
+        [builds == 2] * len(sensors)
+    assert calls == {"feasible_marker_region": builds * sum(map(len, batches)),
                      "feasible_sensor_region": 0}
     assert_containment(out, pose, sensors)

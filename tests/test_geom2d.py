@@ -73,7 +73,7 @@ def test_intersect_sum_clips_by_the_hull_of_a_collinear_merge_ring():
         (18.849810819283732, 15.915976412751743),
         (18.818791291083766, 15.894618954635005),
         (18.780317949871797, 15.801655909987932)])
-    b = geom2d.ball_outer_polygon(1.8, "l2", 16)
+    b = geom2d.ball_outer_polygon(1.8, 16)
     assert geom2d._convex_ring(geom2d._merge_edges(a.vertices, b.vertices)) is None
     assert geom2d.intersect_sum(s, a, b) == intersect(s, minkowski_sum(a, b))
 
@@ -221,13 +221,8 @@ def test_hull_monotone():
 # ball polygons
 # ---------------------------------------------------------------------------
 
-def test_ball_linf_exact():
-    out = ball_outer_polygon(0.1, "linf")
-    assert out == ConvexPolygon.box(-0.1, 0.1, -0.1, 0.1)
-
-
 def test_ball_l2_k4_is_square():
-    out = ball_outer_polygon(1.0, "l2", 4)
+    out = ball_outer_polygon(1.0, 4)
     assert out.n == 4
     for v in out.vertices:
         assert max(abs(v.x), abs(v.y)) == pytest.approx(1.0)
@@ -235,7 +230,7 @@ def test_ball_l2_k4_is_square():
 
 def test_ball_l2_covers_disk():
     r, k = 2.3, 16
-    out = ball_outer_polygon(r, "l2", k)
+    out = ball_outer_polygon(r, k)
     rng = np.random.default_rng(23)
     ang = rng.random(10_000) * 2 * math.pi
     rad = r * np.sqrt(rng.random(10_000))
@@ -319,7 +314,7 @@ def test_sector_annular_construction():
 
 
 def test_sector_too_wide():
-    with pytest.raises(geom2d.SectorTooWide):
+    with pytest.raises(ValueError):
         sector_outer_polygon(AngleInterval(0.0, math.pi / 2), Interval(0, 1))
 
 

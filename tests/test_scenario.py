@@ -241,7 +241,7 @@ def test_replay_matches_recorded_omni_run():
     cfg = load_builtin("omni")
     rec = simulate_run(cfg, steps=40, record_measurements=True)
     states = scenario.replay_run(cfg, rec.measurements, steps=40)
-    ball = geom2d.ball_outer_polygon(cfg.omni_radius, "l2")
+    ball = geom2d.ball_outer_polygon(cfg.omni_radius)
     for row, state in zip(rec.rows, states):
         body = geom2d.minkowski_sum(state.markers[0], ball)
         assert geom2d.area(body) == row.set_body_area

@@ -154,5 +154,5 @@ def test_angle_only_region_inside_range_disk():
 
 
 def test_sector_too_wide_propagates():
-    with pytest.raises(geom2d.SectorTooWide):
+    with pytest.raises(ValueError):
         feasible_marker_region(0.0, 5.0, STEREO, 0.0, math.pi / 2)
