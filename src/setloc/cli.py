@@ -41,28 +41,28 @@ def _load(args) -> scenario.ScenarioConfig:
     return cfg
 
 
-def _load_valid(args) -> scenario.ScenarioConfig | None:
-    """The config the arguments select, or None after printing every problem
-    validate_config finds.  A valid config is checked for sensors whose
-    measurements update will skip, with one warning per sensor."""
-    cfg = _load(args)
+def _check(cfg: scenario.ScenarioConfig, where: str = "") -> bool:
+    """Whether cfg is valid, after printing every problem validate_config
+    finds.  A valid config is checked for sensors whose measurements update
+    will skip, with one warning per sensor.  where prefixes every line."""
     problems = scenario.validate_config(cfg)
     for p in problems:
-        print(f"config error: {p}", file=sys.stderr)
+        print(f"config error: {where}{p}", file=sys.stderr)
     if problems:
-        return None
+        return False
     _, _, sensor_theta = scenario.initial_sets(cfg)
     for i, (site, theta) in enumerate(zip(cfg.sensors, sensor_theta)):
         if estimator.bearing_cone_too_wide(site.model, theta):
-            log.warning("[sensor.%d]: eps_bearing plus half the initial "
+            log.warning("%s[sensor.%d]: eps_bearing plus half the initial "
                         "orientation interval reaches 90 degrees; every "
-                        "measurement of this sensor will be skipped", i + 1)
-    return cfg
+                        "measurement of this sensor will be skipped",
+                        where, i + 1)
+    return True
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_valid(args)
-    if cfg is None:
+    cfg = _load(args)
+    if not _check(cfg):
         return EXIT_CONFIG
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -87,13 +87,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_valid(args)
-    if cfg is None:
-        return EXIT_CONFIG
+    cfg = _load(args)
     try:
         values = [float(v) for v in args.values.split(",") if v]
     except ValueError:
         print(f"config error: bad sweep values {args.values!r}", file=sys.stderr)
+        return EXIT_CONFIG
+    # the sweep runs only the swept configs, so each is checked on its own
+    checked = [_check(scenario.apply_parameter(cfg, args.parameter, v),
+                      f"{args.parameter} = {v:g}: ") for v in values]
+    if not all(checked):
         return EXIT_CONFIG
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -105,8 +108,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = _load_valid(args)
-    if cfg is None:
+    cfg = _load(args)
+    if not _check(cfg):
         return EXIT_CONFIG
     print(f"ok: {cfg.mode} scenario, {cfg.n_sensors} sensors, "
           f"{cfg.n_markers} markers, {len(cfg.trajectory)} steps")

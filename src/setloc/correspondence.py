@@ -63,9 +63,8 @@ def build_candidate_matrix(sectors: Sequence[ConvexPolygon],
         raise ValueError("more measurements than markers in one batch")
     rows = []
     for q, sector in enumerate(sectors):
-        reachable = geom2d.minkowski_sum(predicted_sensor_xy, sector)
-        row = tuple(geom2d.intersects(pj, reachable)
-                    for pj in predicted_markers)
+        row = geom2d.intersects_sum(predicted_markers, predicted_sensor_xy,
+                                    sector)
         if not any(row):
             raise InconsistentBatch(sensor_id, q)
         rows.append(row)

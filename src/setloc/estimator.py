@@ -193,8 +193,7 @@ def _sectors(batch: Sequence[Measurement], model: SensorModel,
 def _bearing_span(marker_set: ConvexPolygon,
                   sensor_set: ConvexPolygon) -> AngleInterval:
     """Arc of directions from any sensor position to any marker position."""
-    diff = geom2d.minkowski_sum(marker_set, geom2d.negate(sensor_set))
-    return geom2d.angular_hull(diff)
+    return geom2d.angular_hull_sum(marker_set, geom2d.negate(sensor_set))
 
 
 def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],

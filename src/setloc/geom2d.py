@@ -246,7 +246,10 @@ def _prune(verts: list[tuple[float, float]]) -> list[tuple[float, float]]:
 
     A vertex goes only when it lies within EPS_GEOM of the chord between its
     neighbours; the tip of a sliver is on the chord's line but beyond its
-    ends, and dropping it would cut the set.
+    ends, and dropping it would cut the set.  Vertices go one at a time, the
+    first removable one first, as a rescan from the start after each removal
+    would find them: only the neighbours of a removed vertex can change, so
+    the scan steps back one vertex (to the start when the last one went).
     """
     n = len(verts)
     if n <= 1:
@@ -259,23 +262,26 @@ def _prune(verts: list[tuple[float, float]]) -> list[tuple[float, float]]:
     if len(out) >= 2 and math.hypot(out[0][0] - out[-1][0],
                                     out[0][1] - out[-1][1]) <= EPS_GEOM:
         out.pop()
-    changed = True
-    while changed and len(out) >= 3:
-        changed = False
-        for i in range(len(out)):
-            a = out[i - 1]
-            b = out[i]
-            c = out[(i + 1) % len(out)]
-            base = math.hypot(c[0] - a[0], c[1] - a[1])
-            if base <= EPS_GEOM:
-                dev = math.hypot(b[0] - a[0], b[1] - a[1])
-            else:
-                dev = abs(_cross(a[0], a[1], b[0], b[1], c[0], c[1])) / base
-            if dev <= EPS_GEOM and _dist_point_segment(
-                    b[0], b[1], a[0], a[1], c[0], c[1]) <= EPS_GEOM:
-                out.pop(i)
-                changed = True
-                break
+    i = 0
+    while len(out) >= 3 and i < len(out):
+        (ax, ay), (bx, by) = out[i - 1], out[i]
+        cx, cy = out[(i + 1) % len(out)]
+        dx, dy = cx - ax, cy - ay
+        cross = abs(dx * (by - ay) - dy * (bx - ax))
+        l1 = abs(dx) + abs(dy)
+        # the chord is at most l1 long, so this vertex is more than EPS_GEOM
+        # off its line: the common case, decided without a square root
+        if l1 > 2.0 * EPS_GEOM and cross > 2.0 * EPS_GEOM * l1:
+            i += 1
+            continue
+        base = math.hypot(dx, dy)
+        dev = math.hypot(bx - ax, by - ay) if base <= EPS_GEOM else cross / base
+        if dev <= EPS_GEOM and _dist_point_segment(
+                bx, by, ax, ay, cx, cy) <= EPS_GEOM:
+            out.pop(i)
+            i = 0 if i == len(out) else max(i - 1, 0)
+        else:
+            i += 1
     return out
 
 
@@ -307,13 +313,20 @@ def _convex_ring(pts: list[tuple[float, float]]) -> list[tuple[float, float]] | 
         i += 1
     while i < n and ring[i] < ring[i - 1]:
         i += 1
-    if i < n:
+    if i < n or not _turns_left(ring):
         return None
-    for i in range(n):
-        a, b, c = ring[i - 1], ring[i], ring[(i + 1) % n]
-        if _cross(a[0], a[1], b[0], b[1], c[0], c[1]) <= 0.0:
-            return None
     return ring
+
+
+def _turns_left(ring: Sequence[tuple[float, float]]) -> bool:
+    """Whether the ring (three or more points) turns strictly left at every
+    vertex."""
+    (ax, ay), (bx, by) = ring[-2], ring[-1]
+    for cx, cy in ring:
+        if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0.0:
+            return False
+        ax, ay, bx, by = bx, by, cx, cy
+    return True
 
 
 def _hull_vertices(pts: list[tuple[float, float]]) -> tuple[Point2, ...]:
@@ -366,9 +379,7 @@ class ConvexPolygon:
         return len(self.vertices) == 2
 
     def bbox(self) -> tuple[float, float, float, float]:
-        xs = [v.x for v in self.vertices]
-        ys = [v.y for v in self.vertices]
-        return min(xs), max(xs), min(ys), max(ys)
+        return _bbox(self.vertices)
 
     def validate(self, v_max: int | None = None) -> None:
         """Raise if the vertex list is not strictly convex CCW."""
@@ -421,12 +432,19 @@ def contains(p: ConvexPolygon, q: tuple[float, float], tol: float = EPS_GEOM) ->
         return math.hypot(qx - v[0].x, qy - v[0].y) <= tol
     if len(v) == 2:
         return _dist_point_segment(qx, qy, v[0].x, v[0].y, v[1].x, v[1].y) <= tol
-    for i in range(len(v)):
-        a = v[i]
-        b = v[(i + 1) % len(v)]
-        elen = math.hypot(b.x - a.x, b.y - a.y)
-        if _cross(a.x, a.y, b.x, b.y, qx, qy) < -tol * elen:
+    return _ring_contains(v, qx, qy, tol)
+
+
+def _ring_contains(ring: Sequence[tuple[float, float]], qx: float, qy: float,
+                   tol: float) -> bool:
+    """Whether (qx, qy) lies within tol of the left side of every edge of a
+    CCW ring (three or more points)."""
+    ax, ay = ring[-1]
+    for bx, by in ring:
+        ex, ey = bx - ax, by - ay
+        if ex * (qy - ay) - ey * (qx - ax) < -tol * math.hypot(ex, ey):
             return False
+        ax, ay = bx, by
     return True
 
 
@@ -545,17 +563,35 @@ def _clip_poly_halfplane(pts: list[tuple[float, float]], ax: float, ay: float,
     return out
 
 
+def _bbox(pts: Sequence[tuple[float, float]]) -> tuple[float, float, float, float]:
+    xs, ys = zip(*pts)
+    return min(xs), max(xs), min(ys), max(ys)
+
+
 def _clip_ring(pts: list[tuple[float, float]],
                lines: Sequence[Line]) -> list[tuple[float, float]] | None:
     """Sutherland-Hodgman clip of a ring by the left sides of lines.
 
     The output runs like pts and is pts itself when no line cuts it; None
-    when it is empty.
+    when it is empty.  A line is skipped when the corner of the ring's
+    bounding box farthest to its right is kept: the side function is linear
+    (and its rounding monotone), so no vertex is farther right and the clip
+    would return the ring unchanged.  The box changes only when a line cuts.
     """
-    for line in lines:
-        pts = _clip_poly_halfplane(pts, *line)
-        if not pts:
+    x0, x1, y0, y1 = _bbox(pts)
+    for ax, ay, bx, by in lines:
+        ex, ey = bx - ax, by - ay
+        side = (ex * ((y0 if ex > 0.0 else y1) - ay)
+                - ey * ((x1 if ey > 0.0 else x0) - ax))
+        if side >= 0.0 or side >= -EPS_GEOM * math.hypot(ex, ey):
+            continue
+        cut = _clip_poly_halfplane(pts, ax, ay, bx, by)
+        if cut is pts:
+            continue
+        if not cut:
             return None
+        pts = cut
+        x0, x1, y0, y1 = _bbox(pts)
     return pts
 
 
@@ -658,13 +694,6 @@ def intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
     return ConvexPolygon(_hull_vertices(pts))
 
 
-def intersects(a: ConvexPolygon, b: ConvexPolygon) -> bool:
-    """Whether intersect(a, b) is non-empty, without building the polygon."""
-    if a.n <= 2 or b.n <= 2:
-        return intersect(a, b) is not None
-    return _clip(a, b) is not None
-
-
 def _support(p: ConvexPolygon, nx: float, ny: float) -> Point2:
     """A vertex of p that maximises n . v."""
     return max(p.vertices, key=lambda v: nx * v.x + ny * v.y)
@@ -680,10 +709,12 @@ def _sum_lines(a: ConvexPolygon, b: ConvexPolygon) -> list[Line]:
     the merge ring, or of its hull where rounding left a duplicate,
     collinear or reflex vertex: those are the edges of minkowski_sum(a, b),
     so intersect_sum clips by the same lines as intersect with the built sum.
+    The merge ring winds once by construction, so left turns alone show it
+    convex.
     """
     if a.n >= 3 and b.n >= 3:
         ring = _merge_edges(a.vertices, b.vertices)
-        if _convex_ring(ring) is None:
+        if not _turns_left(ring):
             ring = [(v.x, v.y) for v in _hull_vertices(ring)]
         n = len(ring)
         return [(*ring[i], *ring[(i + 1) % n]) for i in range(n)]
@@ -722,6 +753,25 @@ def intersect_sum(s: ConvexPolygon, a: ConvexPolygon,
     if pts is None:
         return None
     return ConvexPolygon(_hull_vertices(pts))
+
+
+def intersects_sum(sets: Sequence[ConvexPolygon], a: ConvexPolygon,
+                   b: ConvexPolygon) -> tuple[bool, ...]:
+    """Whether intersect_sum(s, a, b) is non-empty, for each s in sets.
+
+    Neither the sum nor any intersection is built: each s is clipped by the
+    sum's support half-planes, computed once for all sets, and only the
+    emptiness of the clip is kept.  Operands without an area take
+    intersect_sum's built-sum path.
+    """
+    if a.n <= 2 and b.n <= 2:
+        total = minkowski_sum(a, b)
+        return tuple(contains_polygon(total, s)
+                     or intersect(s, total) is not None for s in sets)
+    lines = _sum_lines(a, b)
+    return tuple((_clip_segment(s, lines) if s.is_segment else
+                  _clip_ring([(v.x, v.y) for v in s.vertices], lines))
+                 is not None for s in sets)
 
 
 # --- outer approximations --------------------------------------------------
@@ -791,8 +841,30 @@ def angular_hull(p: ConvexPolygon) -> AngleInterval:
     """
     if contains(p, (0.0, 0.0), EPS_GEOM):
         return FULL_CIRCLE
-    angles = [math.atan2(v.y, v.x) for v in p.vertices
-              if math.hypot(v.x, v.y) > EPS_GEOM]
+    return _vertex_arc(p.vertices)
+
+
+def angular_hull_sum(a: ConvexPolygon, b: ConvexPolygon) -> AngleInterval:
+    """An arc containing angular_hull(minkowski_sum(a, b)), without building
+    the sum.
+
+    For two operands with an area this is the arc of the edge merge's raw
+    ring: its points beyond the sum's vertices (collinear ones, or ones the
+    hull would merge or prune) lie on the sum's boundary up to rounding, so
+    the arc is the same or, by rounding, wider.
+    """
+    if a.n < 3 or b.n < 3:
+        return angular_hull(minkowski_sum(a, b))
+    ring = _merge_edges(a.vertices, b.vertices)
+    if _ring_contains(ring, 0.0, 0.0, EPS_GEOM):
+        return FULL_CIRCLE
+    return _vertex_arc(ring)
+
+
+def _vertex_arc(pts: Sequence[tuple[float, float]]) -> AngleInterval:
+    """Smallest arc containing the directions of pts, the vertices or merge
+    ring of a convex set that leaves the origin outside."""
+    angles = [math.atan2(y, x) for x, y in pts if math.hypot(x, y) > EPS_GEOM]
     if not angles:
         return FULL_CIRCLE
     if len(angles) == 1:

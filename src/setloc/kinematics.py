@@ -28,9 +28,10 @@ class RobotModel:
     eps_f: float = 0.0        # m, unmodeled marker disturbance bound (inf-norm)
 
     def __post_init__(self):
-        if self.wheelbase <= 0.0 or self.dt <= 0.0:
+        # written so that NaN fails every check
+        if not (self.wheelbase > 0.0 and self.dt > 0.0):
             raise ValueError("wheelbase and dt must be positive")
-        if min(self.eps_v, self.eps_delta, self.eps_f) < 0.0:
+        if not (self.eps_v >= 0.0 and self.eps_delta >= 0.0 and self.eps_f >= 0.0):
             raise ValueError("noise bounds must be >= 0")
 
 

@@ -319,9 +319,40 @@ def initial_sets(cfg: ScenarioConfig) -> tuple[list[ConvexPolygon],
     return markers, sensor_xy, sensor_theta
 
 
+def _numbers(cfg: ScenarioConfig) -> Iterator[tuple[str, float]]:
+    """Every real number of a config, named by its section and key."""
+    r, s = cfg.robot, cfg.start
+    yield from ((f"[robot] {key}", v) for key, v in (
+        ("wheelbase", r.wheelbase), ("dt", r.dt),
+        ("body_length", r.body_length), ("body_width", r.body_width),
+        ("eps_v", r.eps_v), ("eps_delta_deg", r.eps_delta),
+        ("eps_f", r.eps_f), ("x0", s.x), ("y0", s.y), ("theta0_deg", s.theta)))
+    yield from ((f"[initial_sets] {key}", v) for key, v in (
+        ("marker_area", cfg.initial_marker_area),
+        ("sensor_area", cfg.initial_sensor_area),
+        ("sensor_theta_deg", cfg.initial_sensor_theta),
+        ("marker_center_dx", cfg.marker_center_offset[0]),
+        ("marker_center_dy", cfg.marker_center_offset[1])))
+    yield "[omni] v_max", cfg.omni_v_max
+    yield "[omni] body_radius", cfg.omni_radius
+    for i, site in enumerate(cfg.sensors, start=1):
+        m, p = site.model, site.pose
+        yield from ((f"[sensor.{i}] {key}", v) for key, v in (
+            ("eps_bearing_deg", m.eps_bearing), ("eps_range", m.eps_range),
+            ("fov_deg", m.fov), ("max_range", m.max_range),
+            ("x", p.x), ("y", p.y), ("theta_deg", p.theta)))
+    for i, (v, angle) in enumerate(cfg.trajectory, start=1):
+        yield f"[trajectory] leg {i} speed", v
+        yield f"[trajectory] leg {i} angle", angle
+
+
 def validate_config(cfg: ScenarioConfig) -> list[str]:
     """All violated invariants of a scenario, empty when runnable."""
-    problems: list[str] = []
+    problems = [f"{key} must be a finite number"
+                for key, v in _numbers(cfg) if not math.isfinite(v)]
+    if problems:
+        # nothing below is meaningful, and initial_sets cannot run
+        return problems
     if cfg.mode not in (MODE_BICYCLE, MODE_OMNI):
         problems.append(f"unknown mode {cfg.mode!r}")
     if not cfg.trajectory:
@@ -635,22 +666,26 @@ class SweepRow:
 
 def apply_parameter(cfg: ScenarioConfig, parameter: str,
                     value: float) -> ScenarioConfig:
-    """Derive a config with one swept quantity replaced everywhere it acts."""
-    if parameter == "eps_wa":
-        sensors = tuple(SensorSite(s.pose, replace(s.model,
-                        eps_bearing=math.radians(value))) for s in cfg.sensors)
-        return replace(cfg, sensors=sensors)
-    if parameter == "eps_wr":
-        sensors = tuple(SensorSite(s.pose, replace(s.model, eps_range=value))
-                        for s in cfg.sensors)
-        return replace(cfg, sensors=sensors)
-    if parameter == "V_Pi0":
-        return replace(cfg, initial_marker_area=value)
-    if parameter == "eps_v":
-        return replace(cfg, robot=replace(cfg.robot, eps_v=value))
-    if parameter == "eps_delta":
-        return replace(cfg, robot=replace(cfg.robot,
-                                          eps_delta=math.radians(value)))
+    """Derive a config with one swept quantity replaced everywhere it acts;
+    ConfigError when a model rejects the value."""
+    try:
+        if parameter == "eps_wa":
+            sensors = tuple(SensorSite(s.pose, replace(
+                s.model, eps_bearing=math.radians(value))) for s in cfg.sensors)
+            return replace(cfg, sensors=sensors)
+        if parameter == "eps_wr":
+            sensors = tuple(SensorSite(s.pose, replace(s.model, eps_range=value))
+                            for s in cfg.sensors)
+            return replace(cfg, sensors=sensors)
+        if parameter == "V_Pi0":
+            return replace(cfg, initial_marker_area=value)
+        if parameter == "eps_v":
+            return replace(cfg, robot=replace(cfg.robot, eps_v=value))
+        if parameter == "eps_delta":
+            return replace(cfg, robot=replace(cfg.robot,
+                                              eps_delta=math.radians(value)))
+    except ValueError as exc:
+        raise ConfigError(f"{parameter} = {value!r}: {exc}") from exc
     raise ConfigError(f"unknown sweep parameter {parameter!r}; "
                       f"expected one of {SWEEP_PARAMETERS}")
 
@@ -741,9 +776,12 @@ def _get(parser: configparser.ConfigParser, section: str, key: str,
         raise ConfigError(f"[{section}] missing required key '{key}'")
     raw = parser.get(section, key)
     try:
-        return cast(raw)
+        value = cast(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+    if cast is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: {raw!r} is not a finite number")
+    return value
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -848,6 +886,9 @@ def parse_config(text: str) -> ScenarioConfig:
             ang = math.radians(float(raw[2]))
         except ValueError as exc:
             raise ConfigError(f"[trajectory] {key}: {exc}") from exc
+        if not (math.isfinite(v) and math.isfinite(ang)):
+            raise ConfigError(f"[trajectory] {key}: speed and angle must be "
+                              f"finite numbers")
         if count < 1:
             raise ConfigError(f"[trajectory] {key}: count must be >= 1")
         legs.extend([(v, ang)] * count)

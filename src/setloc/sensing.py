@@ -31,11 +31,12 @@ class SensorModel:
     def __post_init__(self):
         if self.kind not in (ANGLE_ONLY, ANGLE_RANGE):
             raise ValueError(f"unknown sensor kind {self.kind!r}")
-        if min(self.eps_bearing, self.eps_range) < 0.0:
+        # written so that NaN fails every check
+        if not (self.eps_bearing >= 0.0 and self.eps_range >= 0.0):
             raise ValueError("noise bounds must be >= 0")
         if not (0.0 < self.fov <= 2.0 * math.pi):
             raise ValueError("fov must be in (0, 2*pi]")
-        if self.max_range <= 0.0:
+        if not self.max_range > 0.0:
             raise ValueError("max_range must be positive")
 
 

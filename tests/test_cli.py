@@ -146,6 +146,17 @@ def test_run_skips_sensors_whose_cone_is_too_wide(tmp_path, capsys):
      "sensor_theta_deg"),
     ("parking", "sensor_theta_deg = 2.0", "sensor_theta_deg = 720",
      "sensor_theta_deg"),
+    # non-finite numbers: NaN passes every `x < 0` check
+    ("parking", "eps_range = 0.1", "eps_range = nan", "eps_range"),
+    ("parking", "eps_bearing_deg = 1.0", "eps_bearing_deg = nan",
+     "eps_bearing_deg"),
+    ("parking", "dt = 0.5", "dt = inf", "dt"),
+    ("parking", "eps_v = 0.1", "eps_v = nan", "eps_v"),
+    ("parking", "theta0_deg = 0.0", "theta0_deg = -inf", "theta0_deg"),
+    ("parking", "marker_area = 1.0", "marker_area = nan", "marker_area"),
+    ("parking", "x = 4.48", "x = nan", "[sensor.2] x"),
+    ("parking", "seg01 = 20 1.0 0.0", "seg01 = 20 nan 0.0", "seg01"),
+    ("omni", "v_max = 0.10", "v_max = inf", "v_max"),
 ])
 def test_validate_rejects_what_run_cannot_run(tmp_path, capsys, name, old,
                                               new, key):
@@ -174,6 +185,39 @@ def test_sweep_warns_about_sensors_whose_cone_is_too_wide(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("WARNING setloc") == 21
     assert "[sensor.21]" in err and "skipped" in err
+
+
+def test_sweep_warns_about_every_swept_value_whose_cone_is_too_wide(
+        parking_cfg, tmp_path, capsys):
+    # the base config's cones are narrow; 89 degrees of bearing noise plus
+    # the 1 degree orientation half-width reaches 90 at every sensor
+    code = run_cli("sweep", "--config", str(parking_cfg), "--parameter",
+                   "eps_wa", "--values", "1,89", "--seeds", "1", "--steps",
+                   "1", "--estimator", "set", "--out", str(tmp_path / "s"))
+    assert code == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("WARNING setloc")]
+    assert len(warnings) == 21
+    assert all("eps_wa = 89: [sensor." in w and "skipped" in w
+               for w in warnings)
+
+
+@pytest.mark.parametrize("parameter, values, key", [
+    ("eps_wa", "1,nan", "eps_wa = nan"),
+    ("eps_wr", "-0.1", "eps_wr = -0.1"),
+    ("V_Pi0", "inf", "[initial_sets] marker_area"),
+    ("eps_v", "nan", "eps_v"),
+])
+def test_sweep_rejects_values_the_models_cannot_take(parking_cfg, tmp_path,
+                                                     capsys, parameter,
+                                                     values, key):
+    code = run_cli("sweep", "--config", str(parking_cfg), "--parameter",
+                   parameter, "--values", values, "--seeds", "1", "--steps",
+                   "1", "--estimator", "set", "--out", str(tmp_path / "s"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "s").exists()
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from setloc import estimator as est
-from setloc import geom2d, sensing
+from setloc import correspondence, geom2d, sensing
 from setloc.correspondence import CapExceeded, InconsistentBatch
 from setloc.estimator import (EmptySetFault, EstimatorModels,
                               RigidBodySpec, StepFault, estimate_heading,
@@ -438,3 +438,50 @@ def test_update_builds_sectors_again_only_when_the_orientation_narrows(
     assert calls == {"feasible_marker_region": builds * sum(map(len, batches)),
                      "feasible_sensor_region": 0}
     assert_containment(out, pose, sensors)
+
+
+def test_feasibility_and_bearing_spans_build_no_polygon(monkeypatch):
+    # for sets with an area, the candidate matrix clips each marker set by
+    # the support lines of sensor set + sector, and a bearing span is read
+    # from the raw edge-merge ring: neither builds a sum or hulls a cloud
+    rng = np.random.default_rng(3)
+    pose = RobotPose(5.0, 3.0, 0.7)
+    sensors = [SensorPose(0.0, 0.0, 0.2), SensorPose(12.0, -1.0, 2.0)]
+    state = boxed_state(rng, pose, sensors, 0.3, 0.05, 0.0)
+    batches = world_measurements(rng, pose, sensors, (PANORAMIC, PANORAMIC))
+    sectors = [est._sectors(batch, PANORAMIC, theta)
+               for batch, theta in zip(batches, state.sensor_theta)]
+    assert all(p.n >= 3 for p in (*state.markers, *state.sensor_xy,
+                                  *sectors[0], *sectors[1]))
+    # what the built polygons give, before any counting
+    expect_rows = [tuple(tuple(geom2d.intersect(m, geom2d.minkowski_sum(
+        sxy, sector)) is not None for m in state.markers) for sector in row)
+        for row, sxy in zip(sectors, state.sensor_xy)]
+    built_spans = [geom2d.angular_hull(geom2d.minkowski_sum(
+        m, geom2d.negate(sxy))) for sxy in state.sensor_xy
+        for m in state.markers]
+    builds = {"minkowski_sum": 0, "from_points": 0}
+    real_sum, real_from_points = geom2d.minkowski_sum, ConvexPolygon.from_points
+
+    def counted_sum(*args):
+        builds["minkowski_sum"] += 1
+        return real_sum(*args)
+
+    def counted_from_points(cls, points):
+        builds["from_points"] += 1
+        return real_from_points(points)
+
+    monkeypatch.setattr(geom2d, "minkowski_sum", counted_sum)
+    monkeypatch.setattr(ConvexPolygon, "from_points",
+                        classmethod(counted_from_points))
+    rows = [correspondence.build_candidate_matrix(
+        row, state.markers, sxy, sensor_id=i).rows
+        for i, (row, sxy) in enumerate(zip(sectors, state.sensor_xy))]
+    spans = [est._bearing_span(m, sxy) for sxy in state.sensor_xy
+             for m in state.markers]
+    estimate_heading(state, SPEC)
+    assert builds == {"minkowski_sum": 0, "from_points": 0}
+    assert rows == expect_rows
+    for span, built in zip(spans, built_spans):
+        assert span.center == built.center
+        assert span.half_width == built.half_width

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -105,7 +106,6 @@ def test_negate_matches_hull_of_negated_vertices(p):
                                (-6.0, 1.5175369318688041)]))
 def test_intersect_matches_hull_of_clip_output(a, b):
     out = geom2d.intersect(a, b)
-    assert geom2d.intersects(a, b) == (out is not None)
     if a.n < 3 or b.n < 3:
         return
     pts = geom2d._clip(a, b)
@@ -181,6 +181,52 @@ def test_intersect_sum_returns_a_set_inside_the_sum_itself(case):
     assert geom2d.intersect_sum(s, a, b) is s
 
 
+@settings(max_examples=2000, deadline=None)
+@given(polygons, polygons, polygons, st.integers(0, 2**32 - 1),
+       st.sampled_from(["as drawn", "moved onto the witness", "the witness"]))
+def test_intersects_sum_never_misses_a_witness(p, a, b, seed, where):
+    """A point s + t of a + b (s in a, t in b) that lies in p makes p
+    feasible: a false "no" would cut the truth."""
+    rng = np.random.default_rng(seed)
+    s, t = geom2d.sample_uniform(a, rng)[0], geom2d.sample_uniform(b, rng)[0]
+    w = (float(s[0] + t[0]), float(s[1] + t[1]))
+    if where == "the witness":
+        p = ConvexPolygon.point(*w)
+    elif where == "moved onto the witness":
+        u = geom2d.sample_uniform(p, rng)[0]
+        p = geom2d.translate(p, w[0] - float(u[0]), w[1] - float(u[1]))
+    if geom2d.contains(p, w, 0.0):
+        assert geom2d.intersects_sum([p], a, b) == (True,)
+
+
+def centroid(p: ConvexPolygon) -> tuple[float, float]:
+    return (sum(v.x for v in p.vertices) / p.n,
+            sum(v.y for v in p.vertices) / p.n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(polygons, polygons, polygons)
+def test_intersects_sum_agrees_with_intersect_of_the_sum(s, a, b):
+    got = geom2d.intersects_sum([s], a, b)
+    # the boolean twin of intersect_sum, exactly
+    assert got == (geom2d.intersect_sum(s, a, b) is not None,)
+    total = geom2d.minkowski_sum(a, b)
+    ref = geom2d.intersect(s, total)
+    if got == (ref is not None,):
+        return
+    tol = 2 * geom2d.EPS_GEOM
+    if ref is None:
+        # a false "yes" only where s comes within 2 EPS_GEOM of the sum
+        grown = geom2d.minkowski_sum(total, ConvexPolygon.box(-tol, tol,
+                                                              -tol, tol))
+        assert geom2d.intersect(s, grown) is not None
+    else:
+        # a "no" only where the overlap is no deeper than 2 EPS_GEOM
+        c = centroid(ref)
+        assert not (geom2d.contains(s, c, -tol)
+                    and geom2d.contains(total, c, -tol))
+
+
 def hull_path(pts) -> ConvexPolygon:
     """What from_points returns through the sort-and-chain hull."""
     return ConvexPolygon(geom2d._canonical(geom2d._prune(geom2d._hull_chain(
@@ -225,6 +271,24 @@ def test_rings_that_are_not_convex_take_the_hull_path(p, k):
         ring = rotated(ring, k)
         assert geom2d._convex_ring(ring) is None
         assert ConvexPolygon.from_points(ring) == hull_path(ring)
+
+
+lines = st.lists(st.tuples(coord, coord, coord, coord), max_size=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(polygons, st.one_of(polygons.map(geom2d._edge_lines), lines))
+def test_clip_ring_skips_only_lines_that_cut_nothing(p, clip_lines):
+    ring = [(v.x, v.y) for v in p.vertices]
+    plain = ring
+    for line in clip_lines:
+        plain = geom2d._clip_poly_halfplane(plain, *line)
+        if not plain:
+            plain = None
+            break
+    out = geom2d._clip_ring(ring, clip_lines)
+    assert out == plain
+    assert (out is ring) == (plain is ring)
 
 
 # --- arcs ------------------------------------------------------------------
@@ -316,3 +380,12 @@ def test_angular_hull_contains_every_direction(p, weights):
 def test_angular_hull_is_full_exactly_when_the_origin_is_in_the_set(p):
     assert geom2d.angular_hull(p).is_full == geom2d.contains(
         p, (0.0, 0.0), geom2d.EPS_GEOM)
+
+
+@settings(max_examples=400, deadline=None)
+@given(polygons, polygons)
+def test_angular_hull_sum_contains_the_arc_of_the_built_sum(m, sensor):
+    back = geom2d.negate(sensor)
+    out = geom2d.angular_hull_sum(m, back)
+    assert covers(out, geom2d.angular_hull(geom2d.minkowski_sum(m, back)),
+                  ARC_TOL)
