@@ -1,6 +1,6 @@
 """Guaranteed set-membership localization with infrastructure sensors."""
 
-from .geom2d import AngleInterval, ConvexPolygon, Interval, Point2
+from .geom2d import AngleInterval, ConvexPolygon, Interval
 from .kinematics import Control, MarkerOffset, RobotModel, RobotPose
 from .sensing import Measurement, SensorModel, SensorPose
 from .correspondence import (Assignment, CandidateMatrix, CapExceeded,
@@ -15,7 +15,7 @@ __all__ = [
     "AngleInterval", "Assignment", "CandidateMatrix", "CapExceeded",
     "ConfigError", "Control", "ConvexPolygon", "EmptySetFault",
     "EstimatorModels", "EstimatorState", "InconsistentBatch", "Interval",
-    "MarkerOffset", "Measurement", "Point2", "RigidBodySpec", "RobotModel",
+    "MarkerOffset", "Measurement", "RigidBodySpec", "RobotModel",
     "RobotPose", "RunRecord", "ScenarioConfig", "ScenarioFault",
     "SensorModel", "SensorPose", "StepFault", "__version__",
 ]

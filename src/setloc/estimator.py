@@ -190,12 +190,6 @@ def _sectors(batch: Sequence[Measurement], model: SensorModel,
         for m in batch)
 
 
-def _bearing_span(marker_set: ConvexPolygon,
-                  sensor_set: ConvexPolygon) -> AngleInterval:
-    """Arc of directions from any sensor position to any marker position."""
-    return geom2d.angular_hull_sum(marker_set, geom2d.negate(sensor_set))
-
-
 def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
            models: EstimatorModels) -> EstimatorState:
     """Condition all sets on one round of per-sensor measurement batches.
@@ -225,9 +219,12 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
         if not assigns:
             raise EmptySetFault("no consistent correspondence", sensor=i)
 
+        # directions from the sensor set to each matched marker set: the arc
+        # of marker + (-sensor), with the sensor set reflected once per batch
+        sensor_back = geom2d.negate(predicted.sensor_xy[i])
         spans = {}
         for j in {j for a in assigns for j in a}:
-            spans[j] = _bearing_span(predicted.markers[j], predicted.sensor_xy[i])
+            spans[j] = geom2d.angular_hull_sum(predicted.markers[j], sensor_back)
 
         # orientation: each hypothesis intersects one interval per matched
         # measurement; the union over hypotheses must still cover the truth
@@ -337,9 +334,10 @@ def estimate_heading(state: EstimatorState, spec: RigidBodySpec) -> AngleInterva
     """
     acc = AngleInterval.full()
     n = len(state.markers)
-    for i in range(n):
+    for i in range(n - 1):
+        back = geom2d.negate(state.markers[i])
         for j in range(i + 1, n):
-            span = _bearing_span(state.markers[j], state.markers[i])
+            span = geom2d.angular_hull_sum(state.markers[j], back)
             if span.is_full:
                 continue
             cand = span.shift(-spec.bearings[i][j])

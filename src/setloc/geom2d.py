@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,11 +29,6 @@ def wrap_angle(a: float) -> float:
     if a <= -math.pi:
         a += TWO_PI
     return a
-
-
-class Point2(NamedTuple):
-    x: float
-    y: float
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +281,16 @@ def _prune(verts: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return out
 
 
-def _canonical(verts: list[tuple[float, float]]) -> tuple[Point2, ...]:
+def _canonical(verts: Sequence[tuple[float, float]]
+               ) -> tuple[tuple[float, float], ...]:
     if not verts:
         return ()
     k = verts.index(min(verts))
-    ordered = verts[k:] + verts[:k]
-    return tuple(Point2(x, y) for x, y in ordered)
+    return tuple(verts[k:] + verts[:k])
 
 
-def _convex_ring(pts: list[tuple[float, float]]) -> list[tuple[float, float]] | None:
+def _convex_ring(pts: Sequence[tuple[float, float]]
+                 ) -> Sequence[tuple[float, float]] | None:
     """pts rotated to their lexicographic minimum if they already are a
     strictly convex CCW ring that winds once, else None.
 
@@ -329,7 +326,8 @@ def _turns_left(ring: Sequence[tuple[float, float]]) -> bool:
     return True
 
 
-def _hull_vertices(pts: list[tuple[float, float]]) -> tuple[Point2, ...]:
+def _hull_vertices(pts: Sequence[tuple[float, float]]
+                   ) -> tuple[tuple[float, float], ...]:
     """Canonical vertices of the convex hull of pts (non-empty); a ring that
     is already convex skips the sort-and-chain hull."""
     ring = _convex_ring(pts)
@@ -341,7 +339,7 @@ def _hull_vertices(pts: list[tuple[float, float]]) -> tuple[Point2, ...]:
 
 @dataclass(frozen=True)
 class ConvexPolygon:
-    """Bounded convex region as a CCW vertex tuple.
+    """Bounded convex region as a CCW tuple of (x, y) float pairs.
 
     Degenerate regions are first-class: one vertex is a point, two vertices a
     segment.  Construct through :meth:`from_points` unless the vertices are
@@ -349,7 +347,7 @@ class ConvexPolygon:
     minimum).
     """
 
-    vertices: tuple[Point2, ...]
+    vertices: tuple[tuple[float, float], ...]
 
     @classmethod
     def from_points(cls, points: Iterable[tuple[float, float]]) -> "ConvexPolygon":
@@ -360,7 +358,7 @@ class ConvexPolygon:
 
     @classmethod
     def point(cls, x: float, y: float) -> "ConvexPolygon":
-        return cls((Point2(float(x), float(y)),))
+        return cls(((float(x), float(y)),))
 
     @classmethod
     def box(cls, x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> "ConvexPolygon":
@@ -378,7 +376,9 @@ class ConvexPolygon:
     def is_segment(self) -> bool:
         return len(self.vertices) == 2
 
+    @cached_property
     def bbox(self) -> tuple[float, float, float, float]:
+        """(x_lo, x_hi, y_lo, y_hi), computed when first read."""
         return _bbox(self.vertices)
 
     def validate(self, v_max: int | None = None) -> None:
@@ -388,15 +388,15 @@ class ConvexPolygon:
             raise ValueError("empty polygon")
         if v_max is not None and len(v) > v_max:
             raise ValueError(f"{len(v)} vertices exceeds budget {v_max}")
-        for p in v:
-            if not (math.isfinite(p.x) and math.isfinite(p.y)):
+        for x, y in v:
+            if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError("non-finite vertex")
         n = len(v)
         if n <= 2:
             return
         for i in range(n):
-            a, b, c = v[i - 1], v[i], v[(i + 1) % n]
-            if _cross(a.x, a.y, b.x, b.y, c.x, c.y) <= 0.0:
+            (ax, ay), (bx, by), (cx, cy) = v[i - 1], v[i], v[(i + 1) % n]
+            if _cross(ax, ay, bx, by, cx, cy) <= 0.0:
                 raise ValueError(f"vertices not in strictly convex CCW position at {i}")
 
 
@@ -406,10 +406,8 @@ def area(p: ConvexPolygon) -> float:
     if len(v) <= 2:
         return 0.0
     s = 0.0
-    for i in range(len(v)):
-        a = v[i]
-        b = v[(i + 1) % len(v)]
-        s += a.x * b.y - b.x * a.y
+    for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1]):
+        s += ax * by - bx * ay
     return 0.5 * s
 
 
@@ -429,9 +427,11 @@ def contains(p: ConvexPolygon, q: tuple[float, float], tol: float = EPS_GEOM) ->
     v = p.vertices
     qx, qy = q[0], q[1]
     if len(v) == 1:
-        return math.hypot(qx - v[0].x, qy - v[0].y) <= tol
+        (vx, vy), = v
+        return math.hypot(qx - vx, qy - vy) <= tol
     if len(v) == 2:
-        return _dist_point_segment(qx, qy, v[0].x, v[0].y, v[1].x, v[1].y) <= tol
+        (ax, ay), (bx, by) = v
+        return _dist_point_segment(qx, qy, ax, ay, bx, by) <= tol
     return _ring_contains(v, qx, qy, tol)
 
 
@@ -456,7 +456,7 @@ def contains_polygon(outer: ConvexPolygon, inner: ConvexPolygon,
 def translate(p: ConvexPolygon, dx: float, dy: float) -> ConvexPolygon:
     """Shift by (dx, dy); rounding can reorder near-equal x, so the start
     vertex is re-chosen."""
-    return ConvexPolygon(_canonical([(v.x + dx, v.y + dy) for v in p.vertices]))
+    return ConvexPolygon(_canonical([(x + dx, y + dy) for x, y in p.vertices]))
 
 
 def negate(p: ConvexPolygon) -> ConvexPolygon:
@@ -465,11 +465,11 @@ def negate(p: ConvexPolygon) -> ConvexPolygon:
     Negation is exact and a point reflection keeps convexity and CCW order,
     so only the start vertex moves (to the new lexicographic minimum).
     """
-    return ConvexPolygon(_canonical([(-v.x, -v.y) for v in p.vertices]))
+    return ConvexPolygon(_canonical([(-x, -y) for x, y in p.vertices]))
 
 
-def _merge_edges(a: tuple[Point2, ...],
-                 b: tuple[Point2, ...]) -> list[tuple[float, float]]:
+def _merge_edges(a: Sequence[tuple[float, float]],
+                 b: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
     """Vertex candidates of the sum of two canonical polygons (n, m >= 3).
 
     Both walks start at the lexicographic minima, whose sum is a vertex of
@@ -480,16 +480,16 @@ def _merge_edges(a: tuple[Point2, ...],
     out: list[tuple[float, float]] = []
     i = j = 0
     while i < n or j < m:
-        pa, pb = a[i % n], b[j % m]
-        out.append((pa.x + pb.x, pa.y + pb.y))
+        (pax, pay), (pbx, pby) = a[i % n], b[j % m]
+        out.append((pax + pbx, pay + pby))
         if i == n:
             j += 1
             continue
         if j == m:
             i += 1
             continue
-        qa, qb = a[(i + 1) % n], b[(j + 1) % m]
-        c = (qa.x - pa.x) * (qb.y - pb.y) - (qa.y - pa.y) * (qb.x - pb.x)
+        (qax, qay), (qbx, qby) = a[(i + 1) % n], b[(j + 1) % m]
+        c = (qax - pax) * (qby - pby) - (qay - pay) * (qbx - pbx)
         if c >= 0.0:
             i += 1
         if c <= 0.0:
@@ -500,14 +500,14 @@ def _merge_edges(a: tuple[Point2, ...],
 def minkowski_sum(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
     """Exact Minkowski sum {p + q : p in a, q in b} (no vertex cap applied)."""
     if b.is_point:
-        return translate(a, b.vertices[0].x, b.vertices[0].y)
+        return translate(a, *b.vertices[0])
     if a.is_point:
-        return translate(b, a.vertices[0].x, a.vertices[0].y)
+        return translate(b, *a.vertices[0])
     if a.is_segment or b.is_segment:
         # a segment's two edges are antiparallel, so the edge merge cannot
         # order them; the pairwise sums are only 2m points
-        sums = [(va.x + vb.x, va.y + vb.y)
-                for va in a.vertices for vb in b.vertices]
+        sums = [(ax + bx, ay + by)
+                for ax, ay in a.vertices for bx, by in b.vertices]
         return ConvexPolygon.from_points(sums)
     return ConvexPolygon.from_points(_merge_edges(a.vertices, b.vertices))
 
@@ -531,13 +531,11 @@ Line = tuple[float, float, float, float]
 def _edge_lines(p: ConvexPolygon) -> list[Line]:
     """The lines through a polygon's edges, in vertex order."""
     v = p.vertices
-    n = len(v)
-    return [(v[i].x, v[i].y, v[(i + 1) % n].x, v[(i + 1) % n].y)
-            for i in range(n)]
+    return [(ax, ay, bx, by) for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1])]
 
 
-def _clip_poly_halfplane(pts: list[tuple[float, float]], ax: float, ay: float,
-                         bx: float, by: float) -> list[tuple[float, float]]:
+def _clip_poly_halfplane(pts: Sequence[tuple[float, float]], ax: float, ay: float,
+                         bx: float, by: float) -> Sequence[tuple[float, float]]:
     # keep the closed left side of the directed line a->b; pts itself when
     # the line cuts nothing
     ex, ey = bx - ax, by - ay
@@ -568,23 +566,37 @@ def _bbox(pts: Sequence[tuple[float, float]]) -> tuple[float, float, float, floa
     return min(xs), max(xs), min(ys), max(ys)
 
 
-def _clip_ring(pts: list[tuple[float, float]],
-               lines: Sequence[Line]) -> list[tuple[float, float]] | None:
-    """Sutherland-Hodgman clip of a ring by the left sides of lines.
+def _clip_ring(pts: Sequence[tuple[float, float]],
+               box: tuple[float, float, float, float],
+               lines: Sequence[Line]) -> Sequence[tuple[float, float]] | None:
+    """Sutherland-Hodgman clip of a ring, whose bounding box is box, by the
+    left sides of lines.
 
     The output runs like pts and is pts itself when no line cuts it; None
-    when it is empty.  A line is skipped when the corner of the ring's
-    bounding box farthest to its right is kept: the side function is linear
-    (and its rounding monotone), so no vertex is farther right and the clip
-    would return the ring unchanged.  The box changes only when a line cuts.
+    when it is empty.  The side function is linear and its rounding monotone
+    in each coordinate, so no vertex lies farther to a line's right than the
+    box corner farthest to its right, nor farther to its left than the
+    corner farthest to its left.  A line is skipped when the right corner is
+    kept (the clip would return the ring unchanged), and the clip is empty
+    when the left corner is cut (every vertex would be).  The box changes
+    only when a line cuts.
     """
-    x0, x1, y0, y1 = _bbox(pts)
+    x0, x1, y0, y1 = box
     for ax, ay, bx, by in lines:
         ex, ey = bx - ax, by - ay
-        side = (ex * ((y0 if ex > 0.0 else y1) - ay)
-                - ey * ((x1 if ey > 0.0 else x0) - ax))
-        if side >= 0.0 or side >= -EPS_GEOM * math.hypot(ex, ey):
+        right = (ex * ((y0 if ex > 0.0 else y1) - ay)
+                 - ey * ((x1 if ey > 0.0 else x0) - ax))
+        if right >= 0.0:
             continue
+        elen = math.hypot(ex, ey)
+        slack = -EPS_GEOM * elen
+        if right >= slack:
+            continue
+        left = (ex * ((y1 if ex > 0.0 else y0) - ay)
+                - ey * ((x0 if ey > 0.0 else x1) - ax))
+        # a line shorter than EPS_GEOM cuts nothing (_clip_poly_halfplane)
+        if left < slack and elen > EPS_GEOM:
+            return None
         cut = _clip_poly_halfplane(pts, ax, ay, bx, by)
         if cut is pts:
             continue
@@ -625,53 +637,53 @@ def _clip_segment(seg: ConvexPolygon,
 
 
 def _seg_seg(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
-    (p1, p2) = a.vertices
-    (q1, q2) = b.vertices
-    rx, ry = p2.x - p1.x, p2.y - p1.y
-    sx, sy = q2.x - q1.x, q2.y - q1.y
+    (p1x, p1y), (p2x, p2y) = a.vertices
+    (q1x, q1y), (q2x, q2y) = b.vertices
+    rx, ry = p2x - p1x, p2y - p1y
+    sx, sy = q2x - q1x, q2y - q1y
     den = rx * sy - ry * sx
     if abs(den) <= EPS_GEOM * max(math.hypot(rx, ry), math.hypot(sx, sy)):
         # parallel: overlap only if collinear
-        if _dist_point_segment(q1.x, q1.y, p1.x, p1.y, p2.x, p2.y) > EPS_GEOM \
-           and _dist_point_segment(q2.x, q2.y, p1.x, p1.y, p2.x, p2.y) > EPS_GEOM \
-           and _dist_point_segment(p1.x, p1.y, q1.x, q1.y, q2.x, q2.y) > EPS_GEOM:
+        if _dist_point_segment(q1x, q1y, p1x, p1y, p2x, p2y) > EPS_GEOM \
+           and _dist_point_segment(q2x, q2y, p1x, p1y, p2x, p2y) > EPS_GEOM \
+           and _dist_point_segment(p1x, p1y, q1x, q1y, q2x, q2y) > EPS_GEOM:
             return None
         r2 = rx * rx + ry * ry
         if r2 == 0.0:
             return _intersect_point(a.vertices[0], b)
-        ts = []
-        for q in (q1, q2):
-            t = ((q.x - p1.x) * rx + (q.y - p1.y) * ry) / r2
-            ts.append(t)
+        ts = [((qx - p1x) * rx + (qy - p1y) * ry) / r2
+              for qx, qy in ((q1x, q1y), (q2x, q2y))]
         t0 = max(0.0, min(ts))
         t1 = min(1.0, max(ts))
         if t0 > t1:
             return None
-        pa = (p1.x + t0 * rx, p1.y + t0 * ry)
-        pb = (p1.x + t1 * rx, p1.y + t1 * ry)
-        if _dist_point_segment(pa[0], pa[1], q1.x, q1.y, q2.x, q2.y) > EPS_GEOM:
+        pa = (p1x + t0 * rx, p1y + t0 * ry)
+        pb = (p1x + t1 * rx, p1y + t1 * ry)
+        if _dist_point_segment(pa[0], pa[1], q1x, q1y, q2x, q2y) > EPS_GEOM:
             return None
         return ConvexPolygon.from_points([pa, pb])
-    t = ((q1.x - p1.x) * sy - (q1.y - p1.y) * sx) / den
-    pt = (p1.x + t * rx, p1.y + t * ry)
-    if _dist_point_segment(pt[0], pt[1], p1.x, p1.y, p2.x, p2.y) <= EPS_GEOM \
-       and _dist_point_segment(pt[0], pt[1], q1.x, q1.y, q2.x, q2.y) <= EPS_GEOM:
+    t = ((q1x - p1x) * sy - (q1y - p1y) * sx) / den
+    pt = (p1x + t * rx, p1y + t * ry)
+    if _dist_point_segment(pt[0], pt[1], p1x, p1y, p2x, p2y) <= EPS_GEOM \
+       and _dist_point_segment(pt[0], pt[1], q1x, q1y, q2x, q2y) <= EPS_GEOM:
         return ConvexPolygon.point(*pt)
     return None
 
 
-def _intersect_point(pt: Point2, other: ConvexPolygon) -> ConvexPolygon | None:
+def _intersect_point(pt: tuple[float, float],
+                     other: ConvexPolygon) -> ConvexPolygon | None:
     if contains(other, pt):
         return ConvexPolygon((pt,))
     return None
 
 
-def _clip(a: ConvexPolygon, b: ConvexPolygon) -> list[tuple[float, float]] | None:
+def _clip(a: ConvexPolygon,
+          b: ConvexPolygon) -> Sequence[tuple[float, float]] | None:
     """Sutherland-Hodgman clip of polygon a by the half-planes of polygon b.
 
     The output runs CCW like a; None when it is empty.
     """
-    return _clip_ring([(v.x, v.y) for v in a.vertices], _edge_lines(b))
+    return _clip_ring(a.vertices, a.bbox, _edge_lines(b))
 
 
 def intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
@@ -694,9 +706,9 @@ def intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
     return ConvexPolygon(_hull_vertices(pts))
 
 
-def _support(p: ConvexPolygon, nx: float, ny: float) -> Point2:
+def _support(p: ConvexPolygon, nx: float, ny: float) -> tuple[float, float]:
     """A vertex of p that maximises n . v."""
-    return max(p.vertices, key=lambda v: nx * v.x + ny * v.y)
+    return max(p.vertices, key=lambda v: nx * v[0] + ny * v[1])
 
 
 def _sum_lines(a: ConvexPolygon, b: ConvexPolygon) -> list[Line]:
@@ -715,7 +727,7 @@ def _sum_lines(a: ConvexPolygon, b: ConvexPolygon) -> list[Line]:
     if a.n >= 3 and b.n >= 3:
         ring = _merge_edges(a.vertices, b.vertices)
         if not _turns_left(ring):
-            ring = [(v.x, v.y) for v in _hull_vertices(ring)]
+            ring = _hull_vertices(ring)
         n = len(ring)
         return [(*ring[i], *ring[(i + 1) % n]) for i in range(n)]
     lines: list[Line] = []
@@ -723,8 +735,8 @@ def _sum_lines(a: ConvexPolygon, b: ConvexPolygon) -> list[Line]:
         if own.n < 2:
             continue
         for px, py, qx, qy in _edge_lines(own):
-            w = _support(other, qy - py, px - qx)
-            lines.append((px + w.x, py + w.y, qx + w.x, qy + w.y))
+            wx, wy = _support(other, qy - py, px - qx)
+            lines.append((px + wx, py + wy, qx + wx, qy + wy))
     return lines
 
 
@@ -746,9 +758,8 @@ def intersect_sum(s: ConvexPolygon, a: ConvexPolygon,
     lines = _sum_lines(a, b)
     if s.is_segment:
         return _clip_segment(s, lines)
-    ring = [(v.x, v.y) for v in s.vertices]
-    pts = _clip_ring(ring, lines)
-    if pts is ring:
+    pts = _clip_ring(s.vertices, s.bbox, lines)
+    if pts is s.vertices:
         return s
     if pts is None:
         return None
@@ -770,7 +781,7 @@ def intersects_sum(sets: Sequence[ConvexPolygon], a: ConvexPolygon,
                      or intersect(s, total) is not None for s in sets)
     lines = _sum_lines(a, b)
     return tuple((_clip_segment(s, lines) if s.is_segment else
-                  _clip_ring([(v.x, v.y) for v in s.vertices], lines))
+                  _clip_ring(s.vertices, s.bbox, lines))
                  is not None for s in sets)
 
 
@@ -896,7 +907,7 @@ def simplify_outer(p: ConvexPolygon, v_max: int = V_MAX) -> ConvexPolygon:
         raise ValueError("v_max must be >= 3")
     if p.n <= v_max:
         return p
-    verts = [(v.x, v.y) for v in p.vertices]
+    verts = list(p.vertices)
     while len(verts) > v_max:
         n = len(verts)
         best_cost = math.inf
@@ -922,7 +933,7 @@ def simplify_outer(p: ConvexPolygon, v_max: int = V_MAX) -> ConvexPolygon:
                 best = (i, w)
         if best is None:
             # degenerate fallback: the bounding box is always a superset
-            x0, x1, y0, y1 = p.bbox()
+            x0, x1, y0, y1 = p.bbox
             return ConvexPolygon.box(x0, x1, y0, y1)
         i, w = best
         j = (i + 1) % len(verts)

@@ -282,7 +282,7 @@ def _geometry_line(step: int, obj_id: str, poly: ConvexPolygon | None = None,
                    pose: tuple[float, ...] | None = None) -> str:
     parts = [f'"step": {step}', f'"id": "{obj_id}"']
     if poly is not None:
-        vs = ", ".join(f"[{_fmt(v.x)}, {_fmt(v.y)}]" for v in poly.vertices)
+        vs = ", ".join(f"[{_fmt(x)}, {_fmt(y)}]" for x, y in poly.vertices)
         parts.append(f'"vertices": [{vs}]')
     if interval is not None:
         parts.append(f'"interval": [{_fmt(interval.lo)}, {_fmt(interval.hi)}]')
@@ -382,6 +382,12 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
                 problems.append(f"trajectory leg {i + 1}: |delta|+eps_delta "
                                 f"reaches pi/2")
                 break
+    for key, size in (("[initial_sets] marker_area", cfg.initial_marker_area),
+                      ("[initial_sets] sensor_area", cfg.initial_sensor_area),
+                      ("[robot] body_length", cfg.robot.body_length),
+                      ("[robot] body_width", cfg.robot.body_width)):
+        if size < 0.0:
+            problems.append(f"{key} must be >= 0")
     if not 0.0 <= cfg.initial_sensor_theta <= 2.0 * math.pi:
         # initial_sets cannot build the orientation intervals
         problems.append("[initial_sets] sensor_theta_deg must be in [0, 360]")

@@ -72,7 +72,9 @@ def measure(sensor: SensorPose, model: SensorModel, marker: tuple[float, float],
     """Measure one marker; None when outside the field of view or range.
 
     Gating uses the noiseless bearing and distance, so an emitted measurement
-    is always of a marker genuinely within view.
+    is always of a marker genuinely within view.  A range noise that would
+    make the reading negative is clamped to 0: the true range then lies in
+    [0, eps_range], which the reading's feasible region still covers.
     """
     dx = marker[0] - sensor.x
     dy = marker[1] - sensor.y
@@ -82,7 +84,7 @@ def measure(sensor: SensorPose, model: SensorModel, marker: tuple[float, float],
         return None
     rng = None
     if model.kind == ANGLE_RANGE:
-        rng = true_range + w_r
+        rng = max(0.0, true_range + w_r)
     return Measurement(wrap_angle(true_bearing + w_a), rng, sensor_id, slot)
 
 

@@ -157,6 +157,14 @@ def test_run_skips_sensors_whose_cone_is_too_wide(tmp_path, capsys):
     ("parking", "x = 4.48", "x = nan", "[sensor.2] x"),
     ("parking", "seg01 = 20 1.0 0.0", "seg01 = 20 nan 0.0", "seg01"),
     ("omni", "v_max = 0.10", "v_max = inf", "v_max"),
+    # negative sizes: the initial boxes would silently become points
+    ("parking", "marker_area = 1.0", "marker_area = -1",
+     "[initial_sets] marker_area"),
+    ("parking", "sensor_area = 0.01", "sensor_area = -0.01",
+     "[initial_sets] sensor_area"),
+    ("parking", "body_length = 4.0", "body_length = -4.0",
+     "[robot] body_length"),
+    ("parking", "body_width = 1.8", "body_width = -1.8", "[robot] body_width"),
 ])
 def test_validate_rejects_what_run_cannot_run(tmp_path, capsys, name, old,
                                               new, key):
@@ -171,6 +179,23 @@ def test_validate_rejects_what_run_cannot_run(tmp_path, capsys, name, old,
     err = capsys.readouterr().err
     assert code == 1
     assert key in err and "Traceback" not in err
+
+
+def test_run_survives_range_noise_larger_than_the_range(tmp_path, capsys):
+    # with eps_range above the sensors' distances a noisy reading falls
+    # below zero; it is clamped to 0, which the feasible region still covers
+    text = scenario.builtin_config_text("parking").replace(
+        "eps_range = 0.1", "eps_range = 10")
+    cfg = tmp_path / "noisy.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert run_cli("validate", "--config", str(cfg)) == 0
+    capsys.readouterr()
+    code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                   "--steps", "4")
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "containment_rate=100.0%" in captured.out
+    assert "Traceback" not in captured.err
 
 
 def test_sweep_warns_about_sensors_whose_cone_is_too_wide(tmp_path, capsys):

@@ -318,8 +318,8 @@ def test_step_zero_noise_straight_regression():
         state = step(state, u, batches, models)
         for j, off in enumerate(OFFSETS):
             truth = place_marker(pose, off)
-            v = state.markers[j].vertices[0]
-            assert math.hypot(v.x - truth[0], v.y - truth[1]) < 1e-6
+            vx, vy = state.markers[j].vertices[0]
+            assert math.hypot(vx - truth[0], vy - truth[1]) < 1e-6
             assert geom2d.area(state.markers[j]) < 1e-10
         assert state.heading.contains(pose.theta, tol=1e-6)
         assert state.heading.width < 1e-6
@@ -477,8 +477,8 @@ def test_feasibility_and_bearing_spans_build_no_polygon(monkeypatch):
     rows = [correspondence.build_candidate_matrix(
         row, state.markers, sxy, sensor_id=i).rows
         for i, (row, sxy) in enumerate(zip(sectors, state.sensor_xy))]
-    spans = [est._bearing_span(m, sxy) for sxy in state.sensor_xy
-             for m in state.markers]
+    spans = [geom2d.angular_hull_sum(m, geom2d.negate(sxy))
+             for sxy in state.sensor_xy for m in state.markers]
     estimate_heading(state, SPEC)
     assert builds == {"minkowski_sum": 0, "from_points": 0}
     assert rows == expect_rows

@@ -109,11 +109,11 @@ def test_intersect_disjoint_is_none():
 
 def _clip_oracle(subject, clip):
     # independent half-plane clipping reimplementation (kept deliberately dumb)
-    pts = [(v.x, v.y) for v in subject.vertices]
+    pts = list(subject.vertices)
     cv = clip.vertices
     for i in range(len(cv)):
-        ax, ay = cv[i].x, cv[i].y
-        bx, by = cv[(i + 1) % len(cv)].x, cv[(i + 1) % len(cv)].y
+        ax, ay = cv[i]
+        bx, by = cv[(i + 1) % len(cv)]
         nxt = []
         for k in range(len(pts)):
             cx, cy = pts[k]
@@ -224,8 +224,8 @@ def test_hull_monotone():
 def test_ball_l2_k4_is_square():
     out = ball_outer_polygon(1.0, 4)
     assert out.n == 4
-    for v in out.vertices:
-        assert max(abs(v.x), abs(v.y)) == pytest.approx(1.0)
+    for x, y in out.vertices:
+        assert max(abs(x), abs(y)) == pytest.approx(1.0)
 
 
 def test_ball_l2_covers_disk():
@@ -257,9 +257,9 @@ def test_angular_hull_square():
     # dense boundary sampling stays inside
     for t in np.linspace(0, 1, 400):
         for i in range(p.n):
-            a = p.vertices[i]
-            b = p.vertices[(i + 1) % p.n]
-            q = (a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+            ax, ay = p.vertices[i]
+            bx, by = p.vertices[(i + 1) % p.n]
+            q = (ax + t * (bx - ax), ay + t * (by - ay))
             assert out.contains(math.atan2(q[1], q[0]), tol=1e-9)
 
 

@@ -72,8 +72,9 @@ polygons = st.one_of(hulls, translated())
 
 def reference_sum(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
     """Hull of all n*m pairwise vertex sums."""
-    return ConvexPolygon.from_points([(p.x + q.x, p.y + q.y)
-                                      for p in a.vertices for q in b.vertices])
+    return ConvexPolygon.from_points([(px + qx, py + qy)
+                                      for px, py in a.vertices
+                                      for qx, qy in b.vertices])
 
 
 @settings(max_examples=400, deadline=None)
@@ -84,7 +85,7 @@ def test_minkowski_sum_matches_hull_of_pairwise_sums(a, b):
         # a point operand translates without re-hulling
         (p,) = (a if a.is_point else b).vertices
         other = b if a.is_point else a
-        assert out == geom2d.translate(other, p.x, p.y)
+        assert out == geom2d.translate(other, *p)
     else:
         assert out == reference_sum(a, b)
     out.validate()
@@ -94,7 +95,7 @@ def test_minkowski_sum_matches_hull_of_pairwise_sums(a, b):
 @given(polygons)
 def test_negate_matches_hull_of_negated_vertices(p):
     out = geom2d.negate(p)
-    assert out == ConvexPolygon.from_points([(-v.x, -v.y) for v in p.vertices])
+    assert out == ConvexPolygon.from_points([(-x, -y) for x, y in p.vertices])
     assert geom2d.negate(out) == p
 
 
@@ -166,7 +167,7 @@ def inside_sum(draw):
     s = draw(st.sampled_from([
         geom2d.minkowski_sum(a, b),
         geom2d.minkowski_sum(ConvexPolygon((va,)), b),
-        ConvexPolygon.point(va.x + vb.x, va.y + vb.y)]))
+        ConvexPolygon.point(va[0] + vb[0], va[1] + vb[1])]))
     return s, a, b
 
 
@@ -200,8 +201,8 @@ def test_intersects_sum_never_misses_a_witness(p, a, b, seed, where):
 
 
 def centroid(p: ConvexPolygon) -> tuple[float, float]:
-    return (sum(v.x for v in p.vertices) / p.n,
-            sum(v.y for v in p.vertices) / p.n)
+    return (sum(x for x, _ in p.vertices) / p.n,
+            sum(y for _, y in p.vertices) / p.n)
 
 
 @settings(max_examples=400, deadline=None)
@@ -279,16 +280,46 @@ lines = st.lists(st.tuples(coord, coord, coord, coord), max_size=12)
 @settings(max_examples=400, deadline=None)
 @given(polygons, st.one_of(polygons.map(geom2d._edge_lines), lines))
 def test_clip_ring_skips_only_lines_that_cut_nothing(p, clip_lines):
-    ring = [(v.x, v.y) for v in p.vertices]
+    ring = p.vertices
     plain = ring
     for line in clip_lines:
         plain = geom2d._clip_poly_halfplane(plain, *line)
         if not plain:
             plain = None
             break
-    out = geom2d._clip_ring(ring, clip_lines)
+    out = geom2d._clip_ring(ring, p.bbox, clip_lines)
     assert out == plain
     assert (out is ring) == (plain is ring)
+
+
+def assert_float_pairs_and_box(p: ConvexPolygon) -> None:
+    for v in p.vertices:
+        assert type(v) is tuple and len(v) == 2
+        assert type(v[0]) is float and type(v[1]) is float
+    xs, ys = zip(*p.vertices)
+    assert p.bbox == (min(xs), max(xs), min(ys), max(ys))
+
+
+@settings(max_examples=400, deadline=None)
+@given(cloud(), polygons, polygons, polygons, coord, coord, st.integers(3, 8))
+def test_operations_return_float_pairs_and_their_bounding_box(
+        pts, s, a, b, dx, dy, v_max):
+    total = geom2d.minkowski_sum(a, b)
+    results = [
+        ConvexPolygon.from_points(pts),
+        # from_points converts ints and numpy scalars to Python floats
+        ConvexPolygon.from_points([(round(x), round(y)) for x, y in pts]),
+        ConvexPolygon.from_points(np.asarray(pts)),
+        total,
+        geom2d.intersect(s, a),
+        geom2d.intersect_sum(s, a, b),
+        geom2d.negate(a),
+        geom2d.translate(a, dx, dy),
+        geom2d.simplify_outer(total, v_max),
+    ]
+    for out in results:
+        if out is not None:
+            assert_float_pairs_and_box(out)
 
 
 # --- arcs ------------------------------------------------------------------
@@ -344,9 +375,9 @@ def near_origin(draw):
     p = draw(hulls)
     v = p.vertices
     i = draw(st.integers(0, len(v) - 1))
-    a, b = v[i], v[(i + 1) % len(v)]
+    (ax, ay), (bx, by) = v[i], v[(i + 1) % len(v)]
     t = draw(st.sampled_from([0.0, 0.5, 1.0]))
-    x, y = a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)
+    x, y = ax + t * (bx - ax), ay + t * (by - ay)
     jitter = st.sampled_from([0.0, 5e-10, -5e-10, 2e-9, -2e-9, 1e-6, -1e-6])
     dx, dy = draw(jitter), draw(jitter)
     return draw(st.sampled_from([p, geom2d.translate(p, dx - x, dy - y)]))
@@ -354,7 +385,7 @@ def near_origin(draw):
 
 def direction_tol(p: ConvexPolygon, q) -> float:
     """Angle error of q's direction from rounding at p's coordinate scale."""
-    scale = max(max(abs(v.x), abs(v.y)) for v in p.vertices)
+    scale = max(max(abs(x), abs(y)) for x, y in p.vertices)
     return ARC_TOL + 1e-14 * scale / math.hypot(*q)
 
 
@@ -363,13 +394,13 @@ def direction_tol(p: ConvexPolygon, q) -> float:
 def test_angular_hull_contains_every_direction(p, weights):
     out = geom2d.angular_hull(p)
     v = p.vertices
-    points = [(q.x, q.y) for q in v]
+    points = list(v)
     # an interior point: a convex combination of the vertices (integer
     # weights, so the combination rounds only at the coordinates' scale)
     w = [weights[k % len(weights)] for k in range(len(v))]
     if sum(w) > 0.0:
-        points.append((sum(wk * q.x for wk, q in zip(w, v)) / sum(w),
-                       sum(wk * q.y for wk, q in zip(w, v)) / sum(w)))
+        points.append((sum(wk * x for wk, (x, _) in zip(w, v)) / sum(w),
+                       sum(wk * y for wk, (_, y) in zip(w, v)) / sum(w)))
     for q in points:
         if math.hypot(*q) > geom2d.EPS_GEOM:
             assert out.contains(math.atan2(q[1], q[0]), direction_tol(p, q))

@@ -147,9 +147,9 @@ def test_region_wrap_invariance():
 
 def test_angle_only_region_inside_range_disk():
     region = feasible_marker_region(0.2, None, MONO, 0.0, math.radians(5))
-    for v in region.vertices:
+    for x, y in region.vertices:
         # circumscribed arc may poke out radially by the chord factor only
-        assert math.hypot(v.x, v.y) <= MONO.max_range / math.cos(
+        assert math.hypot(x, y) <= MONO.max_range / math.cos(
             math.pi / 32) + 1e-9
 
 
