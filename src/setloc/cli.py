@@ -64,8 +64,6 @@ def _cmd_run(args) -> int:
     cfg = _load(args)
     if not _check(cfg):
         return EXIT_CONFIG
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         rec = scenario.simulate_run(cfg, steps=args.steps,
                                     fallback_predict=args.fallback_predict,
@@ -73,6 +71,8 @@ def _cmd_run(args) -> int:
     except ScenarioFault as exc:
         print(f"estimation fault: {exc}", file=sys.stderr)
         return EXIT_FAULT
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.csv").write_text(rec.to_csv(include_timings=args.timings),
                                      encoding="utf-8")
     (out / "geometry.ndjson").write_text("\n".join(rec.geometry) + "\n",
@@ -98,10 +98,10 @@ def _cmd_sweep(args) -> int:
                       f"{args.parameter} = {v:g}: ") for v in values]
     if not all(checked):
         return EXIT_CONFIG
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = scenario.sensitivity_sweep(cfg, args.parameter, values, args.seeds,
                                       steps=args.steps, jobs=args.jobs)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.csv").write_text(scenario.sweep_to_csv(rows), encoding="utf-8")
     print(f"wrote {len(rows)} sweep rows to {out / 'sweep.csv'}")
     return EXIT_OK

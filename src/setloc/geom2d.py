@@ -432,24 +432,34 @@ def contains(p: ConvexPolygon, q: tuple[float, float], tol: float = EPS_GEOM) ->
     if len(v) == 2:
         (ax, ay), (bx, by) = v
         return _dist_point_segment(qx, qy, ax, ay, bx, by) <= tol
-    return _ring_contains(v, qx, qy, tol)
+    return _ring_contains(v, ((qx, qy),), tol)
 
 
-def _ring_contains(ring: Sequence[tuple[float, float]], qx: float, qy: float,
-                   tol: float) -> bool:
-    """Whether (qx, qy) lies within tol of the left side of every edge of a
-    CCW ring (three or more points)."""
+def _ring_contains(ring: Sequence[tuple[float, float]],
+                   pts: Sequence[tuple[float, float]], tol: float) -> bool:
+    """Whether every point of pts lies within tol of the left side of every
+    edge of a CCW ring (three or more points).
+
+    Each edge's length is computed once for all points; the test of each
+    edge and point is the one contains makes for a single point.
+    """
     ax, ay = ring[-1]
     for bx, by in ring:
         ex, ey = bx - ax, by - ay
-        if ex * (qy - ay) - ey * (qx - ax) < -tol * math.hypot(ex, ey):
-            return False
+        slack = -tol * math.hypot(ex, ey)
+        for qx, qy in pts:
+            if ex * (qy - ay) - ey * (qx - ax) < slack:
+                return False
         ax, ay = bx, by
     return True
 
 
 def contains_polygon(outer: ConvexPolygon, inner: ConvexPolygon,
                      tol: float = EPS_GEOM) -> bool:
+    """Whether every vertex of inner lies in outer within tol: the same
+    answer as contains for each vertex."""
+    if outer.n >= 3:
+        return _ring_contains(outer.vertices, inner.vertices, tol)
     return all(contains(outer, v, tol) for v in inner.vertices)
 
 
@@ -536,8 +546,11 @@ def _edge_lines(p: ConvexPolygon) -> list[Line]:
 
 def _clip_poly_halfplane(pts: Sequence[tuple[float, float]], ax: float, ay: float,
                          bx: float, by: float) -> Sequence[tuple[float, float]]:
-    # keep the closed left side of the directed line a->b; pts itself when
-    # the line cuts nothing
+    # keep the closed left side of the directed line a->b, with EPS_GEOM of
+    # slack; pts itself when the line cuts nothing.  A crossing is added only
+    # where an edge crosses the line itself: an edge between a cut vertex and
+    # one that only the slack keeps lies wholly right of the line, and the
+    # line's crossing would fall off the edge, outside the polygon
     ex, ey = bx - ax, by - ay
     elen = math.hypot(ex, ey)
     if elen <= EPS_GEOM:
@@ -554,7 +567,7 @@ def _clip_poly_halfplane(pts: Sequence[tuple[float, float]], ax: float, ay: floa
         cin = sc >= slack
         if cin:
             out.append(pts[i])
-        if cin != (sn >= slack):
+        if cin != (sn >= slack) and (sc >= 0.0) != (sn >= 0.0):
             (cx, cy), (nx, ny) = pts[i], pts[(i + 1) % n]
             t = sc / (sc - sn)
             out.append((cx + t * (nx - cx), cy + t * (ny - cy)))
@@ -650,7 +663,7 @@ def _seg_seg(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
             return None
         r2 = rx * rx + ry * ry
         if r2 == 0.0:
-            return _intersect_point(a.vertices[0], b)
+            return _intersect_point(ConvexPolygon.point(*a.vertices[0]), b)
         ts = [((qx - p1x) * rx + (qy - p1y) * ry) / r2
               for qx, qy in ((q1x, q1y), (q2x, q2y))]
         t0 = max(0.0, min(ts))
@@ -670,11 +683,10 @@ def _seg_seg(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
     return None
 
 
-def _intersect_point(pt: tuple[float, float],
+def _intersect_point(p: ConvexPolygon,
                      other: ConvexPolygon) -> ConvexPolygon | None:
-    if contains(other, pt):
-        return ConvexPolygon((pt,))
-    return None
+    """The point p itself if it lies in other, else None."""
+    return p if contains(other, p.vertices[0]) else None
 
 
 def _clip(a: ConvexPolygon,
@@ -687,11 +699,16 @@ def _clip(a: ConvexPolygon,
 
 
 def intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
-    """Exact intersection; None signals disjoint sets (a value, not an error)."""
+    """Exact intersection; None signals disjoint sets (a value, not an error).
+
+    a is clipped by the lines of b, so a itself is returned when no line of
+    b cuts it: with a inside b the clip costs one side test per vertex and
+    line.  Pass the set expected to be the smaller one as a.
+    """
     if a.is_point:
-        return _intersect_point(a.vertices[0], b)
+        return _intersect_point(a, b)
     if b.is_point:
-        return _intersect_point(b.vertices[0], a)
+        return _intersect_point(b, a)
     if a.is_segment and b.is_segment:
         return _seg_seg(a, b)
     if a.is_segment:
@@ -699,6 +716,8 @@ def intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
     if b.is_segment:
         return _clip_segment(b, _edge_lines(a))
     pts = _clip(a, b)
+    if pts is a.vertices:
+        return a
     if pts is None:
         return None
     # a collapsed clip, or rounding that left a duplicate, collinear or
@@ -867,7 +886,7 @@ def angular_hull_sum(a: ConvexPolygon, b: ConvexPolygon) -> AngleInterval:
     if a.n < 3 or b.n < 3:
         return angular_hull(minkowski_sum(a, b))
     ring = _merge_edges(a.vertices, b.vertices)
-    if _ring_contains(ring, 0.0, 0.0, EPS_GEOM):
+    if _ring_contains(ring, ((0.0, 0.0),), EPS_GEOM):
         return FULL_CIRCLE
     return _vertex_arc(ring)
 

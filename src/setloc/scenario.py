@@ -131,9 +131,14 @@ class Metrics:
 
 
 def _overlap_ratio(body_est: ConvexPolygon, truth_region: ConvexPolygon) -> float:
-    """Share of the body estimate's area that the true body covers."""
+    """Share of the body estimate's area that the true body covers.
+
+    The overlap is the true body clipped by the estimate: a guaranteed
+    estimate contains the truth, so no line of it cuts and the overlap is
+    the true body itself.
+    """
     est_area = geom2d.area(body_est)
-    overlap = geom2d.intersect(body_est, truth_region)
+    overlap = geom2d.intersect(truth_region, body_est)
     if overlap is None or est_area <= 0.0:
         return 0.0
     return geom2d.area(overlap) / est_area
@@ -361,6 +366,9 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         problems.append("no sensors configured")
     if cfg.estimators not in ("set", "fastslam", "both"):
         problems.append(f"unknown estimators selection {cfg.estimators!r}")
+    if cfg.seed < 0:
+        # numpy's SeedSequence takes only non-negative seeds
+        problems.append("[scenario] seed must be >= 0")
     if cfg.assignment_cap < 1:
         problems.append("[scenario] assignment_cap must be >= 1")
     if cfg.fastslam_particles < 1:
@@ -481,12 +489,21 @@ def _measurement_batches(markers: Sequence[tuple[float, float]],
     return batches
 
 
+def _check_counts(**counts: int | None) -> None:
+    """Raise ConfigError for each count that is given and below 1."""
+    bad = [f"{name} must be >= 1 (got {n})" for name, n in counts.items()
+           if n is not None and n < 1]
+    if bad:
+        raise ConfigError("; ".join(bad))
+
+
 def _start_tracker(cfg: ScenarioConfig, steps: int | None):
     """The estimator's models, initial state and the legs; raises
     ConfigError for a config validate_config rejects."""
     problems = validate_config(cfg)
     if problems:
         raise ConfigError("; ".join(problems))
+    _check_counts(steps=steps)
     omni_v_max = cfg.omni_v_max if cfg.mode == MODE_OMNI else None
     models = est.EstimatorModels(cfg.robot, cfg.offsets, cfg.sensor_models(),
                                  assignment_cap=cfg.assignment_cap,
@@ -732,6 +749,7 @@ def sensitivity_sweep(cfg: ScenarioConfig, parameter: str,
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
+    _check_counts(seeds=n_seeds, steps=steps, jobs=jobs)
     cells = [(cfg, parameter, float(v), cfg.seed + s, steps)
              for v in values for s in range(n_seeds)]
     if jobs > 1:
@@ -898,8 +916,10 @@ def parse_config(text: str) -> ScenarioConfig:
         if count < 1:
             raise ConfigError(f"[trajectory] {key}: count must be >= 1")
         legs.extend([(v, ang)] * count)
-    steps = _get(parser, "scenario", "steps", int, 0)
-    if steps:
+    if parser.has_option("scenario", "steps"):
+        steps = _get(parser, "scenario", "steps", int)
+        if steps < 1:
+            raise ConfigError("[scenario] steps must be >= 1")
         legs = legs[:steps]
 
     particles = fs.DEFAULT_PARTICLES

@@ -165,6 +165,10 @@ def test_run_skips_sensors_whose_cone_is_too_wide(tmp_path, capsys):
     ("parking", "body_length = 4.0", "body_length = -4.0",
      "[robot] body_length"),
     ("parking", "body_width = 1.8", "body_width = -1.8", "[robot] body_width"),
+    # counts below one: a negative count would slice legs off the end
+    ("omni", "seed = 0", "seed = 0\nsteps = -500", "[scenario] steps"),
+    ("parking", "seed = 0", "seed = 0\nsteps = 0", "[scenario] steps"),
+    ("parking", "seed = 0", "seed = -1", "[scenario] seed"),
 ])
 def test_validate_rejects_what_run_cannot_run(tmp_path, capsys, name, old,
                                               new, key):
@@ -179,6 +183,27 @@ def test_validate_rejects_what_run_cannot_run(tmp_path, capsys, name, old,
     err = capsys.readouterr().err
     assert code == 1
     assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, args, key", [
+    ("omni", ["run", "--steps", "-3"], "steps"),
+    ("omni", ["run", "--steps", "0"], "steps"),
+    ("parking", ["run", "--steps", "2", "--seed", "-1"], "seed"),
+    ("parking", ["sweep", "--seeds", "0"], "seeds"),
+    ("parking", ["sweep", "--seeds", "1", "--jobs", "-1"], "jobs"),
+    ("parking", ["sweep", "--seeds", "1", "--steps", "0"], "steps"),
+])
+def test_counts_below_one_are_config_errors(tmp_path, capsys, name, args, key):
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(scenario.builtin_config_text(name), encoding="utf-8")
+    sweep = ["--parameter", "eps_wa", "--values", "1", "--estimator", "set"] \
+        if args[0] == "sweep" else []
+    out = tmp_path / "o"
+    code = run_cli(*args, *sweep, "--config", str(cfg), "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "config error:" in err and key in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_run_survives_range_noise_larger_than_the_range(tmp_path, capsys):

@@ -112,6 +112,9 @@ def test_intersect_matches_hull_of_clip_output(a, b):
     pts = geom2d._clip(a, b)
     if pts is None:
         assert out is None
+    elif pts is a.vertices:
+        # no line of b cuts a
+        assert out is a
     else:
         assert out == ConvexPolygon.from_points(pts)
         out.validate()
@@ -121,6 +124,130 @@ def within(p: ConvexPolygon, q: ConvexPolygon, tol: float) -> bool:
     """Every vertex of p within tol of q (of each edge's half-plane, when q
     has an area)."""
     return all(geom2d.contains(q, v, tol) for v in p.vertices)
+
+
+NUDGES = [0.0, 5e-10, -5e-10, 2e-9, -2e-9, 1e-6, -1e-6, 2e-3, -2e-3]
+
+
+@st.composite
+def inside(draw, outer: ConvexPolygon) -> ConvexPolygon:
+    """A set inside outer, with its vertices (convex combinations of outer's)
+    nudged by up to 2e-3 in x and y: across outer's boundary, onto it, or
+    within the tolerances the predicates use."""
+    n = outer.n
+    pts = []
+    for _ in range(draw(st.integers(1, 6))):
+        w = draw(st.lists(st.integers(0, 10), min_size=n, max_size=n))
+        if not any(w):
+            w[draw(st.integers(0, n - 1))] = 1
+        x = sum(wi * vx for wi, (vx, _) in zip(w, outer.vertices)) / sum(w)
+        y = sum(wi * vy for wi, (_, vy) in zip(w, outer.vertices)) / sum(w)
+        pts.append((x + draw(st.sampled_from(NUDGES)),
+                    y + draw(st.sampled_from(NUDGES))))
+    return ConvexPolygon.from_points(pts)
+
+
+@st.composite
+def outer_and_inner(draw):
+    """(outer, inner): two independent sets, or inner drawn inside outer
+    (the scorer's case: the true body inside the estimate)."""
+    outer = draw(polygons)
+    if draw(st.booleans()):
+        return outer, draw(inside(outer))
+    return outer, draw(polygons)
+
+
+def contains_reference(p: ConvexPolygon, q, tol: float) -> bool:
+    """contains of one point, written out apart from the loop it shares
+    with contains_polygon: one edge length per edge and point."""
+    if p.n <= 2:
+        return geom2d.contains(p, q, tol)
+    ax, ay = p.vertices[-1]
+    for bx, by in p.vertices:
+        ex, ey = bx - ax, by - ay
+        if ex * (q[1] - ay) - ey * (q[0] - ax) < -tol * math.hypot(ex, ey):
+            return False
+        ax, ay = bx, by
+    return True
+
+
+@settings(max_examples=1000, deadline=None)
+@given(outer_and_inner(), st.sampled_from([0.0, geom2d.EPS_GEOM, 1e-3]))
+def test_contains_polygon_is_contains_of_every_vertex(case, tol):
+    outer, inner = case
+    got = geom2d.contains_polygon(outer, inner, tol)
+    assert got == all(geom2d.contains(outer, v, tol) for v in inner.vertices)
+    assert got == all(contains_reference(outer, v, tol)
+                      for v in inner.vertices)
+
+
+def local_area(p: ConvexPolygon, x0: float, y0: float) -> float:
+    """Shoelace area about (x0, y0): at 1e6 offsets the products of the
+    plain formula round by about 1e-4."""
+    return geom2d.area(ConvexPolygon(tuple((x - x0, y - y0)
+                                           for x, y in p.vertices)))
+
+
+def perimeter(p: ConvexPolygon) -> float:
+    v = p.vertices
+    return sum(math.hypot(bx - ax, by - ay)
+               for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1]))
+
+
+def cuts(lines, p: ConvexPolygon) -> bool:
+    """Whether some line leaves a vertex of p beyond the clips' slack."""
+    return any((bx - ax) * (y - ay) - (by - ay) * (x - ax)
+               < -geom2d.EPS_GEOM * math.hypot(bx - ax, by - ay)
+               for ax, ay, bx, by in lines for x, y in p.vertices)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(outer_and_inner(), st.booleans())
+@example(  # only the slack keeps (0, 7) from a's last line, which cuts
+    # (-1, 6): the line's crossing on that edge lies off it, at (1/3, 22/3)
+    (ConvexPolygon.from_points([(0.0, 0.0), (0.0, 7.0), (-1.0, 6.0)]),
+     ConvexPolygon(((-1.0, 5.999999998), (0.0, 0.0), (5e-10, 7.0)))),
+    False)
+@example(  # (999952, -38), kept by intersect(b, a), is 1.03e-9 outside the
+    # rounded crossing that intersect(a, b) puts on a's first edge
+    (ConvexPolygon(((999952.0, -38.0), (1000000.0, 0.0), (1000000.0, 1.0),
+                    (999964.0, 3.0))),
+     ConvexPolygon(((999952.0, -38.000000002), (1000000.0, 1.0),
+                    (999974.8, 2.4)))),
+    False)
+def test_intersect_does_not_depend_on_the_order_of_its_operands(case, swap):
+    """intersect(a, b) clips a by b's lines and intersect(b, a) b by a's;
+    both keep EPS_GEOM of slack past each line, so they agree up to it."""
+    b, a = case
+    if swap:
+        a, b = b, a
+    ab, ba = geom2d.intersect(a, b), geom2d.intersect(b, a)
+    if b.n >= 3 and not cuts(geom2d._edge_lines(b), a):
+        assert ab is a
+    tol = 2 * geom2d.EPS_GEOM
+    assert all(within(r, a, tol) and within(r, b, tol)
+               for r in (ab, ba) if r is not None)
+    if (ab is None) != (ba is None):
+        # one is empty only where the overlap is no deeper than 2 EPS_GEOM
+        c = centroid(ab if ba is None else ba)
+        assert not (geom2d.contains(a, c, -tol) and geom2d.contains(b, c, -tol))
+        return
+    if ab is None:
+        return
+    x0, y0 = a.vertices[0]
+    area_ab, area_ba = local_area(ab, x0, y0), local_area(ba, x0, y0)
+    # the slack band of one operand's lines holds at most EPS_GEOM times
+    # their length of area that the other clip leaves out
+    floor = 4 * geom2d.EPS_GEOM * (perimeter(a) + perimeter(b))
+    assert abs(area_ab - area_ba) <= 1e-12 * max(area_ab, area_ba) + floor
+    # a vertex one clip keeps by the slack lies EPS_GEOM past a line whose
+    # crossing the other clip rounds (by 1.2e-10 at 1e6 offsets), so each
+    # is inside the other within 2 EPS_GEOM.  Near a point or segment
+    # containment is a distance, and where a line meets the other set at a
+    # shallow angle t the slack stretches to EPS_GEOM / sin t along it: such
+    # results are held to both operands only
+    if ab.n >= 3 and ba.n >= 3:
+        assert within(ab, ba, tol) and within(ba, ab, tol)
 
 
 @settings(max_examples=400, deadline=None)

@@ -17,13 +17,16 @@ import pytest
 from setloc import scenario
 
 # (config, seed, steps, estimators): sha256 of metrics.csv without timings,
-# sha256 of geometry.ndjson, both as `setloc run` writes them
+# sha256 of geometry.ndjson, both as `setloc run` writes them.  The metrics
+# digests were taken again when the scorer began to clip the true body by
+# the estimate instead of the estimate by the true body: the overlap is the
+# same set, and m1 moved only in its last digits (at most 1.1e-14).
 PINNED = {
     ("parking", 7, 30, "both"): (
-        "4ea7e5858170de59d53f4db42bcd22a502598db6bb14c6a559d22d45a5104868",
+        "874a1a9c0fd26cb82bb5c22ac455ac27c7227b7810c3f0518f19d2d728807ee1",
         "e93509346f23c2161b92925d78a14aa480d8eef1ba7167005da351445ebbc0c5"),
     ("omni", 3, 100, "set"): (
-        "aa651410519a54a840cc62f8b76f84688433880265b8259d3cab79854969806f",
+        "045d9baf63f6000da7372ed6abd9158e13ade449afd42c5b571d70281dde3a1b",
         "830efe5c018186ac94676fcb28a456273f27aa743c8408359629dbbc9a898644"),
 }
 
@@ -40,4 +43,6 @@ def test_fixed_seed_outputs_are_pinned(key):
     rec = scenario.simulate_run(cfg, steps=steps, record_geometry=True)
     metrics = rec.to_csv(include_timings=False)
     geometry = "\n".join(rec.geometry) + "\n"
-    assert (sha256(metrics), sha256(geometry)) == PINNED[key]
+    metrics_digest, geometry_digest = PINNED[key]
+    assert sha256(geometry) == geometry_digest, "geometry.ndjson moved"
+    assert sha256(metrics) == metrics_digest, "metrics.csv moved"

@@ -92,6 +92,38 @@ def test_metrics_interval_deviation():
     assert m.m2 == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("case", ["omni disk", "rectangle on the boundary"])
+def test_scoring_an_estimate_that_holds_the_truth_cuts_nothing(case,
+                                                               monkeypatch):
+    # the overlap is the true body clipped by the estimate: no line of an
+    # estimate that contains the truth cuts it, and m1 is the area ratio
+    if case == "omni disk":
+        disk = geom2d.ball_outer_polygon(0.12, 32)
+        truth = geom2d.translate(disk, 1.3, 0.7)
+        marker = ConvexPolygon.from_points([(1.2, 0.65), (1.45, 0.6),
+                                            (1.4, 0.9), (1.25, 0.8)])
+        body = geom2d.minkowski_sum(marker, disk)
+    else:
+        robot = RobotModel(wheelbase=2.1, dt=0.5, body_length=4.0,
+                           body_width=1.8)
+        truth = body_polygon(RobotPose(3, 2, 0.4), robot)
+        body = geom2d.convex_hull([truth, ConvexPolygon.point(9.0, 5.0)])
+    cuts = []
+    clip = geom2d._clip_poly_halfplane
+
+    def counting_clip(pts, *line):
+        out = clip(pts, *line)
+        if out is not pts:
+            cuts.append(line)
+        return out
+
+    monkeypatch.setattr(geom2d, "_clip_poly_halfplane", counting_clip)
+    m = compute_metrics(body, AngleInterval(0.4, 0.1), truth, 0.4)
+    assert m.contained_body
+    assert cuts == []
+    assert m.m1 == geom2d.area(truth) / geom2d.area(body)
+
+
 # ---------------------------------------------------------------------------
 # runs
 # ---------------------------------------------------------------------------
