@@ -174,7 +174,7 @@ def resample(ps: ParticleSet, rng: np.random.Generator) -> ParticleSet:
 def estimate_body_particles(ps: ParticleSet) -> ConvexPolygon:
     """Hull of every marker point stored in any particle."""
     pts = ps.markers.reshape(-1, 2)
-    return ConvexPolygon.from_points(map(tuple, pts))
+    return ConvexPolygon.from_points(pts.tolist())
 
 
 def heading_interval_particles(ps: ParticleSet,

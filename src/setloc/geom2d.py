@@ -180,28 +180,38 @@ def intersect_angles(a: AngleInterval, b: AngleInterval) -> AngleInterval | None
 
 
 def enclose_angles(arcs: Sequence[AngleInterval]) -> AngleInterval:
-    """Smallest arc covering the union of the given arcs."""
+    """Smallest arc covering the union of the given arcs.
+
+    Each arc's start is tried as the start of the cover; the cover must reach
+    every other arc, and among starts that need the same width the first in
+    input order wins.  A start's need is its largest reach, so its scan stops
+    at the first reach that gets to the full circle (no cover from this
+    start) or to the best width so far (the start cannot win): the answer is
+    the one of the full scan, to the last bit.
+    """
     if not arcs:
         raise ValueError("enclose_angles needs at least one interval")
     if any(a.is_full for a in arcs):
         return FULL_CIRCLE
     los = [wrap_angle(a.lo) for a in arcs]
-    widths = [a.width for a in arcs]
+    spans = list(zip(los, [a.width for a in arcs]))
     best_width = math.inf
     best_start = 0.0
-    for i, start in enumerate(los):
+    limit = TWO_PI - 1e-12
+    for start in los:
         need = 0.0
-        ok = True
-        for j, lo_j in enumerate(los):
+        for lo_j, width_j in spans:
             d = lo_j - start
             d -= TWO_PI * math.floor(d / TWO_PI)  # into [0, 2*pi)
-            reach = d + widths[j]
-            if reach >= TWO_PI - 1e-12:
-                ok = False
+            reach = d + width_j
+            if reach >= limit:
                 break
-            need = max(need, reach)
-        if ok and need < best_width:
-            best_width = need
+            if reach > need:
+                need = reach
+        else:
+            # every reach, and so the need, fell short of the best width:
+            # a start that ties the best stopped at its own arc
+            best_width = limit = need
             best_start = start
     if not math.isfinite(best_width):
         return FULL_CIRCLE
@@ -432,24 +442,18 @@ def contains(p: ConvexPolygon, q: tuple[float, float], tol: float = EPS_GEOM) ->
     if len(v) == 2:
         (ax, ay), (bx, by) = v
         return _dist_point_segment(qx, qy, ax, ay, bx, by) <= tol
-    return _ring_contains(v, ((qx, qy),), tol)
+    return _ring_contains(v, qx, qy, tol)
 
 
-def _ring_contains(ring: Sequence[tuple[float, float]],
-                   pts: Sequence[tuple[float, float]], tol: float) -> bool:
-    """Whether every point of pts lies within tol of the left side of every
-    edge of a CCW ring (three or more points).
-
-    Each edge's length is computed once for all points; the test of each
-    edge and point is the one contains makes for a single point.
-    """
+def _ring_contains(ring: Sequence[tuple[float, float]], qx: float, qy: float,
+                   tol: float) -> bool:
+    """Whether (qx, qy) lies within tol of the left side of every edge of a
+    CCW ring (three or more points)."""
     ax, ay = ring[-1]
     for bx, by in ring:
         ex, ey = bx - ax, by - ay
-        slack = -tol * math.hypot(ex, ey)
-        for qx, qy in pts:
-            if ex * (qy - ay) - ey * (qx - ax) < slack:
-                return False
+        if ex * (qy - ay) - ey * (qx - ax) < -tol * math.hypot(ex, ey):
+            return False
         ax, ay = bx, by
     return True
 
@@ -457,10 +461,29 @@ def _ring_contains(ring: Sequence[tuple[float, float]],
 def contains_polygon(outer: ConvexPolygon, inner: ConvexPolygon,
                      tol: float = EPS_GEOM) -> bool:
     """Whether every vertex of inner lies in outer within tol: the same
-    answer as contains for each vertex."""
-    if outer.n >= 3:
-        return _ring_contains(outer.vertices, inner.vertices, tol)
-    return all(contains(outer, v, tol) for v in inner.vertices)
+    answer as contains for each vertex.
+
+    An edge of outer keeps every vertex when it keeps the corner of inner's
+    bounding box farthest to its right (the monotone-rounding argument of
+    _clip_ring); inner's vertices are tested one by one only against the
+    edges where that corner fails.
+    """
+    if outer.n < 3:
+        return all(contains(outer, v, tol) for v in inner.vertices)
+    pts = inner.vertices
+    x0, x1, y0, y1 = inner.bbox
+    ax, ay = outer.vertices[-1]
+    for bx, by in outer.vertices:
+        ex, ey = bx - ax, by - ay
+        slack = -tol * math.hypot(ex, ey)
+        right = (ex * ((y0 if ex > 0.0 else y1) - ay)
+                 - ey * ((x1 if ey > 0.0 else x0) - ax))
+        if right < slack:
+            for qx, qy in pts:
+                if ex * (qy - ay) - ey * (qx - ax) < slack:
+                    return False
+        ax, ay = bx, by
+    return True
 
 
 def translate(p: ConvexPolygon, dx: float, dy: float) -> ConvexPolygon:
@@ -799,9 +822,34 @@ def intersects_sum(sets: Sequence[ConvexPolygon], a: ConvexPolygon,
         return tuple(contains_polygon(total, s)
                      or intersect(s, total) is not None for s in sets)
     lines = _sum_lines(a, b)
-    return tuple((_clip_segment(s, lines) if s.is_segment else
-                  _clip_ring(s.vertices, s.bbox, lines))
-                 is not None for s in sets)
+    return tuple(_keeps_a_vertex(s.vertices, lines)
+                 or (_clip_segment(s, lines) if s.is_segment else
+                     _clip_ring(s.vertices, s.bbox, lines)) is not None
+                 for s in sets)
+
+
+def _keeps_a_vertex(pts: Sequence[tuple[float, float]],
+                    lines: Sequence[Line]) -> bool:
+    """Whether some point of pts lies on the closed left side of every line,
+    by _clip_poly_halfplane's side formula without its slack.
+
+    Such a point is kept by every clip of _clip_ring and _clip_segment, so
+    their result is not empty.  Each point is tested first against the line
+    that rejected the point before it.
+    """
+    worst = lines[0]
+    for x, y in pts:
+        ax, ay, bx, by = worst
+        if (bx - ax) * (y - ay) - (by - ay) * (x - ax) < 0.0:
+            continue
+        for line in lines:
+            ax, ay, bx, by = line
+            if (bx - ax) * (y - ay) - (by - ay) * (x - ax) < 0.0:
+                worst = line
+                break
+        else:
+            return True
+    return False
 
 
 # --- outer approximations --------------------------------------------------
@@ -886,7 +934,7 @@ def angular_hull_sum(a: ConvexPolygon, b: ConvexPolygon) -> AngleInterval:
     if a.n < 3 or b.n < 3:
         return angular_hull(minkowski_sum(a, b))
     ring = _merge_edges(a.vertices, b.vertices)
-    if _ring_contains(ring, ((0.0, 0.0),), EPS_GEOM):
+    if _ring_contains(ring, 0.0, 0.0, EPS_GEOM):
         return FULL_CIRCLE
     return _vertex_arc(ring)
 

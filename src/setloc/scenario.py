@@ -752,8 +752,10 @@ def sensitivity_sweep(cfg: ScenarioConfig, parameter: str,
     _check_counts(seeds=n_seeds, steps=steps, jobs=jobs)
     cells = [(cfg, parameter, float(v), cfg.seed + s, steps)
              for v in values for s in range(n_seeds)]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a pool forks all its workers at once: no more than there are cells
+    workers = min(jobs, len(cells))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_sweep_cell, cells))
     else:
         chunks = [_sweep_cell(c) for c in cells]

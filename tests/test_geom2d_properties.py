@@ -17,7 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setloc import geom2d
-from setloc.geom2d import AngleInterval, ConvexPolygon
+from setloc.geom2d import (FULL_CIRCLE, TWO_PI, AngleInterval, ConvexPolygon,
+                           wrap_angle)
 
 coord = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False,
                   allow_infinity=False, allow_subnormal=False)
@@ -159,7 +160,7 @@ def outer_and_inner(draw):
 
 def contains_reference(p: ConvexPolygon, q, tol: float) -> bool:
     """contains of one point, written out apart from the loop it shares
-    with contains_polygon: one edge length per edge and point."""
+    with angular_hull_sum: one edge length per edge and point."""
     if p.n <= 2:
         return geom2d.contains(p, q, tol)
     ax, ay = p.vertices[-1]
@@ -172,7 +173,8 @@ def contains_reference(p: ConvexPolygon, q, tol: float) -> bool:
 
 
 @settings(max_examples=1000, deadline=None)
-@given(outer_and_inner(), st.sampled_from([0.0, geom2d.EPS_GEOM, 1e-3]))
+@given(outer_and_inner(),
+       st.sampled_from([0.0, geom2d.EPS_GEOM, 1e-3, -geom2d.EPS_GEOM, -1e-3]))
 def test_contains_polygon_is_contains_of_every_vertex(case, tol):
     outer, inner = case
     got = geom2d.contains_polygon(outer, inner, tol)
@@ -325,6 +327,36 @@ def test_intersects_sum_never_misses_a_witness(p, a, b, seed, where):
         p = geom2d.translate(p, w[0] - float(u[0]), w[1] - float(u[1]))
     if geom2d.contains(p, w, 0.0):
         assert geom2d.intersects_sum([p], a, b) == (True,)
+
+
+@st.composite
+def near_sum(draw):
+    """(s, a, b) with s drawn inside a + b, or made of copies of one point
+    of its boundary (a vertex or an edge's midpoint), nudged across the
+    boundary, onto it, or within the clips' slack of it."""
+    a, b = draw(polygons), draw(polygons)
+    total = geom2d.minkowski_sum(a, b)
+    if draw(st.booleans()):
+        return draw(inside(total)), a, b
+    v = total.vertices
+    i = draw(st.integers(0, len(v) - 1))
+    (ax, ay), (bx, by) = v[i], v[(i + 1) % len(v)]
+    t = draw(st.sampled_from([0.0, 0.5]))
+    x, y = ax + t * (bx - ax), ay + t * (by - ay)
+    nudge = st.sampled_from(NUDGES)
+    pts = [(x + draw(nudge), y + draw(nudge))
+           for _ in range(draw(st.integers(1, 3)))]
+    return ConvexPolygon.from_points(pts), a, b
+
+
+@settings(max_examples=1000, deadline=None)
+@given(near_sum())
+def test_intersects_sum_is_the_twin_on_the_sum_boundary(case):
+    # the kept-vertex "yes" and the clip's "no" meet where a vertex of s
+    # sits within rounding of a line of the sum
+    s, a, b = case
+    assert (geom2d.intersects_sum([s], a, b)
+            == (geom2d.intersect_sum(s, a, b) is not None,))
 
 
 def centroid(p: ConvexPolygon) -> tuple[float, float]:
@@ -493,6 +525,75 @@ def test_enclose_angles_ignores_duplicates(counted, tail):
     repeated = [a for a, k in counted for _ in range(k)]
     repeated += [distinct[k % len(distinct)] for k in tail]
     assert geom2d.enclose_angles(repeated) == geom2d.enclose_angles(distinct)
+
+
+def enclose_angles_reference(arcs):
+    """enclose_angles as it was before its scans stopped early: every start
+    is scanned against every arc."""
+    if not arcs:
+        raise ValueError("enclose_angles needs at least one interval")
+    if any(a.is_full for a in arcs):
+        return FULL_CIRCLE
+    los = [wrap_angle(a.lo) for a in arcs]
+    widths = [a.width for a in arcs]
+    best_width = math.inf
+    best_start = 0.0
+    for i, start in enumerate(los):
+        need = 0.0
+        ok = True
+        for j, lo_j in enumerate(los):
+            d = lo_j - start
+            d -= TWO_PI * math.floor(d / TWO_PI)  # into [0, 2*pi)
+            reach = d + widths[j]
+            if reach >= TWO_PI - 1e-12:
+                ok = False
+                break
+            need = max(need, reach)
+        if ok and need < best_width:
+            best_width = need
+            best_start = start
+    if not math.isfinite(best_width):
+        return FULL_CIRCLE
+    return AngleInterval(best_start + 0.5 * best_width, 0.5 * best_width)
+
+
+# centres on the wrap seam, and offsets that put starts within 1e-9 of each
+# other and reaches within a few 1e-12 of the full circle's cut-off
+SEAM = [math.pi, -math.pi, math.nextafter(-math.pi, 0.0)]
+NEAR = [0.0, 1e-13, -1e-13, 1e-12, -1e-12, 3e-12, -3e-12, 1e-9, -1e-9]
+NEAR_FULL = [math.pi - 1.5e-12, math.pi - 3e-12, 0.5 * math.pi - 1e-12,
+             0.5 * math.pi + 1e-12]
+
+
+@st.composite
+def crowded_arcs(draw):
+    """Up to 100 arcs, most of them near a few shared anchors."""
+    anchors = draw(st.lists(
+        st.one_of(quarters, st.sampled_from(SEAM),
+                  st.floats(min_value=-10.0, max_value=10.0,
+                            allow_subnormal=False)),
+        min_size=1, max_size=4))
+    halves = st.one_of(st.just(0.0), quarters.map(abs),
+                       st.sampled_from(NEAR_FULL),
+                       st.floats(min_value=0.0, max_value=math.pi,
+                                 allow_subnormal=False))
+    n = draw(st.integers(1, 100))
+    return [AngleInterval(draw(st.sampled_from(anchors))
+                          + draw(st.sampled_from(NEAR)), draw(halves))
+            for _ in range(n)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(crowded_arcs(), st.lists(arcs, min_size=1, max_size=100)))
+@example([AngleInterval(0.0, 0.0), AngleInterval(math.pi, 0.0)])
+@example([AngleInterval(1.0, 0.0)] * 3)
+@example(  # both gaps are 0.7e-12 wide: no start covers short of the cut-off
+    [AngleInterval(0.0, math.pi - 1.2e-12), AngleInterval(math.pi, 0.5e-12)])
+def test_enclose_angles_is_the_full_scan(items):
+    # the early exits change no bit of the answer, ties included (repr tells
+    # -0.0 from 0.0)
+    got = geom2d.enclose_angles(items)
+    assert repr(got) == repr(enclose_angles_reference(items))
 
 
 @st.composite

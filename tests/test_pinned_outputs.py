@@ -20,7 +20,9 @@ from setloc import scenario
 # sha256 of geometry.ndjson, both as `setloc run` writes them.  The metrics
 # digests were taken again when the scorer began to clip the true body by
 # the estimate instead of the estimate by the true body: the overlap is the
-# same set, and m1 moved only in its last digits (at most 1.1e-14).
+# same set, and m1 moved only in its last digits (at most 1.1e-14).  The
+# full-length particle-filter run pins the baseline's hull of the particles
+# and its heading enclosure over every step.
 PINNED = {
     ("parking", 7, 30, "both"): (
         "874a1a9c0fd26cb82bb5c22ac455ac27c7227b7810c3f0518f19d2d728807ee1",
@@ -28,6 +30,9 @@ PINNED = {
     ("omni", 3, 100, "set"): (
         "045d9baf63f6000da7372ed6abd9158e13ade449afd42c5b571d70281dde3a1b",
         "830efe5c018186ac94676fcb28a456273f27aa743c8408359629dbbc9a898644"),
+    ("parking", 11, 150, "fastslam"): (
+        "ef6a95b1ec3e84ee4c233d7b04936a0d715bdfb6aabde3903589d9381a1a9603",
+        "458d2bf57b26e83de2ac237ddc9779c1e9b125d0c0c72a00099e3c01e8e5ef23"),
 }
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 from dataclasses import replace
@@ -342,6 +343,36 @@ def test_sweep_parallel_jobs_deterministic(parking):
     serial = sensitivity_sweep(cfg, "eps_wa", [0.5, 1.0], 2, steps=5, jobs=1)
     parallel = sensitivity_sweep(cfg, "eps_wa", [0.5, 1.0], 2, steps=5, jobs=2)
     assert serial == parallel
+
+
+def test_sweep_pool_has_no_more_workers_than_cells(parking, monkeypatch):
+    # a pool that runs its cells in this process and records its size: the
+    # test starts no process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = mini_cfg(parking, estimators="set")
+    serial = sensitivity_sweep(cfg, "eps_wa", [0.5, 1.0], 2, steps=2, jobs=1)
+    assert sizes == []
+    assert sensitivity_sweep(cfg, "eps_wa", [0.5, 1.0], 2, steps=2,
+                             jobs=5000) == serial
+    assert sizes == [4]
+    one = sensitivity_sweep(cfg, "eps_wa", [0.5], 1, steps=2, jobs=8)
+    assert sizes == [4]
+    assert one == [r for r in serial if r.value == 0.5 and r.seed == cfg.seed]
 
 
 def test_apply_parameter_routing(parking):
