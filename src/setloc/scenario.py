@@ -473,19 +473,24 @@ def _measurement_batches(markers: Sequence[tuple[float, float]],
                          rng_meas: np.random.Generator,
                          rng_shuffle: np.random.Generator
                          ) -> list[list[Measurement]]:
+    """Each sensor's shuffled batch.  The step's noise is drawn in one call,
+    per sensor, per marker, bearing then range, which is the order and the
+    stream of one scalar draw each: angle-only sensors and markers out of
+    view consume their draws too."""
+    bounds = [eps for site in sensors for _ in markers
+              for eps in (site.model.eps_bearing, site.model.eps_range)]
+    noise = iter(rng_meas.uniform(np.negative(bounds), bounds).tolist())
     batches: list[list[Measurement]] = []
     for i, site in enumerate(sensors):
-        model = site.model
         found = []
         for pt in markers:
-            w_a = rng_meas.uniform(-model.eps_bearing, model.eps_bearing)
-            w_r = rng_meas.uniform(-model.eps_range, model.eps_range)
-            m = measure(site.pose, model, pt, w_a, w_r, sensor_id=i)
+            w_a, w_r = next(noise), next(noise)
+            m = measure(site.pose, site.model, pt, w_a, w_r, sensor_id=i)
             if m is not None:
                 found.append(m)
         order = rng_shuffle.permutation(len(found))
-        batch = [replace(found[q], slot=slot) for slot, q in enumerate(order)]
-        batches.append(batch)
+        batches.append([Measurement(found[q].bearing, found[q].range, i, slot)
+                        for slot, q in enumerate(order)])
     return batches
 
 

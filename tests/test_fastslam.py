@@ -1,8 +1,11 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from setloc import fastslam as fs
 from setloc import geom2d
@@ -10,7 +13,8 @@ from setloc.estimator import RigidBodySpec
 from setloc.geom2d import AngleInterval, ConvexPolygon
 from setloc.kinematics import Control, RobotModel, RobotPose, place_marker
 from setloc.scenario import corner_marker_offsets
-from setloc.sensing import ANGLE_RANGE, Measurement, SensorModel, SensorPose, measure
+from setloc.sensing import (ANGLE_ONLY, ANGLE_RANGE, Measurement, SensorModel,
+                            SensorPose, measure)
 
 ROBOT = RobotModel(wheelbase=2.1, dt=0.5, body_length=4.0, body_width=1.8,
                    eps_v=0.1, eps_delta=math.radians(0.5))
@@ -175,3 +179,140 @@ def test_degenerate_weights_reset_counted():
     out = fs.weight_update(ps, [batch], (SENSOR,))
     assert out.degenerate_resets == 1
     assert out.weights == pytest.approx(np.full(2, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# the batched weight update against the per-measurement loop
+# ---------------------------------------------------------------------------
+
+TRUNCATION_GATE = fs.TRUNCATION_GATE
+
+
+def _weight_update_loop(ps, batches, models):
+    """The per-measurement weight update that the batched one replaced,
+    copied verbatim (name aside)."""
+    s = ps.size
+    log_w = np.log(np.maximum(ps.weights, 1e-300))
+    for i, batch in enumerate(batches):
+        if not batch:
+            continue
+        model = models[i]
+        sx = ps.sensor_xy[:, i, 0][:, None]
+        sy = ps.sensor_xy[:, i, 1][:, None]
+        st = ps.sensor_theta[:, i][:, None]
+        dx = ps.markers[:, :, 0] - sx
+        dy = ps.markers[:, :, 1] - sy
+        pred_bearing = np.arctan2(dy, dx) - st
+        pred_range = np.hypot(dx, dy)
+        sig_a = model.eps_bearing / 3.0
+        sig_r = model.eps_range / 3.0
+        for meas in batch:
+            da = np.abs(np.remainder(pred_bearing - meas.bearing + np.pi,
+                                     2.0 * np.pi) - np.pi)
+            ll = np.where(da <= TRUNCATION_GATE * model.eps_bearing,
+                          -0.5 * (da / max(sig_a, 1e-12)) ** 2, -np.inf)
+            if model.kind == ANGLE_RANGE and meas.range is not None:
+                dr = np.abs(pred_range - meas.range)
+                ll = ll + np.where(dr <= TRUNCATION_GATE * model.eps_range,
+                                   -0.5 * (dr / max(sig_r, 1e-12)) ** 2, -np.inf)
+            best = ll.max(axis=1)        # nearest-feasible association
+            if np.all(np.isinf(best)):
+                continue
+            log_w += best
+    resets = ps.degenerate_resets
+    if np.all(np.isinf(log_w)) or np.all(np.isnan(log_w)):
+        weights = np.full(s, 1.0 / s)
+        resets += 1
+    else:
+        log_w -= log_w[np.isfinite(log_w)].max(initial=-np.inf)
+        weights = np.exp(log_w)
+        total = weights.sum()
+        if total <= 0.0 or not np.isfinite(total):
+            weights = np.full(s, 1.0 / s)
+            resets += 1
+        else:
+            weights = weights / total
+    return replace(ps, weights=weights, degenerate_resets=resets)
+
+
+# angles where wrapping decides: both ends of [-pi, pi], the float next to
+# them, and beyond a full turn either way
+_EDGE_ANGLES = [math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+                math.nextafter(-math.pi, 0.0), 2.0 * math.pi, -2.0 * math.pi,
+                2.0 * math.pi + 0.3, -2.0 * math.pi - 1.1, 7.5, -9.0, 0.0]
+
+
+_ANGLES = st.one_of(st.sampled_from(_EDGE_ANGLES), st.floats(-10.0, 10.0))
+
+
+@st.composite
+def _weigh_cases(draw):
+    s = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    coords = st.floats(-15.0, 15.0)
+    markers = np.array(draw(st.lists(coords, min_size=2 * s * n,
+                                     max_size=2 * s * n))).reshape(s, n, 2)
+    sensor_xy = np.array(draw(st.lists(coords, min_size=2 * s * m,
+                                       max_size=2 * s * m))).reshape(s, m, 2)
+    sensor_theta = np.array(draw(st.lists(_ANGLES, min_size=s * m,
+                                          max_size=s * m))).reshape(s, m)
+    raw_w = draw(st.lists(st.sampled_from([0.0, 1e-320, 0.5, 1.0, 3.0]),
+                          min_size=s, max_size=s))
+    weights = np.array(raw_w) / max(sum(raw_w), 1.0)
+    ps = fs.ParticleSet(sensor_xy, sensor_theta, markers, weights,
+                        draw(st.integers(0, 2)))
+    noise = st.sampled_from([0.0, 1e-3, math.radians(1.0), 0.2])
+    models = tuple(SensorModel(draw(st.sampled_from([ANGLE_ONLY, ANGLE_RANGE])),
+                               draw(noise), draw(noise)) for _ in range(m))
+    batches = []
+    for i in range(m):
+        batch = []
+        for slot in range(draw(st.integers(0, 4))):
+            # mostly near what one particle predicts for one marker, so
+            # measurements pass the gates of some particles and not others
+            p, j = draw(st.integers(0, s - 1)), draw(st.integers(0, n - 1))
+            dx, dy = markers[p, j] - sensor_xy[p, i]
+            near = math.atan2(dy, dx) - sensor_theta[p, i]
+            bearing = draw(st.one_of(
+                st.sampled_from([near, near + 2.0 * math.pi, near - 4.0 * math.pi]),
+                st.builds(lambda d: near + d, st.floats(-0.05, 0.05)),
+                _ANGLES))
+            rng = draw(st.one_of(
+                st.none(), st.floats(0.0, 30.0),
+                st.builds(lambda d: max(0.0, math.hypot(dx, dy) + d),
+                          st.floats(-0.3, 0.3))))
+            batch.append(Measurement(bearing, rng, i, slot))
+        batches.append(batch)
+    budget = draw(st.integers(1, 3 * s * n))
+    return ps, batches, models, budget
+
+
+@settings(max_examples=600, deadline=None)
+@given(_weigh_cases())
+@example((fs.ParticleSet(np.zeros((1, 1, 2)), np.zeros((1, 1)),
+                         np.array([[[10.0, 0.0]]]), np.ones(1)),
+          [[Measurement(math.pi, None, 0, 0), Measurement(0.0, 10.0, 0, 1)]],
+          (SensorModel(ANGLE_RANGE, 0.01, 0.1),), 1))
+def test_weight_update_is_the_per_measurement_loop(case):
+    ps, batches, models, budget = case
+    with mock.patch.object(fs, "BUDGET", budget):
+        got = fs.weight_update(ps, batches, models)
+    want = _weight_update_loop(ps, batches, models)
+    assert np.array_equal(got.weights.view(np.int64),
+                          want.weights.view(np.int64))
+    assert got.degenerate_resets == want.degenerate_resets
+    assert got.markers is ps.markers and got.sensor_xy is ps.sensor_xy
+
+
+def test_weight_update_resets_a_set_that_all_measurements_kill():
+    # two particles, each explaining a different one of two measurements,
+    # weighed one measurement per chunk: the chunks together kill both
+    ps = fs.ParticleSet(np.zeros((2, 1, 2)), np.zeros((2, 1)),
+                        np.array([[[10.0, 0.0]], [[0.0, 10.0]]]),
+                        np.full(2, 0.5))
+    batch = [Measurement(0.0, 10.0, 0, 0), Measurement(math.pi / 2, 10.0, 0, 1)]
+    with mock.patch.object(fs, "BUDGET", 1):
+        got = fs.weight_update(ps, [batch], (SENSOR,))
+    assert got.degenerate_resets == 1
+    assert _weight_update_loop(ps, [batch], (SENSOR,)).degenerate_resets == 1

@@ -14,6 +14,8 @@ from setloc.scenario import (ConfigError, ScenarioFault, SensorSite,
                              body_polygon, compute_metrics,
                              corner_marker_offsets, load_builtin, parse_config,
                              sensitivity_sweep, simulate_run, validate_config)
+from setloc.sensing import (ANGLE_ONLY, Measurement, SensorModel,
+                            measure)
 
 
 @pytest.fixture(scope="module")
@@ -395,3 +397,57 @@ def test_replay_rejects_a_config_validate_rejects():
     assert validate_config(bad)
     with pytest.raises(ConfigError, match="omni v_max must be >= 0"):
         scenario.replay_run(bad, rec.measurements, steps=3)
+
+
+# ---------------------------------------------------------------------------
+# the world's measurement draws
+# ---------------------------------------------------------------------------
+
+def _measurement_batches_loop(markers, sensors, rng_meas, rng_shuffle):
+    """The scalar-draw measurement loop that one draw per step replaced,
+    copied verbatim (name aside)."""
+    batches: list[list[Measurement]] = []
+    for i, site in enumerate(sensors):
+        model = site.model
+        found = []
+        for pt in markers:
+            w_a = rng_meas.uniform(-model.eps_bearing, model.eps_bearing)
+            w_r = rng_meas.uniform(-model.eps_range, model.eps_range)
+            m = measure(site.pose, model, pt, w_a, w_r, sensor_id=i)
+            if m is not None:
+                found.append(m)
+        order = rng_shuffle.permutation(len(found))
+        batch = [replace(found[q], slot=slot) for slot, q in enumerate(order)]
+        batches.append(batch)
+    return batches
+
+
+def _one_angle_only_sensor(parking):
+    """Parking seen by one narrow angle-only sensor: most markers are out of
+    its view at most steps."""
+    site = parking.sensors[0]
+    model = SensorModel(ANGLE_ONLY, math.radians(2.0), 0.0,
+                        math.radians(20.0), 12.0)
+    return replace(parking, sensors=(SensorSite(site.pose, model),))
+
+
+@pytest.mark.parametrize("name", ["parking", "omni", "angle-only"])
+def test_measurement_batches_are_the_scalar_draws(name, parking):
+    cfg = _one_angle_only_sensor(parking) if name == "angle-only" \
+        else load_builtin(name)
+    world = scenario._omni_world if cfg.mode == scenario.MODE_OMNI \
+        else scenario._bicycle_world
+    rngs = [[np.random.default_rng(seed) for seed in (5, 6)] for _ in range(2)]
+    seen = unseen = 0
+    for _, _, truth in world(cfg, cfg.trajectory[:60],
+                             np.random.default_rng(4)):
+        got = scenario._measurement_batches(truth.markers, cfg.sensors, *rngs[0])
+        want = _measurement_batches_loop(truth.markers, cfg.sensors, *rngs[1])
+        assert repr(got) == repr(want)
+        assert all(type(m.bearing) is float for b in got for m in b)
+        seen += sum(len(b) for b in got)
+        unseen += len(truth.markers) * len(got) - sum(len(b) for b in got)
+    assert rngs[0][0].random() == rngs[1][0].random()
+    assert rngs[0][1].random() == rngs[1][1].random()
+    assert seen > 0
+    assert unseen > 0 or name == "omni"
