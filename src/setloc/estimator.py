@@ -130,22 +130,20 @@ def propagate(state: EstimatorState, u: Control,
               models: EstimatorModels) -> EstimatorState:
     """Predict all sets one step ahead; sensors are stationary.
 
-    Each marker set grows by the interval box bounding its displacement over
-    the admissible controls and the current heading set, plus the inf-norm
-    disturbance ball.  The heading set is widened by the turn-rate interval
-    so it stays a valid bound even if no measurements arrive.
+    Each marker set grows by one box: the interval box bounding its
+    displacement over the admissible controls and the current heading set,
+    widened by the inf-norm disturbance bound eps_f, however small.  The
+    heading set is widened by the turn-rate interval so it stays a valid
+    bound even if no measurements arrive.
     """
     robot = models.robot
+    f = robot.eps_f
     new_markers = []
     for poly, offset in zip(state.markers, models.offsets):
         dx, dy = displacement_bounds(u, state.heading, offset, robot,
                                      cover_rigid_step=True)
-        box = ConvexPolygon.box(dx.lo, dx.hi, dy.lo, dy.hi)
-        grown = geom2d.minkowski_sum(poly, box)
-        if robot.eps_f > geom2d.EPS_GEOM:
-            grown = geom2d.minkowski_sum(grown, ConvexPolygon.box(
-                -robot.eps_f, robot.eps_f, -robot.eps_f, robot.eps_f))
-        new_markers.append(geom2d.simplify_outer(grown))
+        box = ConvexPolygon.box(dx.lo - f, dx.hi + f, dy.lo - f, dy.hi + f)
+        new_markers.append(geom2d.simplify_outer(geom2d.minkowski_sum(poly, box)))
     v_lo, v_hi = u.v - robot.eps_v, u.v + robot.eps_v
     rates = [(v * robot.dt / robot.wheelbase) * math.sin(d)
              for v in (v_lo, v_hi)
@@ -158,12 +156,11 @@ def propagate(state: EstimatorState, u: Control,
 
 def propagate_omnidirectional(state: EstimatorState, v_max: float,
                               dt: float) -> EstimatorState:
-    """Prediction for a robot only known to move slower than v_max."""
+    """Prediction for a robot only known to move slower than v_max: each
+    marker set grows by the box of half-side v_max * dt, however small."""
     if v_max < 0.0:
         raise ValueError("v_max must be >= 0")
     r = v_max * dt
-    if r <= geom2d.EPS_GEOM:
-        return state
     box = ConvexPolygon.box(-r, r, -r, r)
     new_markers = tuple(geom2d.simplify_outer(geom2d.minkowski_sum(p, box))
                         for p in state.markers)

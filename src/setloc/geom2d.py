@@ -561,9 +561,8 @@ def convex_hull(sets: Sequence[ConvexPolygon]) -> ConvexPolygon:
 Line = tuple[float, float, float, float]
 
 
-def _edge_lines(p: ConvexPolygon) -> list[Line]:
-    """The lines through a polygon's edges, in vertex order."""
-    v = p.vertices
+def _edge_lines(v: Sequence[tuple[float, float]]) -> list[Line]:
+    """The lines through the edges of a vertex ring, in vertex order."""
     return [(ax, ay, bx, by) for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1])]
 
 
@@ -712,13 +711,22 @@ def _intersect_point(p: ConvexPolygon,
     return p if contains(other, p.vertices[0]) else None
 
 
-def _clip(a: ConvexPolygon,
-          b: ConvexPolygon) -> Sequence[tuple[float, float]] | None:
-    """Sutherland-Hodgman clip of polygon a by the half-planes of polygon b.
+def _clip_by(s: ConvexPolygon, lines: Sequence[Line]) -> ConvexPolygon | None:
+    """s clipped by the left sides of lines: s itself when no line cuts it,
+    None when the clip is empty.
 
-    The output runs CCW like a; None when it is empty.
+    A segment is clipped by its parameter, any other set as a ring.  A cut
+    ring goes through the hull, which mends a collapsed clip and the
+    duplicate, collinear or reflex vertices that rounding can leave.
     """
-    return _clip_ring(a.vertices, a.bbox, _edge_lines(b))
+    if s.is_segment:
+        return _clip_segment(s, lines)
+    pts = _clip_ring(s.vertices, s.bbox, lines)
+    if pts is s.vertices:
+        return s
+    if pts is None:
+        return None
+    return ConvexPolygon(_hull_vertices(pts))
 
 
 def intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
@@ -726,7 +734,8 @@ def intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
 
     a is clipped by the lines of b, so a itself is returned when no line of
     b cuts it: with a inside b the clip costs one side test per vertex and
-    line.  Pass the set expected to be the smaller one as a.
+    line.  Pass the set expected to be the smaller one as a.  A segment is
+    always the one clipped.
     """
     if a.is_point:
         return _intersect_point(a, b)
@@ -734,18 +743,9 @@ def intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
         return _intersect_point(b, a)
     if a.is_segment and b.is_segment:
         return _seg_seg(a, b)
-    if a.is_segment:
-        return _clip_segment(a, _edge_lines(b))
     if b.is_segment:
-        return _clip_segment(b, _edge_lines(a))
-    pts = _clip(a, b)
-    if pts is a.vertices:
-        return a
-    if pts is None:
-        return None
-    # a collapsed clip, or rounding that left a duplicate, collinear or
-    # reflex vertex, goes through the hull
-    return ConvexPolygon(_hull_vertices(pts))
+        return _clip_by(b, _edge_lines(a.vertices))
+    return _clip_by(a, _edge_lines(b.vertices))
 
 
 def _support(p: ConvexPolygon, nx: float, ny: float) -> tuple[float, float]:
@@ -770,13 +770,12 @@ def _sum_lines(a: ConvexPolygon, b: ConvexPolygon) -> list[Line]:
         ring = _merge_edges(a.vertices, b.vertices)
         if not _turns_left(ring):
             ring = _hull_vertices(ring)
-        n = len(ring)
-        return [(*ring[i], *ring[(i + 1) % n]) for i in range(n)]
+        return _edge_lines(ring)
     lines: list[Line] = []
     for own, other in ((a, b), (b, a)):
         if own.n < 2:
             continue
-        for px, py, qx, qy in _edge_lines(own):
+        for px, py, qx, qy in _edge_lines(own.vertices):
             wx, wy = _support(other, qy - py, px - qx)
             lines.append((px + wx, py + wy, qx + wx, qy + wy))
     return lines
@@ -797,35 +796,23 @@ def intersect_sum(s: ConvexPolygon, a: ConvexPolygon,
     if a.n <= 2 and b.n <= 2:
         total = minkowski_sum(a, b)
         return s if contains_polygon(total, s) else intersect(s, total)
-    lines = _sum_lines(a, b)
-    if s.is_segment:
-        return _clip_segment(s, lines)
-    pts = _clip_ring(s.vertices, s.bbox, lines)
-    if pts is s.vertices:
-        return s
-    if pts is None:
-        return None
-    return ConvexPolygon(_hull_vertices(pts))
+    return _clip_by(s, _sum_lines(a, b))
 
 
 def intersects_sum(sets: Sequence[ConvexPolygon], a: ConvexPolygon,
                    b: ConvexPolygon) -> tuple[bool, ...]:
     """Whether intersect_sum(s, a, b) is non-empty, for each s in sets.
 
-    Neither the sum nor any intersection is built: each s is clipped by the
-    sum's support half-planes, computed once for all sets, and only the
-    emptiness of the clip is kept.  Operands without an area take
-    intersect_sum's built-sum path.
+    The sum is not built: its support half-planes are computed once for all
+    sets, a set with a vertex inside all of them is not clipped, and of any
+    other set's clip only the emptiness is kept.  Operands without an area
+    take intersect_sum's built-sum path, set by set.
     """
     if a.n <= 2 and b.n <= 2:
-        total = minkowski_sum(a, b)
-        return tuple(contains_polygon(total, s)
-                     or intersect(s, total) is not None for s in sets)
+        return tuple(intersect_sum(s, a, b) is not None for s in sets)
     lines = _sum_lines(a, b)
     return tuple(_keeps_a_vertex(s.vertices, lines)
-                 or (_clip_segment(s, lines) if s.is_segment else
-                     _clip_ring(s.vertices, s.bbox, lines)) is not None
-                 for s in sets)
+                 or _clip_by(s, lines) is not None for s in sets)
 
 
 def _keeps_a_vertex(pts: Sequence[tuple[float, float]],

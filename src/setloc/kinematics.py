@@ -240,7 +240,9 @@ def displacement_bounds(u: Control, heading_set: AngleInterval,
         arm = heading_set.shift(offset.delta_theta)
         gam_half = _iscale(_imul(v_itv, sin_d), 0.5 * dt / ell)
         q = _iscale(_isin_range(gam_half.lo, gam_half.hi), 2.0 * dl)
-        phase = arm.sum(AngleInterval(gam_half.mid, 0.5 * gam_half.width))
+        # a rotation interval 2 pi or wider leaves every phase possible
+        phase = arm.sum(AngleInterval(gam_half.mid,
+                                      min(math.pi, 0.5 * gam_half.width)))
         axial = _imul(_iscale(_imul(v_itv, cos_d), dt), _icos_angle(heading_set))
         axial_y = _imul(_iscale(_imul(v_itv, cos_d), dt), _isin_angle(heading_set))
         dx2 = _iadd(axial, _iscale(_imul(q, _isin_angle(phase)), -1.0))

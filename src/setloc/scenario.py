@@ -179,11 +179,6 @@ class RunRecord:
     geometry: list[str] = field(default_factory=list)
     fs_degenerate_resets: int = 0
     set_fallbacks: int = 0
-    # populated when track_sensor_sets is requested: per step, the area of
-    # every sensor position set, the width of every orientation interval and
-    # the number of measurements each sensor delivered
-    sensor_track: list[tuple[tuple[float, ...], tuple[float, ...],
-                             tuple[int, ...]]] = field(default_factory=list)
     # recorded measurement stream (one serialized record per measurement),
     # replayable through replay_run
     measurements: list[str] = field(default_factory=list)
@@ -564,7 +559,6 @@ def _score_set(row: StepRecord, state: est.EstimatorState, truth: Truth,
 def simulate_run(cfg: ScenarioConfig, steps: int | None = None,
                  fallback_predict: bool = False,
                  record_geometry: bool = False,
-                 track_sensor_sets: bool = False,
                  record_measurements: bool = False) -> RunRecord:
     """Run the world and the selected estimators; raises ScenarioFault on an
     estimator abort under the default fault policy."""
@@ -600,11 +594,6 @@ def simulate_run(cfg: ScenarioConfig, steps: int | None = None,
             row.set_wall_ms = 1e3 * (time.perf_counter() - t0)
             rec.set_fallbacks += fell_back
             body = _score_set(row, state, truth, cfg.sensors, body_ball)
-            if track_sensor_sets:
-                rec.sensor_track.append(
-                    (tuple(geom2d.area(p) for p in state.sensor_xy),
-                     tuple(t.width for t in state.sensor_theta),
-                     tuple(len(b) for b in batches)))
 
         fs_dump = None
         if ps is not None:

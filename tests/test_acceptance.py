@@ -324,11 +324,15 @@ def test_c7_omnidirectional():
 
 def test_c8_sensor_shrinking():
     cfg = scenario.shrink_demo_config(seed=0)
-    rec = simulate_run(cfg, track_sensor_sets=True)
+    # the run's sets at every step, replayed from its recorded measurements
+    rec = simulate_run(cfg, record_measurements=True)
+    states = scenario.replay_run(cfg, rec.measurements)
+    batches = scenario.batches_from_lines(rec.measurements, len(cfg.trajectory),
+                                          cfg.n_sensors, cfg.n_markers)
     n = cfg.n_sensors
-    areas = [[step[0][i] for step in rec.sensor_track] for i in range(n)]
-    widths = [[step[1][i] for step in rec.sensor_track] for i in range(n)]
-    batch_sizes = [[step[2][i] for step in rec.sensor_track] for i in range(n)]
+    areas = [[geom2d.area(s.sensor_xy[i]) for s in states] for i in range(n)]
+    widths = [[s.sensor_theta[i].width for s in states] for i in range(n)]
+    batch_sizes = [[len(step[i]) for step in batches] for i in range(n)]
     area0 = cfg.initial_sensor_area
     width0 = cfg.initial_sensor_theta
     monotone = all(

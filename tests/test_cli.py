@@ -223,6 +223,22 @@ def test_run_survives_range_noise_larger_than_the_range(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_run_survives_speed_noise_that_turns_a_full_circle(tmp_path, capsys):
+    # with eps_v = 80 one step may turn the body by more than 2 pi, so the
+    # rigid step's rotation interval is wider than the circle
+    text = scenario.builtin_config_text("parking").replace(
+        "eps_v = 0.1", "eps_v = 80")
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert run_cli("validate", "--config", str(cfg)) == 0
+    capsys.readouterr()
+    code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                   "--steps", "40")
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    assert "Traceback" not in captured.err
+
+
 def test_sweep_warns_about_sensors_whose_cone_is_too_wide(tmp_path, capsys):
     text = scenario.builtin_config_text("parking").replace(
         "sensor_theta_deg = 2.0", "sensor_theta_deg = 200")

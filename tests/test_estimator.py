@@ -377,6 +377,33 @@ def test_propagate_omnidirectional():
                                 sy + sp * 0.2 * math.sin(ang)))
 
 
+def test_propagate_omnidirectional_adds_a_growth_below_the_tolerance():
+    # 0.9e-9 a step is below EPS_GEOM, ten steps are not: a truth that starts
+    # on the set's edge and moves straight out at full speed stays inside
+    r = 0.9e-9
+    state = make_state([ConvexPolygon.box(0.0, 1.0, 0.0, 1.0)],
+                       [ConvexPolygon.point(5, 5)], [AngleInterval(0, 0)], None)
+    x = 1.0
+    for _ in range(10):
+        state = propagate_omnidirectional(state, r, 1.0)
+        x += r
+        assert geom2d.contains(state.markers[0], (x, 0.5))
+
+
+def test_propagate_adds_a_disturbance_below_the_tolerance():
+    # standing still, a marker may still drift by eps_f a step in each axis
+    robot = RobotModel(wheelbase=2.1, dt=0.5, eps_f=0.9e-9)
+    models = EstimatorModels(robot, (MarkerOffset(0.0, 0.0),), (EXACT_SENSOR,))
+    state = make_state([ConvexPolygon.box(0.0, 1.0, 0.0, 1.0)],
+                       [ConvexPolygon.point(5, 5)], [AngleInterval(0, 0)], None)
+    x = y = 1.0
+    for _ in range(10):
+        state = propagate(state, Control(0.0, 0.0), models)
+        x += robot.eps_f
+        y += robot.eps_f
+        assert geom2d.contains(state.markers[0], (x, y))
+
+
 def test_stationary_repeated_updates_monotone():
     rng = np.random.default_rng(9)
     center = (2.0, 1.0)

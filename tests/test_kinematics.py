@@ -217,13 +217,11 @@ def test_displacement_bounds_containment_fuzz():
         assert dy.lo <= gy_lo + 1e-12 and dy.hi >= gy_hi - 1e-12
 
 
-def test_displacement_bounds_rigid_cover_contains_pose_step():
-    # with the rigid-step flag the box also covers the displacement of a
-    # marker placed rigidly before and after the pose update
-    rng = np.random.default_rng(123)
+def assert_rigid_cover_contains_pose_steps(model, seed):
+    """The rigid-step box covers the displacement of a marker placed rigidly
+    before and after 300 random noisy pose steps."""
+    rng = np.random.default_rng(seed)
     for _ in range(300):
-        model = RobotModel(wheelbase=2.1, dt=0.5, eps_v=0.1,
-                           eps_delta=math.radians(0.5))
         u = Control(rng.uniform(-1.0, 2.0), rng.uniform(-0.9, 0.9))
         off = MarkerOffset(rng.uniform(0.0, 3.2), rng.uniform(-math.pi, math.pi))
         theta = rng.uniform(-math.pi, math.pi)
@@ -237,3 +235,19 @@ def test_displacement_bounds_rigid_cover_contains_pose_step():
         p1 = place_marker(bicycle_step(pose, u, w_v, w_d, model), off)
         assert dx.contains(p1[0] - p0[0], tol=1e-9)
         assert dy.contains(p1[1] - p0[1], tol=1e-9)
+
+
+def test_displacement_bounds_rigid_cover_contains_pose_step():
+    # with the rigid-step flag the box also covers the displacement of a
+    # marker placed rigidly before and after the pose update
+    assert_rigid_cover_contains_pose_steps(
+        RobotModel(wheelbase=2.1, dt=0.5, eps_v=0.1,
+                   eps_delta=math.radians(0.5)), 123)
+
+
+def test_displacement_bounds_rigid_cover_takes_rotations_beyond_a_full_circle():
+    # at eps_v = 80 the rigid step's rotation interval is wider than 2 pi;
+    # its phase is then the whole circle, which still covers every pose step
+    assert_rigid_cover_contains_pose_steps(
+        RobotModel(wheelbase=2.1, dt=0.5, eps_v=80.0,
+                   eps_delta=math.radians(0.5)), 321)

@@ -202,10 +202,11 @@ def test_omni_run_containment():
 
 def test_shrink_demo_tracks_sensor_sets():
     cfg = scenario.shrink_demo_config(seed=0)
-    rec = simulate_run(cfg, track_sensor_sets=True)
-    assert len(rec.sensor_track) == 15
-    areas0, widths0, _ = rec.sensor_track[0]
-    areas_end, widths_end, _ = rec.sensor_track[-1]
+    rec = simulate_run(cfg, record_measurements=True)
+    states = scenario.replay_run(cfg, rec.measurements)
+    assert len(states) == 15
+    areas0 = [geom2d.area(p) for p in states[0].sensor_xy]
+    areas_end = [geom2d.area(p) for p in states[-1].sensor_xy]
     assert all(a <= b + 1e-12 for a, b in zip(areas_end, areas0))
 
 
