@@ -37,6 +37,9 @@ class CapExceeded(Exception):
 @dataclass(frozen=True)
 class CandidateMatrix:
     rows: tuple[tuple[bool, ...], ...]   # |measurements| x n_markers
+    # per row, the boundary of the sensor set plus that row's sector, as the
+    # feasibility test built it
+    boundaries: tuple[geom2d.SumBoundary, ...] = ()
 
     @property
     def n_rows(self) -> int:
@@ -58,17 +61,20 @@ def build_candidate_matrix(sectors: Sequence[ConvexPolygon],
     orientation).  Entry (q, j) is true iff marker j's predicted set meets
     the sensor's predicted position plus that sector.  A row with no
     feasible marker means the batch violates the modeling assumptions.
+    Each row's boundary of that sum is kept for clipping by it again.
     """
     if len(sectors) > len(predicted_markers):
         raise ValueError("more measurements than markers in one batch")
     rows = []
+    boundaries = []
     for q, sector in enumerate(sectors):
-        row = geom2d.intersects_sum(predicted_markers, predicted_sensor_xy,
-                                    sector)
+        boundary = geom2d.sum_boundary(predicted_sensor_xy, sector)
+        row = geom2d.intersects_boundary(predicted_markers, boundary)
         if not any(row):
             raise InconsistentBatch(sensor_id, q)
         rows.append(row)
-    return CandidateMatrix(tuple(rows))
+        boundaries.append(boundary)
+    return CandidateMatrix(tuple(rows), tuple(boundaries))
 
 
 def enumerate_assignments(c: CandidateMatrix,

@@ -201,7 +201,8 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
     n_markers = len(predicted.markers)
     sensor_theta = list(predicted.sensor_theta)
     sensor_xy = list(predicted.sensor_xy)
-    per_sensor: list[tuple[int, list[Assignment], tuple[ConvexPolygon, ...]]] = []
+    per_sensor: list[tuple[int, list[Assignment], tuple[ConvexPolygon, ...],
+                           tuple[geom2d.SumBoundary, ...]]] = []
 
     for i, batch in enumerate(batches):
         if not batch:
@@ -217,8 +218,8 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
             raise EmptySetFault("no consistent correspondence", sensor=i)
 
         # directions from the sensor set to each matched marker set: the arc
-        # of marker + (-sensor), with the sensor set reflected once per batch
-        sensor_back = geom2d.negate(predicted.sensor_xy[i])
+        # of marker + (-sensor), with the sensor set reflected once per set
+        sensor_back = predicted.sensor_xy[i].reflection
         spans = {}
         for j in {j for a in assigns for j in a}:
             spans[j] = geom2d.angular_hull_sum(predicted.markers[j], sensor_back)
@@ -274,19 +275,24 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
             new_xy = geom2d.convex_hull(xy_options)
         sensor_xy[i] = geom2d.simplify_outer(new_xy)
 
-        per_sensor.append((i, assigns, sectors))
+        per_sensor.append((i, assigns, sectors, cmat.boundaries))
 
     # markers: only sensors certain to have measured marker j may narrow it,
     # to the sensor set plus the sector (or the hull of the sectors) of the
-    # slots that measured it
+    # slots that measured it.  Where the position and orientation phases
+    # kept the very sensor set and sector the candidate matrix summed, its
+    # boundary of that sum is the one to clip by.
     markers = list(predicted.markers)
-    for i, assigns, sectors in per_sensor:
+    for i, assigns, sectors, boundaries in per_sensor:
         certain = correspondence.markers_with_certain_measurement(assigns, n_markers)
         for j in certain:
             slots = sorted({q for a in assigns for q, jj in enumerate(a) if jj == j})
             cone = sectors[slots[0]] if len(slots) == 1 else \
                 geom2d.convex_hull([sectors[q] for q in slots])
-            narrowed = geom2d.intersect_sum(markers[j], sensor_xy[i], cone)
+            boundary = boundaries[slots[0]]
+            if boundary.a is not sensor_xy[i] or boundary.b is not cone:
+                boundary = geom2d.sum_boundary(sensor_xy[i], cone)
+            narrowed = geom2d.intersect_boundary(markers[j], boundary)
             if narrowed is None:
                 raise EmptySetFault("marker update", sensor=i, marker=j)
             markers[j] = geom2d.simplify_outer(narrowed)

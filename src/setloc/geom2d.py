@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,7 +76,7 @@ def reset_degenerate_intersection_count() -> None:
     _degenerate_intersections = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AngleInterval:
     """Arc {center - half_width .. center + half_width} on the circle.
 
@@ -87,11 +87,13 @@ class AngleInterval:
     center: float
     half_width: float
 
-    def __post_init__(self):
-        if not (0.0 <= self.half_width <= math.pi + 1e-12):
-            raise ValueError(f"bad half width {self.half_width}")
-        object.__setattr__(self, "center", wrap_angle(self.center))
-        object.__setattr__(self, "half_width", min(self.half_width, math.pi))
+    def __init__(self, center: float, half_width: float):
+        # each field is set once, already wrapped and capped
+        if not (0.0 <= half_width <= math.pi + 1e-12):
+            raise ValueError(f"bad half width {half_width}")
+        object.__setattr__(self, "center", wrap_angle(center))
+        object.__setattr__(self, "half_width",
+                           half_width if half_width < math.pi else math.pi)
 
     @classmethod
     def from_endpoints(cls, lo: float, hi: float) -> "AngleInterval":
@@ -140,6 +142,7 @@ class AngleInterval:
 
 
 FULL_CIRCLE = AngleInterval.full()
+_TURNS = (-TWO_PI, 0.0, TWO_PI)   # k * TWO_PI for k = -1, 0, 1
 
 
 def intersect_angles(a: AngleInterval, b: AngleInterval) -> AngleInterval | None:
@@ -155,13 +158,18 @@ def intersect_angles(a: AngleInterval, b: AngleInterval) -> AngleInterval | None
     if b.is_full:
         return a
     # work in a's frame: a spans [-ha, ha], b spans [s-hb, s+hb] + 2*pi*k
+    ha, hb = a.half_width, b.half_width
     s = wrap_angle(b.center - a.center)
+    lo_b, hi_b = s - hb, s + hb
     pieces: list[tuple[float, float]] = []
-    for k in (-1, 0, 1):
-        lo = max(-a.half_width, s - b.half_width + k * TWO_PI)
-        hi = min(a.half_width, s + b.half_width + k * TWO_PI)
+    for shift in _TURNS:
+        lo = max(-ha, lo_b + shift)
+        hi = min(ha, hi_b + shift)
         if hi >= lo - 1e-15:
             pieces.append((lo, hi))
+    if len(pieces) == 1:
+        (lo, hi), = pieces
+        return AngleInterval(a.center + 0.5 * (lo + hi), max(0.0, 0.5 * (hi - lo)))
     # dedupe pieces identical modulo 2*pi
     uniq: list[tuple[float, float]] = []
     for p in pieces:
@@ -336,10 +344,51 @@ def _turns_left(ring: Sequence[tuple[float, float]]) -> bool:
     return True
 
 
+def _canonical_ring(pts: Sequence[tuple[float, float]]
+                    ) -> tuple[tuple[float, float], ...] | None:
+    """_canonical(pts) if pts is a CCW ring that _hull_vertices would return
+    unchanged, else None; one walk around the ring.
+
+    Each vertex must turn strictly left, the ring must rise and then fall
+    lexicographically from its minimum (it winds once, as _convex_ring
+    checks), and each vertex must pass _prune's keep test against its
+    neighbours.  That test bounds the vertex's distance to either neighbour
+    from below by EPS_GEOM, so _prune neither merges nor drops a vertex.
+    The turn and _prune's cross product are the same two products, so one
+    value decides both.
+    """
+    n = len(pts)
+    if n < 3:
+        return None
+    k = pts.index(min(pts))
+    ring = tuple(pts[k:]) + tuple(pts[:k])
+    (ax, ay), b = ring[-1], ring[0]
+    bx, by = b
+    falling = False
+    for c in ring[1:] + ring[:1]:
+        cx, cy = c
+        dx, dy = cx - ax, cy - ay
+        l1 = abs(dx) + abs(dy)
+        if not (l1 > 2.0 * EPS_GEOM
+                and (bx - ax) * dy - (by - ay) * dx > 2.0 * EPS_GEOM * l1):
+            return None
+        if c > b:
+            if falling:
+                return None
+        else:
+            falling = True
+        ax, ay, b, bx, by = bx, by, c, cx, cy
+    return ring
+
+
 def _hull_vertices(pts: Sequence[tuple[float, float]]
                    ) -> tuple[tuple[float, float], ...]:
-    """Canonical vertices of the convex hull of pts (non-empty); a ring that
-    is already convex skips the sort-and-chain hull."""
+    """Canonical vertices of the convex hull of pts (non-empty).  A ring
+    that is canonical already is returned as such (_canonical_ring); a ring
+    that is convex skips the sort-and-chain hull."""
+    canonical = _canonical_ring(pts)
+    if canonical is not None:
+        return canonical
     ring = _convex_ring(pts)
     hull = _prune(ring if ring is not None else _hull_chain(pts))
     if not hull:                      # everything collapsed to one point
@@ -372,7 +421,16 @@ class ConvexPolygon:
 
     @classmethod
     def box(cls, x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> "ConvexPolygon":
-        return cls.from_points([(x_lo, y_lo), (x_hi, y_lo), (x_hi, y_hi), (x_lo, y_hi)])
+        """The axis-aligned box.  With both sides positive its corners, from
+        the lower left, are canonical as built, however small the sides: the
+        hull would merge corners closer than EPS_GEOM and shrink the box.
+        The sides' product is each corner's turn, which must not underflow
+        to zero."""
+        x0, x1, y0, y1 = float(x_lo), float(x_hi), float(y_lo), float(y_hi)
+        corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+        if x0 < x1 and y0 < y1 and (x1 - x0) * (y1 - y0) > 0.0:
+            return cls(corners)
+        return cls.from_points(corners)
 
     @property
     def n(self) -> int:
@@ -390,6 +448,11 @@ class ConvexPolygon:
     def bbox(self) -> tuple[float, float, float, float]:
         """(x_lo, x_hi, y_lo, y_hi), computed when first read."""
         return _bbox(self.vertices)
+
+    @cached_property
+    def reflection(self) -> "ConvexPolygon":
+        """negate(self), computed when first read."""
+        return negate(self)
 
     def validate(self, v_max: int | None = None) -> None:
         """Raise if the vertex list is not strictly convex CCW."""
@@ -507,26 +570,31 @@ def _merge_edges(a: Sequence[tuple[float, float]],
 
     Both walks start at the lexicographic minima, whose sum is a vertex of
     the result, and advance through the edges in angular order (de Berg et
-    al., Computational Geometry, section 13.3): at most n + m points.
+    al., Computational Geometry, section 13.3): at most n + m points.  When
+    one walk is back at its start, the other's remaining vertices are
+    shifted by that start.
     """
     n, m = len(a), len(b)
+    # each walk reads one vertex ahead, and one more past its end
+    a = (*a, a[0], a[1])
+    b = (*b, b[0], b[1])
+    (pax, pay), (qax, qay) = a[0], a[1]
+    (pbx, pby), (qbx, qby) = b[0], b[1]
     out: list[tuple[float, float]] = []
     i = j = 0
-    while i < n or j < m:
-        (pax, pay), (pbx, pby) = a[i % n], b[j % m]
+    while i < n and j < m:
         out.append((pax + pbx, pay + pby))
-        if i == n:
-            j += 1
-            continue
-        if j == m:
-            i += 1
-            continue
-        (qax, qay), (qbx, qby) = a[(i + 1) % n], b[(j + 1) % m]
         c = (qax - pax) * (qby - pby) - (qay - pay) * (qbx - pbx)
         if c >= 0.0:
             i += 1
+            pax, pay = qax, qay
+            qax, qay = a[i + 1]
         if c <= 0.0:
             j += 1
+            pbx, pby = qbx, qby
+            qbx, qby = b[j + 1]
+    out += [(pax + x, pay + y) for x, y in b[j:m]]
+    out += [(x + pbx, y + pby) for x, y in a[i:n]]
     return out
 
 
@@ -753,6 +821,19 @@ def _support(p: ConvexPolygon, nx: float, ny: float) -> tuple[float, float]:
     return max(p.vertices, key=lambda v: nx * v[0] + ny * v[1])
 
 
+def _left_turn_lines(ring: Sequence[tuple[float, float]]) -> list[Line] | None:
+    """_edge_lines(ring) if the ring (three or more points) turns strictly
+    left at every vertex (_turns_left), else None; one walk."""
+    (ax, ay), (bx, by) = ring[-1], ring[0]
+    lines: list[Line] = []
+    for cx, cy in ring[1:] + ring[:1]:
+        if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0.0:
+            return None
+        lines.append((bx, by, cx, cy))
+        ax, ay, bx, by = bx, by, cx, cy
+    return lines
+
+
 def _sum_lines(a: ConvexPolygon, b: ConvexPolygon) -> list[Line]:
     """Boundary lines of a + b, one operand with an area: the support
     half-planes n . x <= h_a(n) + h_b(n) over the outward edge normals n of
@@ -768,9 +849,8 @@ def _sum_lines(a: ConvexPolygon, b: ConvexPolygon) -> list[Line]:
     """
     if a.n >= 3 and b.n >= 3:
         ring = _merge_edges(a.vertices, b.vertices)
-        if not _turns_left(ring):
-            ring = _hull_vertices(ring)
-        return _edge_lines(ring)
+        lines = _left_turn_lines(ring)
+        return lines if lines is not None else _edge_lines(_hull_vertices(ring))
     lines: list[Line] = []
     for own, other in ((a, b), (b, a)):
         if own.n < 2:
@@ -799,20 +879,71 @@ def intersect_sum(s: ConvexPolygon, a: ConvexPolygon,
     return _clip_by(s, _sum_lines(a, b))
 
 
+class SumBoundary(NamedTuple):
+    """The boundary of a + b, built once to clip several sets by: the
+    operands themselves and the support lines of their sum (_sum_lines),
+    None when neither operand has an area and intersect_sum builds the
+    sum instead."""
+
+    a: ConvexPolygon
+    b: ConvexPolygon
+    lines: list[Line] | None
+
+
+def sum_boundary(a: ConvexPolygon, b: ConvexPolygon) -> SumBoundary:
+    return SumBoundary(a, b, None if a.n <= 2 and b.n <= 2
+                       else _sum_lines(a, b))
+
+
+def intersect_boundary(s: ConvexPolygon,
+                       boundary: SumBoundary) -> ConvexPolygon | None:
+    """intersect_sum(s, boundary.a, boundary.b) by the lines built once."""
+    if boundary.lines is None:
+        return intersect_sum(s, boundary.a, boundary.b)
+    return _clip_by(s, boundary.lines)
+
+
 def intersects_sum(sets: Sequence[ConvexPolygon], a: ConvexPolygon,
                    b: ConvexPolygon) -> tuple[bool, ...]:
-    """Whether intersect_sum(s, a, b) is non-empty, for each s in sets.
+    """Whether intersect_sum(s, a, b) is non-empty, for each s in sets."""
+    return intersects_boundary(sets, sum_boundary(a, b))
 
-    The sum is not built: its support half-planes are computed once for all
-    sets, a set with a vertex inside all of them is not clipped, and of any
-    other set's clip only the emptiness is kept.  Operands without an area
-    take intersect_sum's built-sum path, set by set.
+
+def intersects_boundary(sets: Sequence[ConvexPolygon],
+                        boundary: SumBoundary) -> tuple[bool, ...]:
+    """intersects_sum(sets, boundary.a, boundary.b) by the lines built once.
+
+    A set whose bounding box one line leaves beyond its slack is disjoint
+    from the sum (the left-corner test of _clip_ring, which returns None
+    in that case); a set with a vertex inside all the lines is not clipped;
+    of any other set's clip only the emptiness is kept.  Operands without
+    an area take intersect_sum's built-sum path, set by set.
     """
-    if a.n <= 2 and b.n <= 2:
-        return tuple(intersect_sum(s, a, b) is not None for s in sets)
-    lines = _sum_lines(a, b)
-    return tuple(_keeps_a_vertex(s.vertices, lines)
-                 or _clip_by(s, lines) is not None for s in sets)
+    lines = boundary.lines
+    if lines is None:
+        return tuple(intersect_sum(s, boundary.a, boundary.b) is not None
+                     for s in sets)
+    return tuple(not _leaves_box(s.bbox, lines)
+                 and (_keeps_a_vertex(s.vertices, lines)
+                      or _clip_by(s, lines) is not None) for s in sets)
+
+
+def _leaves_box(box: tuple[float, float, float, float],
+                lines: Sequence[Line]) -> bool:
+    """Whether a line longer than EPS_GEOM has the whole box beyond its
+    EPS_GEOM slack on its right: then no point of a set in the box is kept
+    by _clip_ring or _clip_segment.  The box corner farthest to the line's
+    left is tested, as in _clip_ring."""
+    x0, x1, y0, y1 = box
+    for ax, ay, bx, by in lines:
+        ex, ey = bx - ax, by - ay
+        left = (ex * ((y1 if ex > 0.0 else y0) - ay)
+                - ey * ((x0 if ey > 0.0 else x1) - ax))
+        if left < 0.0:
+            elen = math.hypot(ex, ey)
+            if left < -EPS_GEOM * elen and elen > EPS_GEOM:
+                return True
+    return False
 
 
 def _keeps_a_vertex(pts: Sequence[tuple[float, float]],
@@ -895,7 +1026,9 @@ def sector_outer_polygon(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
         pts.append((rc * math.cos(a), rc * math.sin(a)))
     if inner:
         pts.append((r_lo * math.cos(c + w), r_lo * math.sin(c + w)))
-    return ConvexPolygon.from_points(pts)
+    # the ring is canonical as built unless rounding or a tiny sector made
+    # it otherwise (_hull_vertices)
+    return ConvexPolygon(_hull_vertices(pts))
 
 
 def angular_hull(p: ConvexPolygon) -> AngleInterval:

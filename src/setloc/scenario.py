@@ -707,29 +707,27 @@ def apply_parameter(cfg: ScenarioConfig, parameter: str,
                       f"expected one of {SWEEP_PARAMETERS}")
 
 
-def _sweep_cell(args: tuple[ScenarioConfig, str, float, int, int | None]
-                ) -> list[SweepRow]:
-    cfg, parameter, value, seed, steps = args
-    cell_cfg = replace(apply_parameter(cfg, parameter, value), seed=seed)
-    rows: list[SweepRow] = []
+def _sweep_cell(args: tuple[ScenarioConfig, str, float, int, int | None, str]
+                ) -> SweepRow:
+    cfg, parameter, value, seed, steps, estimator = args
+    # each estimator draws its noise from its own stream, so a run of one
+    # estimator alone gives its row of a run of both
+    cell_cfg = replace(apply_parameter(cfg, parameter, value), seed=seed,
+                       estimators=estimator)
     # under the fallback policy every cell runs to its end; a set row whose
     # sets were only carried predictions at some step shows as faulted
     rec = simulate_run(cell_cfg, steps=steps, fallback_predict=True)
-    for name, m1s, m2s in (("set", rec.set_m1(), rec.set_m2()),
-                           ("fastslam", rec.fs_m1(), rec.fs_m2())):
-        if not cell_cfg.wants(name):
-            continue
-        if m1s:
-            rows.append(SweepRow(parameter, value, seed, name,
-                                 float(np.mean(m1s)), float(np.std(m1s)),
-                                 float(np.mean(m2s)), float(np.std(m2s)),
-                                 len(m1s),
-                                 name == "set" and rec.set_fallbacks > 0))
-        else:
-            rows.append(SweepRow(parameter, value, seed, name,
-                                 math.nan, math.nan, math.nan, math.nan,
-                                 0, True))
-    return rows
+    if estimator == "set":
+        m1s, m2s = rec.set_m1(), rec.set_m2()
+    else:
+        m1s, m2s = rec.fs_m1(), rec.fs_m2()
+    if not m1s:
+        return SweepRow(parameter, value, seed, estimator,
+                        math.nan, math.nan, math.nan, math.nan, 0, True)
+    return SweepRow(parameter, value, seed, estimator,
+                    float(np.mean(m1s)), float(np.std(m1s)),
+                    float(np.mean(m2s)), float(np.std(m2s)), len(m1s),
+                    estimator == "set" and rec.set_fallbacks > 0)
 
 
 def sensitivity_sweep(cfg: ScenarioConfig, parameter: str,
@@ -739,21 +737,25 @@ def sensitivity_sweep(cfg: ScenarioConfig, parameter: str,
     """Run every value x seed cell for the selected estimators.
 
     Cells are independent; per-cell faults are recorded and the sweep
-    continues.  Row order is deterministic regardless of execution order.
+    continues.  Each estimator of a cell is one task, the slower set
+    estimator's first, so a pool balances its workers.  Row order is
+    deterministic regardless of execution order.
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
     _check_counts(seeds=n_seeds, steps=steps, jobs=jobs)
-    cells = [(cfg, parameter, float(v), cfg.seed + s, steps)
+    tasks = [(cfg, parameter, float(v), cfg.seed + s, steps, estimator)
+             for estimator in ("set", "fastslam") if cfg.wants(estimator)
              for v in values for s in range(n_seeds)]
-    # a pool forks all its workers at once: no more than there are cells
-    workers = min(jobs, len(cells))
+    if not tasks:
+        raise ConfigError(f"unknown estimators selection {cfg.estimators!r}")
+    # a pool forks all its workers at once: no more than there are tasks
+    workers = min(jobs, len(tasks))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_sweep_cell, cells))
+            rows = list(pool.map(_sweep_cell, tasks))
     else:
-        chunks = [_sweep_cell(c) for c in cells]
-    rows = [r for chunk in chunks for r in chunk]
+        rows = [_sweep_cell(t) for t in tasks]
     rows.sort(key=lambda r: (r.value, r.seed, r.estimator))
     return rows
 

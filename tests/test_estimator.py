@@ -390,6 +390,23 @@ def test_propagate_omnidirectional_adds_a_growth_below_the_tolerance():
         assert geom2d.contains(state.markers[0], (x, 0.5))
 
 
+def test_propagate_omnidirectional_keeps_a_growth_box_below_the_tolerance():
+    # a growth box of half-side 0.6e-9 keeps its four corners: the hull would
+    # merge them into a diagonal, and a truth moving out through the corner
+    # at full speed would leave the set
+    r = 0.6e-9
+    assert ConvexPolygon.box(-r, r, -r, r).vertices == (
+        (-r, -r), (r, -r), (r, r), (-r, r))
+    state = make_state([ConvexPolygon.box(0.0, 1.0, 0.0, 1.0)],
+                       [ConvexPolygon.point(5, 5)], [AngleInterval(0, 0)], None)
+    x = y = 1.0
+    for _ in range(10):
+        state = propagate_omnidirectional(state, r, 1.0)
+        x += r / math.sqrt(2.0)
+        y += r / math.sqrt(2.0)
+        assert geom2d.contains(state.markers[0], (x, y))
+
+
 def test_propagate_adds_a_disturbance_below_the_tolerance():
     # standing still, a marker may still drift by eps_f a step in each axis
     robot = RobotModel(wheelbase=2.1, dt=0.5, eps_f=0.9e-9)

@@ -51,3 +51,37 @@ def test_fixed_seed_outputs_are_pinned(key):
     metrics_digest, geometry_digest = PINNED[key]
     assert sha256(geometry) == geometry_digest, "geometry.ndjson moved"
     assert sha256(metrics) == metrics_digest, "metrics.csv moved"
+
+
+# parking variants whose sectors the bundled configs never build, 20 steps
+# of the set estimator at seed 7, pinned with the digests above: with an
+# angle-only sensor every sector has its apex at the sensor, and with no
+# bearing noise and an exact orientation every sector is a segment.  The
+# digests were taken before sectors and hulls stopped going through the
+# general hull.
+VARIANTS = {
+    "angle-only": (
+        (("kind = angle_range", "kind = angle_only"),),
+        "eaef3e751e1218a758acb0b93961d46af30718296a42fca0f288db35bae63a8c",
+        "3ecc8a5d9a4dab8896f41bbfb93e958bf4bb5fd886ec2afac4e74740fe434e18"),
+    "segment-sectors": (
+        (("eps_bearing_deg = 1.0", "eps_bearing_deg = 0.0"),
+         ("sensor_theta_deg = 2.0", "sensor_theta_deg = 0.0")),
+        "66e3bb15b0e2d6ba7dc51b33edc0ccedf62b9cefc2956682f03cc1480645648e",
+        "48243e226554bab09dd619bc35c74397ffb15b069868657e67f6e3f3d1068429"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_parking_variant_outputs_are_pinned(name):
+    edits, metrics_digest, geometry_digest = VARIANTS[name]
+    text = scenario.builtin_config_text("parking")
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = replace(scenario.parse_config(text), seed=7, estimators="set")
+    rec = scenario.simulate_run(cfg, steps=20, record_geometry=True)
+    assert sha256("\n".join(rec.geometry) + "\n") == geometry_digest, \
+        "geometry.ndjson moved"
+    assert sha256(rec.to_csv(include_timings=False)) == metrics_digest, \
+        "metrics.csv moved"

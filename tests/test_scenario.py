@@ -250,6 +250,13 @@ def test_sweep_unknown_parameter(parking):
         sensitivity_sweep(parking, "nope", [1.0], 1)
 
 
+def test_sweep_unknown_estimators_selection(parking):
+    # a selection that names no estimator gives the sweep no tasks
+    with pytest.raises(ConfigError, match="unknown estimators selection"):
+        sensitivity_sweep(replace(parking, estimators="nope"), "eps_wa",
+                          [1.0], 1, steps=2)
+
+
 def test_measurement_serialization_roundtrip():
     from setloc.sensing import Measurement
     m = Measurement(0.123456789012345, 7.5, sensor_id=3, slot=1)
