@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import correspondence, geom2d, sensing
 from .correspondence import Assignment
@@ -187,6 +187,178 @@ def _sectors(batch: Sequence[Measurement], model: SensorModel,
         for m in batch)
 
 
+def _keeps_orientation(theta: AngleInterval, sensor_xy: ConvexPolygon,
+                       markers: Sequence[ConvexPolygon],
+                       pairs: Iterable[tuple[int, int]],
+                       batch: Sequence[Measurement], eps_bearing: float) -> bool:
+    """Whether the orientation phase is sure to return theta itself, to the
+    last bit, for the (slot, marker) pairs of the hypotheses.
+
+    The inner disks of the sensor set (centre s0) and of a marker set
+    (centre m0) give an arc of directions inside that pair's bearing span,
+    atan2(m0 - s0) +- asin((rho_M + rho_S) / |m0 - s0|).  When that arc,
+    less the slot's bearing and widened by eps_bearing, holds theta for
+    every pair, every candidate interval holds theta, and so do their
+    intersections, their enclosing arc and its intersection with theta.
+    A guard from the outer radii keeps every candidate half-width below
+    pi/2, so no intersection splits in two (which would count a degenerate
+    intersection).  Each bound keeps a margin above the rounding of the
+    exact phase, which grows as the sets near each other.
+    """
+    disk = sensor_xy.inner_disk
+    if disk is None:
+        return False
+    sx, sy, rho_s = disk
+    out_s = _outer_radius(sensor_xy, sx, sy)
+    for q, j in pairs:
+        marker = markers[j]
+        disk = marker.inner_disk
+        if disk is None:
+            return False
+        mx, my, rho_m = disk
+        dx, dy = mx - sx, my - sy
+        d = math.hypot(dx, dy)
+        gap = d - out_s - _outer_radius(marker, mx, my)
+        if gap <= 0.0:
+            return False
+        scale = max(map(abs, sensor_xy.bbox + marker.bbox))
+        margin = geom2d.INNER_MARGIN * (1.0 + scale / gap)
+        if math.asin(1.0 - gap / d) + eps_bearing >= 0.5 * math.pi - 2.0 * margin:
+            return False
+        off = abs(geom2d.wrap_angle(math.atan2(dy, dx) - batch[q].bearing
+                                    - theta.center))
+        if off + theta.half_width + margin > \
+                math.asin((rho_s + rho_m) / d) + eps_bearing:
+            return False
+    return True
+
+
+def _outer_radius(p: ConvexPolygon, cx: float, cy: float) -> float:
+    """A radius about (cx, cy) that holds p: the farthest corner of its
+    bounding box."""
+    x0, x1, y0, y1 = p.bbox
+    return math.hypot(max(cx - x0, x1 - cx), max(cy - y0, y1 - cy))
+
+
+def _keeps_position(sensor_xy: ConvexPolygon, marker: ConvexPolygon,
+                    cone: AngleInterval, radii: Interval) -> bool:
+    """Whether intersect_sum(sensor_xy, marker, -sector) is sure to return
+    sensor_xy itself, for the sector of cone and radii.
+
+    It is when every vertex of the sensor set lies in the marker's inner
+    disk plus the reflected inner rectangle of the sector
+    (geom2d.sector_inner_rectangle), a subset of marker - sector, with a
+    margin for the rounding of the clip: then no support line of the sum
+    cuts the set.
+    The rectangle's inner radius is radii.lo, or where that is 0 (an
+    angle-only sensor), the least reach of the vertices along the axis.
+    """
+    disk = marker.inner_disk
+    if disk is None:
+        return False
+    mx, my, rho = disk
+    c, s = math.cos(cone.center), math.sin(cone.center)
+    # each vertex's offset to the disk centre, in the sector's frame
+    offsets = [((mx - x) * c + (my - y) * s, (my - y) * c - (mx - x) * s)
+               for x, y in sensor_xy.vertices]
+    rect = geom2d.sector_inner_rectangle(
+        cone, radii, radii.lo or min(u for u, _ in offsets))
+    if rect is None:
+        return False
+    u_lo, u_hi, h = rect
+    reach = rho - geom2d.INNER_MARGIN * (
+        max(map(abs, sensor_xy.bbox + marker.bbox)) + radii.hi)
+    if reach <= 0.0:
+        return False
+    for u, v in offsets:
+        du = max(u_lo - u, u - u_hi, 0.0)
+        dv = max(abs(v) - h, 0.0)
+        if du * du + dv * dv > reach * reach:
+            return False
+    return True
+
+
+def _narrow_orientation(theta: AngleInterval, sensor_xy: ConvexPolygon,
+                        markers: Sequence[ConvexPolygon],
+                        batch: Sequence[Measurement],
+                        assigns: Sequence[Assignment], eps_bearing: float,
+                        sensor: int) -> AngleInterval:
+    """The orientation phase: each hypothesis intersects one interval per
+    matched measurement; the union over hypotheses must still cover the
+    truth.  theta itself when _keeps_orientation settles it."""
+    if _keeps_orientation(theta, sensor_xy, markers,
+                          {(q, j) for a in assigns for q, j in enumerate(a)},
+                          batch, eps_bearing):
+        return theta
+    # directions from the sensor set to each matched marker set: the arc
+    # of marker + (-sensor), with the sensor set reflected once per set
+    sensor_back = sensor_xy.reflection
+    spans = {}
+    for j in {j for a in assigns for j in a}:
+        spans[j] = geom2d.angular_hull_sum(markers[j], sensor_back)
+    theta_options = []
+    for a in assigns:
+        itv: AngleInterval | None = None
+        for q, j in enumerate(a):
+            span = spans[j]
+            if span.is_full:
+                continue
+            cand = AngleInterval(span.center - batch[q].bearing,
+                                 min(math.pi, span.half_width + eps_bearing))
+            itv = cand if itv is None else geom2d.intersect_angles(itv, cand)
+            if itv is None:
+                break
+        else:
+            theta_options.append(itv if itv is not None else AngleInterval.full())
+    if not theta_options:
+        raise EmptySetFault("orientation update", sensor=sensor)
+    new_theta = geom2d.intersect_angles(theta,
+                                        geom2d.enclose_angles(theta_options))
+    if new_theta is None:
+        raise EmptySetFault("orientation update", sensor=sensor)
+    return new_theta
+
+
+def _narrow_position(sensor_xy: ConvexPolygon, markers: Sequence[ConvexPolygon],
+                     batch: Sequence[Measurement], sectors: Sequence[ConvexPolygon],
+                     assigns: Sequence[Assignment], model: SensorModel,
+                     theta: AngleInterval, sensor: int) -> ConvexPolygon:
+    """The position phase: per hypothesis, clip the sensor set by every
+    matched marker set plus the reflected sector (the sensor positions that
+    see the marker there), then hull the union over hypotheses.  While a
+    hypothesis's region is still the sensor set, a pair that
+    _keeps_position settles is not clipped, and its sector not reflected."""
+    backs: dict[int, ConvexPolygon] = {}
+    kept: dict[tuple[int, int], bool] = {}
+    xy_options = []
+    for a in assigns:
+        region = sensor_xy
+        for q, j in enumerate(a):
+            if region is sensor_xy:
+                if (q, j) not in kept:
+                    m = batch[q]
+                    kept[q, j] = _keeps_position(
+                        sensor_xy, markers[j], *sensing.measurement_cone(
+                            m.bearing, m.range, model, theta.center,
+                            theta.half_width))
+                if kept[q, j]:
+                    continue
+            if q not in backs:
+                backs[q] = geom2d.negate(sectors[q])
+            region = geom2d.intersect_sum(region, markers[j], backs[q])
+            if region is None:
+                break
+        else:
+            xy_options.append(region)
+    if not xy_options:
+        raise EmptySetFault("position update", sensor=sensor)
+    # the hull of one set, however often it is listed, is that set
+    new_xy = xy_options[0]
+    if any(option is not new_xy for option in xy_options):
+        new_xy = geom2d.convex_hull(xy_options)
+    return geom2d.simplify_outer(new_xy)
+
+
 def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
            models: EstimatorModels) -> EstimatorState:
     """Condition all sets on one round of per-sensor measurement batches.
@@ -197,6 +369,11 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
     update a superset of the exact one).  Marker sets are narrowed last,
     using only sensors that measured a marker under every hypothesis.  A
     sensor whose bearing cone is too wide (bearing_cone_too_wide) is skipped.
+
+    Before a phase builds any sum, inner bounds may show that it would
+    return the predicted orientation or position set (_keeps_orientation,
+    _keeps_position); it then returns that value without the work, so the
+    result is the same to the last bit.
     """
     n_markers = len(predicted.markers)
     sensor_theta = list(predicted.sensor_theta)
@@ -208,72 +385,28 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
         if not batch:
             continue
         model = models.sensors[i]
-        if bearing_cone_too_wide(model, predicted.sensor_theta[i]):
+        theta = predicted.sensor_theta[i]
+        if bearing_cone_too_wide(model, theta):
             continue
-        sectors = _sectors(batch, model, predicted.sensor_theta[i])
+        sectors = _sectors(batch, model, theta)
         cmat = correspondence.build_candidate_matrix(
             sectors, predicted.markers, predicted.sensor_xy[i], sensor_id=i)
         assigns = correspondence.enumerate_assignments(cmat, models.assignment_cap)
         if not assigns:
             raise EmptySetFault("no consistent correspondence", sensor=i)
 
-        # directions from the sensor set to each matched marker set: the arc
-        # of marker + (-sensor), with the sensor set reflected once per set
-        sensor_back = predicted.sensor_xy[i].reflection
-        spans = {}
-        for j in {j for a in assigns for j in a}:
-            spans[j] = geom2d.angular_hull_sum(predicted.markers[j], sensor_back)
-
-        # orientation: each hypothesis intersects one interval per matched
-        # measurement; the union over hypotheses must still cover the truth
-        theta_options = []
-        for a in assigns:
-            itv: AngleInterval | None = None
-            for q, j in enumerate(a):
-                span = spans[j]
-                if span.is_full:
-                    continue
-                cand = AngleInterval(span.center - batch[q].bearing,
-                                     min(math.pi, span.half_width + model.eps_bearing))
-                itv = cand if itv is None else geom2d.intersect_angles(itv, cand)
-                if itv is None:
-                    break
-            else:
-                theta_options.append(itv if itv is not None else AngleInterval.full())
-        if not theta_options:
-            raise EmptySetFault("orientation update", sensor=i)
-        new_theta = geom2d.intersect_angles(
-            predicted.sensor_theta[i], geom2d.enclose_angles(theta_options))
-        if new_theta is None:
-            raise EmptySetFault("orientation update", sensor=i)
+        new_theta = _narrow_orientation(
+            theta, predicted.sensor_xy[i], predicted.markers, batch, assigns,
+            model.eps_bearing, i)
         sensor_theta[i] = new_theta
 
         # the position and marker phases use the sectors under the new
         # orientation interval
-        if new_theta != predicted.sensor_theta[i]:
+        if new_theta != theta:
             sectors = _sectors(batch, model, new_theta)
-
-        # position: per hypothesis, clip the prediction by every matched
-        # marker set plus the reflected sector (the sensor positions that see
-        # the marker there), then hull the union over hypotheses
-        backs = [geom2d.negate(sector) for sector in sectors]
-        xy_options = []
-        for a in assigns:
-            region = predicted.sensor_xy[i]
-            for q, j in enumerate(a):
-                region = geom2d.intersect_sum(region, predicted.markers[j],
-                                              backs[q])
-                if region is None:
-                    break
-            else:
-                xy_options.append(region)
-        if not xy_options:
-            raise EmptySetFault("position update", sensor=i)
-        # the hull of one set, however often it is listed, is that set
-        new_xy = xy_options[0]
-        if any(option is not new_xy for option in xy_options):
-            new_xy = geom2d.convex_hull(xy_options)
-        sensor_xy[i] = geom2d.simplify_outer(new_xy)
+        sensor_xy[i] = _narrow_position(
+            predicted.sensor_xy[i], predicted.markers, batch, sectors, assigns,
+            model, new_theta, i)
 
         per_sensor.append((i, assigns, sectors, cmat.boundaries))
 

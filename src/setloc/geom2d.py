@@ -16,9 +16,16 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 EPS_GEOM = 1e-9          # absolute tolerance (meters) for geometric predicates
+# relative margin of inner bounds (ConvexPolygon.inner_disk), in units of
+# the largest coordinate: hundreds of times the few ulps by which the
+# operations that compute them, or test against them, can round
+INNER_MARGIN = 1e-12
 V_MAX = 32               # default vertex budget after simplification
 DEFAULT_BALL_SEGMENTS = 16
 _SECTOR_MAX_STEP = math.pi / 16.0
+# vertices of a sector's ring: its half-width is below pi/2, so it has at
+# most pi / _SECTOR_MAX_STEP + 1 on the outer arc, and two inner corners
+_SECTOR_MAX_VERTICES = round(math.pi / _SECTOR_MAX_STEP) + 3
 
 TWO_PI = 2.0 * math.pi
 
@@ -454,6 +461,15 @@ class ConvexPolygon:
         """negate(self), computed when first read."""
         return negate(self)
 
+    @cached_property
+    def inner_disk(self) -> tuple[float, float, float] | None:
+        """(x, y, radius) of a disk inside the polygon, computed when first
+        read: the vertex mean and its least distance to an edge line, less
+        INNER_MARGIN times the largest coordinate magnitude, which covers
+        the rounding of both.  None for a point or a segment, and when the
+        margin leaves no disk."""
+        return _inner_disk(self.vertices, self.bbox)
+
     def validate(self, v_max: int | None = None) -> None:
         """Raise if the vertex list is not strictly convex CCW."""
         v = self.vertices
@@ -493,6 +509,25 @@ def _dist_point_segment(px: float, py: float, ax: float, ay: float,
     t = ((px - ax) * dx + (py - ay) * dy) / d2
     t = min(1.0, max(0.0, t))
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+
+
+def _inner_disk(v: Sequence[tuple[float, float]],
+                box: tuple[float, float, float, float]
+                ) -> tuple[float, float, float] | None:
+    n = len(v)
+    if n < 3:
+        return None
+    cx = sum(x for x, _ in v) / n
+    cy = sum(y for _, y in v) / n
+    radius = math.inf
+    (ax, ay) = v[-1]
+    for bx, by in v:
+        ex, ey = bx - ax, by - ay
+        radius = min(radius,
+                     (ex * (cy - ay) - ey * (cx - ax)) / math.hypot(ex, ey))
+        ax, ay = bx, by
+    radius -= INNER_MARGIN * max(map(abs, box))
+    return (cx, cy, radius) if radius > 0.0 else None
 
 
 def contains(p: ConvexPolygon, q: tuple[float, float], tol: float = EPS_GEOM) -> bool:
@@ -1031,6 +1066,32 @@ def sector_outer_polygon(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
     return ConvexPolygon(_hull_vertices(pts))
 
 
+def sector_inner_rectangle(angle: AngleInterval, rng: Interval, inner: float
+                           ) -> tuple[float, float, float] | None:
+    """(u_lo, u_hi, h): the rectangle u_lo <= u <= u_hi, |v| <= h inside
+    sector_outer_polygon(angle, rng), in the frame whose u axis points
+    along angle.center, for any inner radius from rng.lo to rng.hi.
+
+    With h = inner * tan(half_width), u from inner to sqrt(r_hi^2 - h^2)
+    and |v| <= h, every point's direction is in the cone and its distance
+    in rng: the rectangle lies in the annular sector.  Each side then moves
+    inwards by INNER_MARGIN * r_hi, for rounding, and by EPS_GEOM for each
+    vertex of the sector's ring: _prune may drop all but one of them, and
+    each drop or merge cuts only points within EPS_GEOM of what is left.
+    None when nothing is left.
+    """
+    r_hi = rng.hi
+    h = inner * math.tan(angle.half_width)
+    if not 0.0 < h < r_hi:
+        return None
+    margin = INNER_MARGIN * r_hi + _SECTOR_MAX_VERTICES * EPS_GEOM
+    u_lo, u_hi = inner + margin, math.sqrt(r_hi * r_hi - h * h) - margin
+    h -= margin
+    if h <= 0.0 or u_hi <= u_lo:
+        return None
+    return u_lo, u_hi, h
+
+
 def angular_hull(p: ConvexPolygon) -> AngleInterval:
     """Smallest arc containing atan2(q.y, q.x) over all q in p.
 
@@ -1119,14 +1180,40 @@ def simplify_outer(p: ConvexPolygon, v_max: int = V_MAX) -> ConvexPolygon:
                 best_cost = cost
                 best = (i, w)
         if best is None:
-            # degenerate fallback: the bounding box is always a superset
-            x0, x1, y0, y1 = p.bbox
-            return ConvexPolygon.box(x0, x1, y0, y1)
+            # no edge's neighbours meet: the ring is a parallelogram, up to
+            # rounding, and a box would have four vertices
+            return _enclosing_triangle(verts, p)
         i, w = best
         j = (i + 1) % len(verts)
         verts[i] = w
         verts.pop(j)
     return ConvexPolygon.from_points(verts)
+
+
+def _enclosing_triangle(ring: Sequence[tuple[float, float]],
+                        p: ConvexPolygon) -> ConvexPolygon:
+    """A triangle containing p, which the CCW ring contains: the ring's
+    first vertex A and A + k(B - A), A + k(D - A) along the edges to its
+    neighbours B and D, with k the largest s + t of a vertex A + s(B - A)
+    + t(D - A) (k = 2 for the parallelogram ABCD).  The ring lies in the
+    angle at A, so the triangle holds it; grown about its centroid until p
+    is inside at tol = 0, which rounding can otherwise spoil by an ulp."""
+    (ax, ay), (bx, by), (dx, dy) = ring[0], ring[1], ring[-1]
+    ux, uy, vx, vy = bx - ax, by - ay, dx - ax, dy - ay
+    det = ux * vy - uy * vx
+    k = max(((x - ax) * (vy - uy) - (y - ay) * (vx - ux)) / det
+            for x, y in ring)
+    corners = ((ax, ay), (ax + k * ux, ay + k * uy), (ax + k * vx, ay + k * vy))
+    gx = sum(x for x, _ in corners) / 3.0
+    gy = sum(y for _, y in corners) / 3.0
+    grow = 1e-9
+    while True:
+        tri = ConvexPolygon.from_points(
+            [(gx + (1.0 + grow) * (x - gx), gy + (1.0 + grow) * (y - gy))
+             for x, y in corners])
+        if grow >= 1.0 or contains_polygon(tri, p, 0.0):
+            return tri
+        grow *= 1e3
 
 
 # --- sampling (tests, particle initialization) ------------------------------

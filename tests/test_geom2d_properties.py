@@ -649,3 +649,38 @@ def test_angular_hull_sum_contains_the_arc_of_the_built_sum(m, sensor):
     out = geom2d.angular_hull_sum(m, back)
     assert covers(out, geom2d.angular_hull(geom2d.minkowski_sum(m, back)),
                   ARC_TOL)
+
+
+# --- outer simplification ----------------------------------------------------
+
+@st.composite
+def parallelograms(draw):
+    """A, A + u, A + u + v, A + v for any u and v that are not parallel."""
+    ax, ay, ux, uy, vx, vy = (draw(coord) for _ in range(6))
+    dx, dy = draw(offset), draw(offset)
+    ax, ay = ax + dx, ay + dy
+    return ConvexPolygon.from_points([(ax, ay), (ax + ux, ay + uy),
+                                      (ax + ux + vx, ay + uy + vy),
+                                      (ax + vx, ay + vy)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(hulls, parallelograms()), st.integers(3, 12))
+@example(ConvexPolygon.box(0.0, 1.0, 0.0, 1.0), 3)
+@example(ConvexPolygon.from_points([(0.0, 0.0), (2.0, 1.0), (3.0, 4.0),
+                                    (1.0, 3.0)]), 3)
+def test_simplify_outer_holds_its_input_within_the_budget(p, v_max):
+    out = geom2d.simplify_outer(p, v_max)
+    assert out.n <= v_max
+    assert geom2d.contains_polygon(out, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parallelograms())
+@example(ConvexPolygon.box(0.0, 1.0, 0.0, 1.0))
+def test_simplify_outer_encloses_a_parallelogram_in_a_triangle(p):
+    if p.n < 4:                 # flat: returned as it is
+        return
+    out = geom2d.simplify_outer(p, 3)
+    assert out.n <= 3
+    assert geom2d.contains_polygon(out, p, tol=0.0)

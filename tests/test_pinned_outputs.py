@@ -69,6 +69,13 @@ VARIANTS = {
          ("sensor_theta_deg = 2.0", "sensor_theta_deg = 0.0")),
         "66e3bb15b0e2d6ba7dc51b33edc0ccedf62b9cefc2956682f03cc1480645648e",
         "48243e226554bab09dd619bc35c74397ffb15b069868657e67f6e3f3d1068429"),
+    # sensor sets of 25 m^2, where the position phase clips often (1,231 of
+    # 5,711 intersect_sum calls cut): the exact phases that the update's
+    # inner-bound tests fall back to; taken before those tests existed
+    "big-sensor-sets": (
+        (("sensor_area = 0.01", "sensor_area = 25"),),
+        "43a072c6c6b2281c42b3042e29a2e88e5b6005c260292303adde46e1d57ee190",
+        "0713fc2accf90ba013cce1ff418dce8a11153dfb2b73278f3ee71428244320b7"),
 }
 
 
