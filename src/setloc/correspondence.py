@@ -69,7 +69,7 @@ def build_candidate_matrix(sectors: Sequence[ConvexPolygon],
     boundaries = []
     for q, sector in enumerate(sectors):
         boundary = geom2d.sum_boundary(predicted_sensor_xy, sector)
-        row = geom2d.intersects_boundary(predicted_markers, boundary)
+        row = tuple(boundary.meets(m) for m in predicted_markers)
         if not any(row):
             raise InconsistentBatch(sensor_id, q)
         rows.append(row)

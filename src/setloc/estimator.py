@@ -242,8 +242,8 @@ def _outer_radius(p: ConvexPolygon, cx: float, cy: float) -> float:
 
 def _keeps_position(sensor_xy: ConvexPolygon, marker: ConvexPolygon,
                     cone: AngleInterval, radii: Interval) -> bool:
-    """Whether intersect_sum(sensor_xy, marker, -sector) is sure to return
-    sensor_xy itself, for the sector of cone and radii.
+    """Whether sum_boundary(marker, -sector).clip(sensor_xy) is sure to
+    return sensor_xy itself, for the sector of cone and radii.
 
     It is when every vertex of the sensor set lies in the marker's inner
     disk plus the reflected inner rectangle of the sector
@@ -345,7 +345,7 @@ def _narrow_position(sensor_xy: ConvexPolygon, markers: Sequence[ConvexPolygon],
                     continue
             if q not in backs:
                 backs[q] = geom2d.negate(sectors[q])
-            region = geom2d.intersect_sum(region, markers[j], backs[q])
+            region = geom2d.sum_boundary(markers[j], backs[q]).clip(region)
             if region is None:
                 break
         else:
@@ -425,7 +425,7 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
             boundary = boundaries[slots[0]]
             if boundary.a is not sensor_xy[i] or boundary.b is not cone:
                 boundary = geom2d.sum_boundary(sensor_xy[i], cone)
-            narrowed = geom2d.intersect_boundary(markers[j], boundary)
+            narrowed = boundary.clip(markers[j])
             if narrowed is None:
                 raise EmptySetFault("marker update", sensor=i, marker=j)
             markers[j] = geom2d.simplify_outer(narrowed)
@@ -454,7 +454,7 @@ def refine_rigid_body(state: EstimatorState,
         if ball is None:
             ball = geom2d.ball_outer_polygon(r)
             balls[r] = ball
-        narrowed = geom2d.intersect_sum(markers[i], markers[j], ball)
+        narrowed = geom2d.sum_boundary(markers[j], ball).clip(markers[i])
         if narrowed is None:
             raise EmptySetFault("rigid-body refinement", marker=i)
         markers[i] = geom2d.simplify_outer(narrowed)

@@ -314,51 +314,15 @@ def _canonical(verts: Sequence[tuple[float, float]]
     return tuple(verts[k:] + verts[:k])
 
 
-def _convex_ring(pts: Sequence[tuple[float, float]]
-                 ) -> Sequence[tuple[float, float]] | None:
-    """pts rotated to their lexicographic minimum if they already are a
-    strictly convex CCW ring that winds once, else None.
-
-    Such a ring is exactly what the monotone-chain hull returns for its
-    points.  Left turns alone do not show it: a pentagram-order ring turns
-    left at every vertex and winds twice.  So the points must also rise
-    lexicographically to their maximum and then fall back, as the lower and
-    upper chains of a convex polygon do.
-    """
-    n = len(pts)
-    if n < 3:
-        return None
-    k = pts.index(min(pts))
-    ring = pts[k:] + pts[:k]
-    i = 1
-    while i < n and ring[i] > ring[i - 1]:
-        i += 1
-    while i < n and ring[i] < ring[i - 1]:
-        i += 1
-    if i < n or not _turns_left(ring):
-        return None
-    return ring
-
-
-def _turns_left(ring: Sequence[tuple[float, float]]) -> bool:
-    """Whether the ring (three or more points) turns strictly left at every
-    vertex."""
-    (ax, ay), (bx, by) = ring[-2], ring[-1]
-    for cx, cy in ring:
-        if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) <= 0.0:
-            return False
-        ax, ay, bx, by = bx, by, cx, cy
-    return True
-
-
 def _canonical_ring(pts: Sequence[tuple[float, float]]
                     ) -> tuple[tuple[float, float], ...] | None:
     """_canonical(pts) if pts is a CCW ring that _hull_vertices would return
     unchanged, else None; one walk around the ring.
 
     Each vertex must turn strictly left, the ring must rise and then fall
-    lexicographically from its minimum (it winds once, as _convex_ring
-    checks), and each vertex must pass _prune's keep test against its
+    lexicographically from its minimum (left turns alone do not show one
+    winding: a pentagram-order ring turns left at every vertex and winds
+    twice), and each vertex must pass _prune's keep test against its
     neighbours.  That test bounds the vertex's distance to either neighbour
     from below by EPS_GEOM, so _prune neither merges nor drops a vertex.
     The turn and _prune's cross product are the same two products, so one
@@ -391,16 +355,11 @@ def _canonical_ring(pts: Sequence[tuple[float, float]]
 def _hull_vertices(pts: Sequence[tuple[float, float]]
                    ) -> tuple[tuple[float, float], ...]:
     """Canonical vertices of the convex hull of pts (non-empty).  A ring
-    that is canonical already is returned as such (_canonical_ring); a ring
-    that is convex skips the sort-and-chain hull."""
-    canonical = _canonical_ring(pts)
-    if canonical is not None:
-        return canonical
-    ring = _convex_ring(pts)
-    hull = _prune(ring if ring is not None else _hull_chain(pts))
-    if not hull:                      # everything collapsed to one point
-        hull = [min(pts)]
-    return _canonical(hull)
+    that is canonical already is returned as such (_canonical_ring), any
+    other point list goes through the sort-and-chain hull and _prune; what
+    collapses to one point is the least point."""
+    return _canonical_ring(pts) or _canonical(
+        _prune(_hull_chain(pts)) or [min(pts)])
 
 
 @dataclass(frozen=True)
@@ -858,7 +817,7 @@ def _support(p: ConvexPolygon, nx: float, ny: float) -> tuple[float, float]:
 
 def _left_turn_lines(ring: Sequence[tuple[float, float]]) -> list[Line] | None:
     """_edge_lines(ring) if the ring (three or more points) turns strictly
-    left at every vertex (_turns_left), else None; one walk."""
+    left at every vertex, else None; one walk."""
     (ax, ay), (bx, by) = ring[-1], ring[0]
     lines: list[Line] = []
     for cx, cy in ring[1:] + ring[:1]:
@@ -878,9 +837,9 @@ def _sum_lines(a: ConvexPolygon, b: ConvexPolygon) -> list[Line]:
     normal, is an edge of the sum.  For two polygons these are the edges of
     the merge ring, or of its hull where rounding left a duplicate,
     collinear or reflex vertex: those are the edges of minkowski_sum(a, b),
-    so intersect_sum clips by the same lines as intersect with the built sum.
-    The merge ring winds once by construction, so left turns alone show it
-    convex.
+    so SumBoundary.clip clips by the same lines as intersect with the built
+    sum.  The merge ring winds once by construction, so left turns alone
+    show it convex.
     """
     if a.n >= 3 and b.n >= 3:
         ring = _merge_edges(a.vertices, b.vertices)
@@ -896,71 +855,48 @@ def _sum_lines(a: ConvexPolygon, b: ConvexPolygon) -> list[Line]:
     return lines
 
 
-def intersect_sum(s: ConvexPolygon, a: ConvexPolygon,
-                  b: ConvexPolygon) -> ConvexPolygon | None:
-    """intersect(s, minkowski_sum(a, b)) without building the sum.
-
-    s is clipped by the support half-planes of a + b (_sum_lines), each with
-    the same EPS_GEOM outward slack as intersect.  Returns s itself when no
-    half-plane cuts it and None when the result is empty.  When neither
-    operand has an area, the sum has at most four vertices and may be a
-    point or a segment, which intersect clips by s rather than s by it; that
-    sum is built and intersected (s itself when s lies within EPS_GEOM of
-    it), so both give the same set.
-    """
-    if a.n <= 2 and b.n <= 2:
-        total = minkowski_sum(a, b)
-        return s if contains_polygon(total, s) else intersect(s, total)
-    return _clip_by(s, _sum_lines(a, b))
-
-
 class SumBoundary(NamedTuple):
-    """The boundary of a + b, built once to clip several sets by: the
-    operands themselves and the support lines of their sum (_sum_lines),
-    None when neither operand has an area and intersect_sum builds the
-    sum instead."""
+    """The boundary of a + b without the sum, built once to clip several
+    sets by: the operands and the support lines of their sum (_sum_lines).
+
+    lines is None when neither operand has an area: the sum then has at
+    most four vertices and may be a point or a segment, which intersect
+    clips by s rather than s by it, so clip builds that sum and intersects
+    it (s itself when s lies within EPS_GEOM of it).
+    """
 
     a: ConvexPolygon
     b: ConvexPolygon
     lines: list[Line] | None
 
+    def clip(self, s: ConvexPolygon) -> ConvexPolygon | None:
+        """intersect(s, minkowski_sum(a, b)) without building the sum: s
+        clipped by the support half-planes, each with the same EPS_GEOM
+        outward slack as intersect.  s itself when no half-plane cuts it,
+        None when the result is empty."""
+        if self.lines is None:
+            total = minkowski_sum(self.a, self.b)
+            return s if contains_polygon(total, s) else intersect(s, total)
+        return _clip_by(s, self.lines)
+
+    def meets(self, s: ConvexPolygon) -> bool:
+        """Whether clip(s) is not None.
+
+        A set whose bounding box one line leaves beyond its slack is
+        disjoint from the sum (the left-corner test of _clip_ring, which
+        returns None in that case); a set with a vertex inside all the lines
+        is not clipped; of any other set's clip only the emptiness is kept.
+        """
+        lines = self.lines
+        if lines is None:
+            return self.clip(s) is not None
+        return not _leaves_box(s.bbox, lines) and (
+            _keeps_a_vertex(s.vertices, lines) or _clip_by(s, lines) is not None)
+
 
 def sum_boundary(a: ConvexPolygon, b: ConvexPolygon) -> SumBoundary:
     return SumBoundary(a, b, None if a.n <= 2 and b.n <= 2
                        else _sum_lines(a, b))
-
-
-def intersect_boundary(s: ConvexPolygon,
-                       boundary: SumBoundary) -> ConvexPolygon | None:
-    """intersect_sum(s, boundary.a, boundary.b) by the lines built once."""
-    if boundary.lines is None:
-        return intersect_sum(s, boundary.a, boundary.b)
-    return _clip_by(s, boundary.lines)
-
-
-def intersects_sum(sets: Sequence[ConvexPolygon], a: ConvexPolygon,
-                   b: ConvexPolygon) -> tuple[bool, ...]:
-    """Whether intersect_sum(s, a, b) is non-empty, for each s in sets."""
-    return intersects_boundary(sets, sum_boundary(a, b))
-
-
-def intersects_boundary(sets: Sequence[ConvexPolygon],
-                        boundary: SumBoundary) -> tuple[bool, ...]:
-    """intersects_sum(sets, boundary.a, boundary.b) by the lines built once.
-
-    A set whose bounding box one line leaves beyond its slack is disjoint
-    from the sum (the left-corner test of _clip_ring, which returns None
-    in that case); a set with a vertex inside all the lines is not clipped;
-    of any other set's clip only the emptiness is kept.  Operands without
-    an area take intersect_sum's built-sum path, set by set.
-    """
-    lines = boundary.lines
-    if lines is None:
-        return tuple(intersect_sum(s, boundary.a, boundary.b) is not None
-                     for s in sets)
-    return tuple(not _leaves_box(s.bbox, lines)
-                 and (_keeps_a_vertex(s.vertices, lines)
-                      or _clip_by(s, lines) is not None) for s in sets)
 
 
 def _leaves_box(box: tuple[float, float, float, float],

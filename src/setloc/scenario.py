@@ -385,6 +385,11 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
                 problems.append(f"trajectory leg {i + 1}: |delta|+eps_delta "
                                 f"reaches pi/2")
                 break
+        # the motion bounds square each marker's distance over the wheelbase
+        ratios = [off.delta_l / cfg.robot.wheelbase for off in cfg.offsets]
+        if not all(math.isfinite(r * r) for r in ratios):
+            problems.append("[robot] wheelbase is too small: a marker's "
+                            "distance over it overflows when squared")
     for key, size in (("[initial_sets] marker_area", cfg.initial_marker_area),
                       ("[initial_sets] sensor_area", cfg.initial_sensor_area),
                       ("[robot] body_length", cfg.robot.body_length),
@@ -408,6 +413,16 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         if not sensor_theta[i].contains(site.pose.theta):
             problems.append(f"initial containment violated: true sensor {i + 1} "
                             f"orientation outside its initial interval")
+    if not problems:
+        try:
+            est.make_state(markers, sensor_xy, sensor_theta,
+                           est.RigidBodySpec.from_offsets(cfg.offsets))
+        except est.EmptySetFault:
+            scale = max(abs(x) for m in markers for xy in m.vertices for x in xy)
+            problems.append(
+                f"[robot] x0, y0: the initial marker sets admit no heading: "
+                f"float rounding at coordinates up to {scale:g} m (steps of "
+                f"{math.ulp(scale):g} m) does not keep the body's shape")
     return problems
 
 

@@ -185,6 +185,31 @@ def test_validate_rejects_what_run_cannot_run(tmp_path, capsys, name, old,
     assert key in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("old, new, key", [
+    # so far from the origin that rounding leaves the initial marker sets
+    # no common heading
+    ("x0 = 8.0", "x0 = 1e20", "[robot] x0"),
+    # a marker's distance over the wheelbase overflows when the motion
+    # bounds square it
+    ("wheelbase = 2.1", "wheelbase = 1e-155", "[robot] wheelbase"),
+])
+def test_every_command_rejects_what_the_estimator_cannot_start(
+        parking_cfg, tmp_path, capsys, old, new, key):
+    text = parking_cfg.read_text()
+    assert old in text
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(old, new), encoding="utf-8")
+    out = tmp_path / "o"
+    for args in (["validate"],
+                 ["run", "--out", str(out), "--steps", "2"],
+                 ["sweep", "--out", str(out), "--parameter", "eps_wa",
+                  "--values", "1", "--seeds", "1", "--steps", "2"]):
+        assert run_cli(*args, "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, args, key", [
     ("omni", ["run", "--steps", "-3"], "steps"),
     ("omni", ["run", "--steps", "0"], "steps"),

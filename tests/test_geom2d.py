@@ -74,8 +74,9 @@ def test_intersect_sum_clips_by_the_hull_of_a_collinear_merge_ring():
         (18.818791291083766, 15.894618954635005),
         (18.780317949871797, 15.801655909987932)])
     b = geom2d.ball_outer_polygon(1.8, 16)
-    assert geom2d._convex_ring(geom2d._merge_edges(a.vertices, b.vertices)) is None
-    assert geom2d.intersect_sum(s, a, b) == intersect(s, minkowski_sum(a, b))
+    assert geom2d._left_turn_lines(
+        geom2d._merge_edges(a.vertices, b.vertices)) is None
+    assert geom2d.sum_boundary(a, b).clip(s) == intersect(s, minkowski_sum(a, b))
 
 
 def test_minkowski_sampling_containment():

@@ -2,10 +2,9 @@
 
 The shortcuts must not move a single output bit, so every test compares
 exactly (``==`` on float tuples).  The general paths are kept here as they
-were before the shortcuts: the hull through ``_convex_ring``, ``_prune``
-and ``_hull_chain``, the sector through that hull, the edge merge with
-modular indices and the angle intersection that deduplicates every list
-of pieces.
+were before the shortcuts: the sort-and-chain hull (``_hull_chain`` and
+``_prune``), the sector through that hull, the edge merge with modular
+indices and the angle intersection that deduplicates every list of pieces.
 """
 
 from __future__ import annotations
@@ -23,9 +22,9 @@ from setloc.geom2d import (EPS_GEOM, TWO_PI, AngleInterval, ConvexPolygon,
 
 
 def general_hull(pts):
-    """_hull_vertices without the canonical-ring shortcut."""
-    ring = geom2d._convex_ring(pts)
-    hull = geom2d._prune(ring if ring is not None else geom2d._hull_chain(pts))
+    """_hull_vertices without the canonical-ring shortcut: the sort-and-chain
+    hull."""
+    hull = geom2d._prune(geom2d._hull_chain(pts))
     if not hull:
         hull = [min(pts)]
     return geom2d._canonical(hull)
@@ -200,6 +199,13 @@ def near_boundary(draw):
 @given(convex_rings())
 @example([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 @example([(0.0, 0.0), (6e-10, 0.0), (6e-10, 6e-10), (0.0, 6e-10)])
+# convex rings whose turns are all strictly left but where a vertex fails
+# the keep test: a dent of 1e-12 below an edge, a vertex EPS_GEOM / 2 from
+# its neighbour, a sliver tip
+@example([(0.0, 0.0), (0.5, -1e-12), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+@example([(1.0, 1.0), (0.0, 1.0), (0.0, 0.0), (1.0, 0.0),
+          (1.0 + 1e-13, 0.5 * EPS_GEOM)])
+@example([(0.0, 0.0), (1.0, 0.0), (2.0, 1e-10)])
 def test_hull_vertices_is_the_general_hull(ring):
     assert geom2d._hull_vertices(ring) == general_hull(ring)
     assert geom2d._hull_vertices(tuple(ring)) == general_hull(ring)
@@ -228,7 +234,9 @@ def test_merge_walks_are_the_modular_merge(a, b):
     # left-turn test fails at every place of the ring, the first included
     ring = general_merge(a, b)
     assert geom2d._merge_edges(a, b) == ring
-    turns = geom2d._turns_left(ring)
+    turns = all((bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0.0
+                for (ax, ay), (bx, by), (cx, cy)
+                in zip(ring[-1:] + ring[:-1], ring, ring[1:] + ring[:1]))
     assert geom2d._left_turn_lines(ring) == \
         (geom2d._edge_lines(ring) if turns else None)
 
@@ -238,18 +246,25 @@ def test_merge_walks_are_the_modular_merge(a, b):
                                             canonical_polygons(max_n=2),
                                             canonical_polygons(max_n=2))))
 def test_intersects_sum_is_the_clip_it_skips(case):
-    # the bounding-box "no" answers only where the clip is empty
+    # the bounding-box "no" answers of SumBoundary.meets only where the clip
+    # is empty, and the clip is intersect with the built sum where neither
+    # operand has an area
     s, a, b = case
+    boundary = geom2d.sum_boundary(a, b)
     if a.n <= 2 and b.n <= 2:
-        expected = geom2d.intersect_sum(s, a, b) is not None
+        assert boundary.lines is None
+        total = geom2d.minkowski_sum(a, b)
+        clipped = s if geom2d.contains_polygon(total, s) \
+            else geom2d.intersect(s, total)
+        expected = clipped is not None
     else:
         lines = geom2d._sum_lines(a, b)
+        assert boundary.lines == lines
+        clipped = geom2d._clip_by(s, lines)
         expected = (geom2d._keeps_a_vertex(s.vertices, lines)
-                    or geom2d._clip_by(s, lines) is not None)
-    assert geom2d.intersects_sum([s], a, b) == (expected,)
-    boundary = geom2d.sum_boundary(a, b)
-    assert geom2d.intersect_boundary(s, boundary) == \
-        geom2d.intersect_sum(s, a, b)
+                    or clipped is not None)
+    assert boundary.meets(s) == expected
+    assert boundary.clip(s) == clipped
 
 
 arcs = st.builds(AngleInterval, st.floats(-7.0, 7.0),

@@ -275,7 +275,7 @@ def test_intersect_sum_matches_intersect_of_the_sum(s, a, b):
     where s crosses a line at a shallow angle that slack stretches along s,
     so the two results are compared by containment, not vertex distance."""
     total = geom2d.minkowski_sum(a, b)
-    out = geom2d.intersect_sum(s, a, b)
+    out = geom2d.sum_boundary(a, b).clip(s)
     ref = geom2d.intersect(s, total)
     assert (out is None) == (ref is None)
     if out is None:
@@ -308,7 +308,7 @@ def inside_sum(draw):
     ConvexPolygon.from_points([(0.0, 0.0), (-1.0, 0.0)])))
 def test_intersect_sum_returns_a_set_inside_the_sum_itself(case):
     s, a, b = case
-    assert geom2d.intersect_sum(s, a, b) is s
+    assert geom2d.sum_boundary(a, b).clip(s) is s
 
 
 @settings(max_examples=2000, deadline=None)
@@ -326,7 +326,7 @@ def test_intersects_sum_never_misses_a_witness(p, a, b, seed, where):
         u = geom2d.sample_uniform(p, rng)[0]
         p = geom2d.translate(p, w[0] - float(u[0]), w[1] - float(u[1]))
     if geom2d.contains(p, w, 0.0):
-        assert geom2d.intersects_sum([p], a, b) == (True,)
+        assert geom2d.sum_boundary(a, b).meets(p)
 
 
 @st.composite
@@ -355,8 +355,8 @@ def test_intersects_sum_is_the_twin_on_the_sum_boundary(case):
     # the kept-vertex "yes" and the clip's "no" meet where a vertex of s
     # sits within rounding of a line of the sum
     s, a, b = case
-    assert (geom2d.intersects_sum([s], a, b)
-            == (geom2d.intersect_sum(s, a, b) is not None,))
+    boundary = geom2d.sum_boundary(a, b)
+    assert boundary.meets(s) == (boundary.clip(s) is not None)
 
 
 def centroid(p: ConvexPolygon) -> tuple[float, float]:
@@ -367,12 +367,13 @@ def centroid(p: ConvexPolygon) -> tuple[float, float]:
 @settings(max_examples=400, deadline=None)
 @given(polygons, polygons, polygons)
 def test_intersects_sum_agrees_with_intersect_of_the_sum(s, a, b):
-    got = geom2d.intersects_sum([s], a, b)
-    # the boolean twin of intersect_sum, exactly
-    assert got == (geom2d.intersect_sum(s, a, b) is not None,)
+    boundary = geom2d.sum_boundary(a, b)
+    got = boundary.meets(s)
+    # the boolean twin of the clip, exactly
+    assert got == (boundary.clip(s) is not None)
     total = geom2d.minkowski_sum(a, b)
     ref = geom2d.intersect(s, total)
-    if got == (ref is not None,):
+    if got == (ref is not None):
         return
     tol = 2 * geom2d.EPS_GEOM
     if ref is None:
@@ -408,7 +409,7 @@ def test_ring_fast_path_equals_the_hull_path(p, q, k):
     for ring in (rotated(p.vertices, k),
                  rotated(geom2d._merge_edges(p.vertices, q.vertices), k)):
         assert ConvexPolygon.from_points(ring) == hull_path(ring)
-    assert geom2d._convex_ring(rotated(p.vertices, k)) is not None
+    assert geom2d._left_turn_lines(rotated(p.vertices, k)) is not None
 
 
 @settings(max_examples=300, deadline=None)
@@ -429,7 +430,7 @@ def test_rings_that_are_not_convex_take_the_hull_path(p, k):
               v[:1] + v]                                 # duplicate vertex
     for ring in rings:
         ring = rotated(ring, k)
-        assert geom2d._convex_ring(ring) is None
+        assert geom2d._canonical_ring(ring) is None
         assert ConvexPolygon.from_points(ring) == hull_path(ring)
 
 
@@ -472,7 +473,7 @@ def test_operations_return_float_pairs_and_their_bounding_box(
         ConvexPolygon.from_points(np.asarray(pts)),
         total,
         geom2d.intersect(s, a),
-        geom2d.intersect_sum(s, a, b),
+        geom2d.sum_boundary(a, b).clip(s),
         geom2d.negate(a),
         geom2d.translate(a, dx, dy),
         geom2d.simplify_outer(total, v_max),

@@ -70,7 +70,7 @@ VARIANTS = {
         "66e3bb15b0e2d6ba7dc51b33edc0ccedf62b9cefc2956682f03cc1480645648e",
         "48243e226554bab09dd619bc35c74397ffb15b069868657e67f6e3f3d1068429"),
     # sensor sets of 25 m^2, where the position phase clips often (1,231 of
-    # 5,711 intersect_sum calls cut): the exact phases that the update's
+    # 5,711 clips by an unbuilt sum cut): the exact phases that the update's
     # inner-bound tests fall back to; taken before those tests existed
     "big-sensor-sets": (
         (("sensor_area = 0.01", "sensor_area = 25"),),

@@ -282,7 +282,7 @@ def test_kept_position_is_what_the_exact_clip_returns(case):
         return
     sector = sensing.feasible_marker_region(m.bearing, m.range, model,
                                             theta.center, theta.half_width)
-    assert geom2d.intersect_sum(sensor, marker, geom2d.negate(sector)) \
+    assert geom2d.sum_boundary(marker, geom2d.negate(sector)).clip(sensor) \
         is sensor
 
 
