@@ -9,6 +9,7 @@ are immutable; all operations are pure functions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -1092,6 +1093,12 @@ def simplify_outer(p: ConvexPolygon, v_max: int = V_MAX) -> ConvexPolygon:
     if p.n <= v_max:
         return p
     verts = list(p.vertices)
+    # an edge vector carries a rounding error of a few ulps of the largest
+    # coordinate; a cross product of two edges within that error of zero
+    # does not tell parallel edges from converging ones, and the meeting
+    # point it gives lies arbitrarily far out, where rounding loses p
+    noise = 8.0 * sys.float_info.epsilon * max(
+        max(abs(x), abs(y)) for x, y in verts)
     while len(verts) > v_max:
         n = len(verts)
         best_cost = math.inf
@@ -1104,7 +1111,8 @@ def simplify_outer(p: ConvexPolygon, v_max: int = V_MAX) -> ConvexPolygon:
             ux, uy = b[0] - a[0], b[1] - a[1]
             vx, vy = d[0] - c[0], d[1] - c[1]
             den = ux * vy - uy * vx
-            if den <= 1e-15 * max(math.hypot(ux, uy) * math.hypot(vx, vy), 1e-300):
+            lu, lv = math.hypot(ux, uy), math.hypot(vx, vy)
+            if den <= max(1e-15 * max(lu * lv, 1e-300), noise * (lu + lv)):
                 continue  # edges parallel or diverging: no finite outer point
             t = ((c[0] - b[0]) * vy - (c[1] - b[1]) * vx) / den
             if t < 0.0:
@@ -1122,6 +1130,8 @@ def simplify_outer(p: ConvexPolygon, v_max: int = V_MAX) -> ConvexPolygon:
         i, w = best
         j = (i + 1) % len(verts)
         verts[i] = w
+        noise = max(noise, 8.0 * sys.float_info.epsilon
+                    * max(abs(w[0]), abs(w[1])))
         verts.pop(j)
     return ConvexPolygon.from_points(verts)
 
