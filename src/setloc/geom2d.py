@@ -811,11 +811,6 @@ def intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
     return _clip_by(a, _edge_lines(b.vertices))
 
 
-def _support(p: ConvexPolygon, nx: float, ny: float) -> tuple[float, float]:
-    """A vertex of p that maximises n . v."""
-    return max(p.vertices, key=lambda v: nx * v[0] + ny * v[1])
-
-
 def _left_turn_lines(ring: Sequence[tuple[float, float]]) -> list[Line] | None:
     """_edge_lines(ring) if the ring (three or more points) turns strictly
     left at every vertex, else None; one walk."""
@@ -851,7 +846,8 @@ def _sum_lines(a: ConvexPolygon, b: ConvexPolygon) -> list[Line]:
         if own.n < 2:
             continue
         for px, py, qx, qy in _edge_lines(own.vertices):
-            wx, wy = _support(other, qy - py, px - qx)
+            wx, wy = max(other.vertices,
+                         key=lambda v: (qy - py) * v[0] + (px - qx) * v[1])
             lines.append((px + wx, py + wy, qx + wx, qy + wy))
     return lines
 
