@@ -327,8 +327,11 @@ def _narrow_position(sensor_xy: ConvexPolygon, markers: Sequence[ConvexPolygon],
     matched marker set plus the reflected sector (the sensor positions that
     see the marker there), then hull the union over hypotheses.  While a
     hypothesis's region is still the sensor set, a pair that
-    _keeps_position settles is not clipped, and its sector not reflected."""
+    _keeps_position settles is not clipped, and its sector not reflected.
+    Each (slot, marker) pair's sum boundary is built once, for the first
+    hypothesis that clips by it."""
     backs: dict[int, ConvexPolygon] = {}
+    bounds: dict[tuple[int, int], geom2d.SumBoundary] = {}
     kept: dict[tuple[int, int], bool] = {}
     xy_options = []
     for a in assigns:
@@ -343,9 +346,13 @@ def _narrow_position(sensor_xy: ConvexPolygon, markers: Sequence[ConvexPolygon],
                             theta.half_width))
                 if kept[q, j]:
                     continue
-            if q not in backs:
-                backs[q] = geom2d.negate(sectors[q])
-            region = geom2d.sum_boundary(markers[j], backs[q]).clip(region)
+            bound = bounds.get((q, j))
+            if bound is None:
+                if q not in backs:
+                    backs[q] = geom2d.negate(sectors[q])
+                bound = geom2d.sum_boundary(markers[j], backs[q])
+                bounds[q, j] = bound
+            region = bound.clip(region)
             if region is None:
                 break
         else:

@@ -37,6 +37,10 @@ BUDGET = 1 << 13
 
 @dataclass(frozen=True)
 class ParticleSet:
+    """One particle per row.  The arrays are never edited in place; the
+    markers that predict and resample make are read-only, so the headings
+    a set keeps (particle_headings) cannot go stale."""
+
     sensor_xy: np.ndarray     # (S, m, 2)
     sensor_theta: np.ndarray  # (S, m)
     markers: np.ndarray       # (S, n, 2)
@@ -85,6 +89,18 @@ def _particle_headings(markers: np.ndarray, spec: RigidBodySpec) -> np.ndarray:
     return np.arctan2(sin_sum, cos_sum)
 
 
+def particle_headings(ps: ParticleSet, spec: RigidBodySpec) -> np.ndarray:
+    """_particle_headings(ps.markers, spec), computed once per set: the set
+    keeps the headings of the last spec asked for, and a new set (such as
+    replace makes) starts without any.  A step reads them twice, for the
+    heading interval at its end and in the next step's predict."""
+    kept = ps.__dict__.get("_headings")
+    if kept is None or kept[0] != spec:
+        kept = (spec, _particle_headings(ps.markers, spec))
+        object.__setattr__(ps, "_headings", kept)
+    return kept[1]
+
+
 def predict(ps: ParticleSet, u: Control, robot: RobotModel,
             offsets: Sequence[MarkerOffset], spec: RigidBodySpec,
             rng: np.random.Generator) -> ParticleSet:
@@ -92,7 +108,7 @@ def predict(ps: ParticleSet, u: Control, robot: RobotModel,
     s = ps.size
     v = u.v + rng.uniform(-robot.eps_v, robot.eps_v, s)
     delta = u.delta + rng.uniform(-robot.eps_delta, robot.eps_delta, s)
-    heading = _particle_headings(ps.markers, spec)
+    heading = particle_headings(ps, spec)
     ell = robot.wheelbase
     markers = ps.markers.copy()
     sin_d, cos_d, tan_d = np.sin(delta), np.cos(delta), np.tan(delta)
@@ -107,7 +123,12 @@ def predict(ps: ParticleSet, u: Control, robot: RobotModel,
         markers[:, j, 1] += d * np.sin(ang)
         if robot.eps_f > 0.0:
             markers[:, j, :] += rng.uniform(-robot.eps_f, robot.eps_f, (s, 2))
-    return replace(ps, markers=markers)
+    return replace(ps, markers=_read_only(markers))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _angle_gap(pred: np.ndarray, bearing: np.ndarray) -> np.ndarray:
@@ -221,14 +242,24 @@ def resample(ps: ParticleSet, rng: np.random.Generator) -> ParticleSet:
     cumulative[-1] = 1.0
     idx = np.searchsorted(cumulative, positions)
     return ParticleSet(ps.sensor_xy[idx].copy(), ps.sensor_theta[idx].copy(),
-                       ps.markers[idx].copy(), np.full(s, 1.0 / s),
+                       _read_only(ps.markers[idx]), np.full(s, 1.0 / s),
                        ps.degenerate_resets)
 
 
 def estimate_body_particles(ps: ParticleSet) -> ConvexPolygon:
-    """Hull of every marker point stored in any particle."""
-    pts = ps.markers.reshape(-1, 2)
-    return ConvexPolygon.from_points(pts.tolist())
+    """Hull of every marker point stored in any particle: from_points of
+    the points, which are sorted and deduplicated here in numpy instead.
+    Each (x, y) is viewed as the complex number x + iy, whose sort order is
+    lexicographic; the sort is stable and the first of equal points stays
+    (0.0 equals -0.0), as the set in from_points keeps the first."""
+    z = np.ascontiguousarray(ps.markers).view(np.complex128).ravel()
+    z = np.sort(z, kind="stable")
+    first = np.empty(len(z), dtype=bool)
+    first[0] = True
+    np.not_equal(z[1:], z[:-1], out=first[1:])
+    z = z[first]
+    return ConvexPolygon.from_sorted_points(
+        list(zip(z.real.tolist(), z.imag.tolist())))
 
 
 def heading_interval_particles(ps: ParticleSet,
@@ -236,6 +267,6 @@ def heading_interval_particles(ps: ParticleSet,
     """Smallest arc containing every particle's implied heading.  Only the
     distinct headings are enclosed, in first-occurrence order, which gives
     the same arc (enclose_angles keeps the first of equally good starts)."""
-    headings = dict.fromkeys(_particle_headings(ps.markers, spec).tolist())
+    headings = dict.fromkeys(particle_headings(ps, spec).tolist())
     arcs = [AngleInterval(h, 0.0) for h in headings]
     return geom2d.enclose_angles(arcs)

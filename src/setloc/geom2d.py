@@ -8,6 +8,7 @@ are immutable; all operations are pure functions.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -198,23 +199,30 @@ def intersect_angles(a: AngleInterval, b: AngleInterval) -> AngleInterval | None
 def enclose_angles(arcs: Sequence[AngleInterval]) -> AngleInterval:
     """Smallest arc covering the union of the given arcs.
 
-    Each arc's start is tried as the start of the cover; the cover must reach
-    every other arc, and among starts that need the same width the first in
-    input order wins.  A start's need is its largest reach, so its scan stops
-    at the first reach that gets to the full circle (no cover from this
-    start) or to the best width so far (the start cannot win): the answer is
-    the one of the full scan, to the last bit.
+    The answer is the full scan's to the last bit: each arc's start is tried
+    as the start of the cover, a start's need is its largest reach (the
+    distance d to an arc's start, taken into [0, 2*pi) as
+    d -= 2*pi*floor(d / 2*pi), plus that arc's width), a reach of
+    2*pi - 1e-12 or more leaves no cover from the start, and among starts
+    of the least need the first in input order wins.  Only the starts that
+    _cover_starts picks are scanned (every start of up to four arcs, where
+    that is cheaper than sorting), in input order, and each scan stops at
+    the first reach that gets to the best width so far.
     """
     if not arcs:
         raise ValueError("enclose_angles needs at least one interval")
-    if any(a.is_full for a in arcs):
+    halves = [a.half_width for a in arcs]
+    if max(halves) >= math.pi - 1e-12:    # some a.is_full
         return FULL_CIRCLE
-    los = [wrap_angle(a.lo) for a in arcs]
-    spans = list(zip(los, [a.width for a in arcs]))
+    # a.lo and a.width, written out
+    los = [wrap_angle(a.center - h) for a, h in zip(arcs, halves)]
+    widths = [2.0 * h for h in halves]
+    spans = list(zip(los, widths))
     best_width = math.inf
     best_start = 0.0
     limit = TWO_PI - 1e-12
-    for start in los:
+    for i in range(len(los)) if len(los) <= 4 else _cover_starts(los, widths):
+        start = los[i]
         need = 0.0
         for lo_j, width_j in spans:
             d = lo_j - start
@@ -234,6 +242,44 @@ def enclose_angles(arcs: Sequence[AngleInterval]) -> AngleInterval:
     return AngleInterval(best_start + 0.5 * best_width, 0.5 * best_width)
 
 
+def _cover_starts(los: list[float], widths: list[float]) -> list[int]:
+    """The indices, ascending, of the arc starts (wrapped into (-pi, pi])
+    that can start enclose_angles' cover; one sort, O(S log S) unless many
+    starts tie within 1e-9.
+
+    A start's need is 2*pi less the uncovered gap in front of it, so one
+    sweep over the sorted starts gives every start's gap, and a start whose
+    gap falls short of the largest by more than 1e-9 cannot win: an arc
+    covering it makes a reach of 2*pi or more, and otherwise its need
+    exceeds the best by more than rounding.  Rounding in d can put a start
+    that lies a few ulps past another at that start (across the seam at pi,
+    or where d / 2*pi underflows), so the starts within 1e-12 past a gap
+    that can win are picked too.
+    """
+    n = len(los)
+    order = sorted(range(n), key=los.__getitem__)
+    sorted_los = [los[i] for i in order]
+    ends = [lo + widths[i] for lo, i in zip(sorted_los, order)]
+    # gap in front of each sorted start: up to the farthest end of the arcs
+    # sorted before it, or of the arcs from it on taken one turn back (an
+    # equal start sorted before it leaves no gap, and it cannot win)
+    fronts = itertools.accumulate(ends[:-1], max, initial=-math.inf)
+    backs = reversed(list(itertools.accumulate(reversed(ends), max)))
+    gaps = [lo - max(front, back - TWO_PI)
+            for lo, front, back in zip(sorted_los, fronts, backs)]
+    cut = max(gaps) - 1e-9
+    starts = set()
+    for k, gap in enumerate(gaps):
+        if gap >= cut:
+            m = k
+            while True:
+                starts.add(order[m])
+                m = (m + 1) % n
+                if m == k or (sorted_los[m] - sorted_los[k]) % TWO_PI > 1e-12:
+                    break
+    return sorted(starts)
+
+
 # ---------------------------------------------------------------------------
 # convex polygons
 # ---------------------------------------------------------------------------
@@ -242,23 +288,31 @@ def _cross(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> 
     return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
-def _hull_chain(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    pts = sorted(set(points))
+def _hull_chain(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Andrew's monotone chain over distinct points in lexicographic order,
+    such as sorted(set(points)); each turn is _cross(o, a, p), written out
+    in the same order."""
     if len(pts) <= 2:
         return pts
     lower: list[tuple[float, float]] = []
     for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2][0], lower[-2][1],
-                                         lower[-1][0], lower[-1][1],
-                                         p[0], p[1]) <= 0.0:
-            lower.pop()
+        px, py = p
+        while len(lower) >= 2:
+            (ox, oy), (ax, ay) = lower[-2], lower[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
+                lower.pop()
+            else:
+                break
         lower.append(p)
     upper: list[tuple[float, float]] = []
     for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2][0], upper[-2][1],
-                                         upper[-1][0], upper[-1][1],
-                                         p[0], p[1]) <= 0.0:
-            upper.pop()
+        px, py = p
+        while len(upper) >= 2:
+            (ox, oy), (ax, ay) = upper[-2], upper[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
+                upper.pop()
+            else:
+                break
         upper.append(p)
     return lower[:-1] + upper[:-1]
 
@@ -360,7 +414,7 @@ def _hull_vertices(pts: Sequence[tuple[float, float]]
     other point list goes through the sort-and-chain hull and _prune; what
     collapses to one point is the least point."""
     return _canonical_ring(pts) or _canonical(
-        _prune(_hull_chain(pts)) or [min(pts)])
+        _prune(_hull_chain(sorted(set(pts)))) or [min(pts)])
 
 
 @dataclass(frozen=True)
@@ -381,6 +435,15 @@ class ConvexPolygon:
         if not pts:
             raise ValueError("a polygon needs at least one point")
         return cls(_hull_vertices(pts))
+
+    @classmethod
+    def from_sorted_points(cls, points: list[tuple[float, float]]
+                           ) -> "ConvexPolygon":
+        """from_points(points) for distinct points (at least one) in
+        lexicographic order: the chain and _prune without the set, the sort
+        and the canonical walk, which on such a list is a shortcut to the
+        same vertices."""
+        return cls(_canonical(_prune(_hull_chain(points))))
 
     @classmethod
     def point(cls, x: float, y: float) -> "ConvexPolygon":
@@ -940,17 +1003,28 @@ def _keeps_a_vertex(pts: Sequence[tuple[float, float]],
 
 # --- outer approximations --------------------------------------------------
 
+def _square(h: float) -> ConvexPolygon:
+    """The square of half side h about the origin, which covers the disk of
+    radius h.  With h >= EPS_GEOM, ConvexPolygon.box keeps its four
+    corners (a hull would merge corners closer than EPS_GEOM)."""
+    return ConvexPolygon.box(-h, h, -h, h)
+
+
 def ball_outer_polygon(radius: float,
                        k: int = DEFAULT_BALL_SEGMENTS) -> ConvexPolygon:
     """Regular k-gon circumscribed about the origin-centered disk.
 
     The apothem equals radius, so the polygon always covers the disk at the
-    cost of a sec(pi/k)**2 area factor.
+    cost of a sec(pi/k)**2 area factor.  A disk of radius 0 is the origin,
+    one of radius up to EPS_GEOM the square of half side EPS_GEOM, and one
+    whose k-gon is not canonical as built (its vertices too close for the
+    hull to keep them all) the square about it.
     """
     if radius < 0.0:
         raise ValueError("radius must be >= 0")
     if radius <= EPS_GEOM:
-        return ConvexPolygon.point(0.0, 0.0)
+        return (_square(EPS_GEOM) if radius > 0.0
+                else ConvexPolygon.point(0.0, 0.0))
     if k < 4:
         raise ValueError("ball polygon needs k >= 4")
     rc = radius / math.cos(math.pi / k)
@@ -958,7 +1032,8 @@ def ball_outer_polygon(radius: float,
     for j in range(k):
         ang = (2 * j + 1) * math.pi / k
         pts.append((rc * math.cos(ang), rc * math.sin(ang)))
-    return ConvexPolygon.from_points(pts)
+    ring = _canonical_ring(pts)
+    return ConvexPolygon(ring) if ring is not None else _square(rc)
 
 
 def sector_outer_polygon(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
@@ -967,7 +1042,12 @@ def sector_outer_polygon(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
     The outer arc is over-bounded by vertices on the circumscribed arc at
     radius hi / cos(step / 2); the inner arc is bounded by its chord, which
     only adds points of smaller radius.  Requires half_width < pi/2 so the
-    sector has a bounded convex superset.
+    sector has a bounded convex superset.  Where that ring is not canonical
+    as built (a sector within a few EPS_GEOM of the sensor, or one so thin
+    that its corners nearly meet), its hull would merge or drop vertices
+    and cut the sector, so the square about the sensor that covers the
+    ring's radius is returned instead.  A sector of radius up to EPS_GEOM
+    is the square of half side EPS_GEOM, and one of radius 0 the origin.
     """
     if angle.half_width >= math.pi / 2.0:
         raise ValueError(f"sector half-width {angle.half_width:.4f} >= pi/2")
@@ -977,7 +1057,8 @@ def sector_outer_polygon(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
     c = angle.center
     w = angle.half_width
     if r_hi <= EPS_GEOM:
-        return ConvexPolygon.point(0.0, 0.0)
+        return (_square(EPS_GEOM) if r_hi > 0.0
+                else ConvexPolygon.point(0.0, 0.0))
     if w <= 1e-15:
         u = (math.cos(c), math.sin(c))
         return ConvexPolygon.from_points([(r_lo * u[0], r_lo * u[1]),
@@ -994,9 +1075,8 @@ def sector_outer_polygon(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
         pts.append((rc * math.cos(a), rc * math.sin(a)))
     if inner:
         pts.append((r_lo * math.cos(c + w), r_lo * math.sin(c + w)))
-    # the ring is canonical as built unless rounding or a tiny sector made
-    # it otherwise (_hull_vertices)
-    return ConvexPolygon(_hull_vertices(pts))
+    ring = _canonical_ring(pts)
+    return ConvexPolygon(ring) if ring is not None else _square(rc)
 
 
 def sector_inner_rectangle(angle: AngleInterval, rng: Interval, inner: float

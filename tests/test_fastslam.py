@@ -152,6 +152,90 @@ def test_estimate_body_particles_hull():
     assert geom2d.contains_polygon(truth, body, tol=1e-9)
 
 
+# coordinates where the particle hull's sort and deduplication decide:
+# signed zeros (equal, and the first of them stays) and near-equal values
+_HULL_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-10, -1e-10, 3.0]),
+    st.floats(-20.0, 20.0, allow_subnormal=False))
+_DIRECTIONS = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -2.0), (-0.5, 3.0)]
+
+
+@st.composite
+def _particle_clouds(draw):
+    """(S, n, 2) marker arrays: free points, or every point on one line
+    exactly (integer steps along a direction, -0.0 among them), then
+    perhaps resampled so that particles repeat."""
+    s, n = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        ux, uy = draw(st.sampled_from(_DIRECTIONS))
+        t = np.array(draw(st.lists(st.integers(-5, 5), min_size=s * n,
+                                   max_size=s * n)), dtype=float)
+        markers = np.stack([t * ux, t * uy], axis=-1).reshape(s, n, 2)
+    else:
+        markers = np.array(draw(st.lists(
+            _HULL_COORDS, min_size=2 * s * n, max_size=2 * s * n))
+        ).reshape(s, n, 2)
+    if draw(st.booleans()):
+        markers = markers[draw(st.lists(st.integers(0, s - 1), min_size=s,
+                                        max_size=s))]
+    return markers
+
+
+@settings(max_examples=600, deadline=None)
+@given(_particle_clouds())
+# one particle whose four markers are a canonical ring as listed, or one
+# once rotated: from_points takes its canonical walk
+@example(np.array([[[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]]))
+@example(np.array([[[2.0, 1.0], [0.0, 1.0], [-0.0, -0.0], [2.0, 0.0]]]))
+@example(np.array([[[0.0, 1.0], [-0.0, 1.0]], [[-0.0, 1.0], [0.0, 2.0]]]))
+def test_particle_hull_is_the_hull_of_every_marker_point(markers):
+    s = markers.shape[0]
+    ps = fs.ParticleSet(np.zeros((s, 1, 2)), np.zeros((s, 1)), markers,
+                        np.full(s, 1.0 / s))
+    got = fs.estimate_body_particles(ps)
+    want = ConvexPolygon.from_points(markers.reshape(-1, 2).tolist())
+    # repr tells -0.0 from 0.0
+    assert repr(got.vertices) == repr(want.vertices)
+
+
+def test_kept_headings_are_the_headings_of_the_markers():
+    rng = np.random.default_rng(21)
+    pose = RobotPose(5.0, 5.0, 3.0)
+    sensors = [SensorPose(15.0, 5.0, math.pi)]
+    boxes = [geom2d.translate(ConvexPolygon.box(-0.5, 0.5, -0.5, 0.5),
+                              *place_marker(pose, o)) for o in OFFSETS]
+    ps = fs.init_particles(boxes, [ConvexPolygon.point(*sensors[0].xy)],
+                           [AngleInterval(math.pi, 0.0)], 64, rng)
+    batch = []
+    for pt in [place_marker(pose, o) for o in OFFSETS]:
+        m = measure(sensors[0], SENSOR, pt, 0.0, 0.0, sensor_id=0)
+        batch.append(replace(m, slot=len(batch)))
+
+    def kept(ps):
+        got = fs.particle_headings(ps, SPEC)
+        want = fs._particle_headings(ps.markers, SPEC)
+        return np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    computed = mock.Mock(wraps=fs._particle_headings)
+    for step in range(4):
+        with mock.patch.object(fs, "_particle_headings", computed):
+            ps = fs.predict(ps, Control(0.4, 0.1), ROBOT, OFFSETS, SPEC, rng)
+            ps = fs.resample(fs.weight_update(ps, [batch], (SENSOR,)), rng)
+            fs.heading_interval_particles(ps, SPEC)
+        # once a step: the heading interval's headings serve the next
+        # predict (the first predict reads a set that has none yet)
+        assert computed.call_count == step + 2
+        assert kept(ps)
+    assert kept(fs.predict(ps, Control(0.4, 0.1), ROBOT, OFFSETS, SPEC, rng))
+    assert kept(fs.weight_update(ps, [batch], (SENSOR,)))
+    # a set with other markers starts afresh, and the filter's markers
+    # cannot be edited in place under the headings kept for them
+    mirrored = replace(ps, markers=ps.markers * np.array([1.0, -1.0]))
+    assert kept(mirrored)
+    with pytest.raises(ValueError):
+        ps.markers[0, 0, 0] = 0.0
+
+
 def test_unexplainable_measurement_skipped():
     pose = RobotPose(0.0, 0.0, 0.0)
     sensors = [SensorPose(10.0, 0.0, math.pi)]

@@ -3,8 +3,9 @@
 The shortcuts must not move a single output bit, so every test compares
 exactly (``==`` on float tuples).  The general paths are kept here as they
 were before the shortcuts: the sort-and-chain hull (``_hull_chain`` and
-``_prune``), the sector through that hull, the edge merge with modular
-indices and the angle intersection that deduplicates every list of pieces.
+``_prune``), the sector through that hull where its ring is canonical,
+the edge merge with modular indices and the angle intersection that
+deduplicates every list of pieces.
 """
 
 from __future__ import annotations
@@ -24,18 +25,22 @@ from setloc.geom2d import (EPS_GEOM, TWO_PI, AngleInterval, ConvexPolygon,
 def general_hull(pts):
     """_hull_vertices without the canonical-ring shortcut: the sort-and-chain
     hull."""
-    hull = geom2d._prune(geom2d._hull_chain(pts))
+    hull = geom2d._prune(geom2d._hull_chain(sorted(set(pts))))
     if not hull:
         hull = [min(pts)]
     return geom2d._canonical(hull)
 
 
 def general_sector(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
-    """sector_outer_polygon's ring, hulled by general_hull."""
+    """sector_outer_polygon's ring, hulled by general_hull where the ring is
+    canonical as built; where it is not, or the sector lies within EPS_GEOM
+    of the sensor, the square about the sensor that covers the ring."""
     r_lo, r_hi = rng.lo, rng.hi
     c, w = angle.center, angle.half_width
-    if r_hi <= EPS_GEOM:
+    if r_hi == 0.0:
         return ConvexPolygon.point(0.0, 0.0)
+    if r_hi <= EPS_GEOM:
+        return ConvexPolygon.box(-EPS_GEOM, EPS_GEOM, -EPS_GEOM, EPS_GEOM)
     if w <= 1e-15:
         u = (math.cos(c), math.sin(c))
         return ConvexPolygon.from_points([(r_lo * u[0], r_lo * u[1]),
@@ -51,6 +56,8 @@ def general_sector(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
         pts.append((rc * math.cos(a), rc * math.sin(a)))
     if inner:
         pts.append((r_lo * math.cos(c + w), r_lo * math.sin(c + w)))
+    if geom2d._canonical_ring(pts) is None:
+        return ConvexPolygon.box(-rc, rc, -rc, rc)
     return ConvexPolygon(general_hull(pts))
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from setloc import geom2d
 from setloc.geom2d import (FULL_CIRCLE, TWO_PI, AngleInterval, ConvexPolygon,
-                           wrap_angle)
+                           Interval, wrap_angle)
 
 coord = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False,
                   allow_infinity=False, allow_subnormal=False)
@@ -391,7 +391,7 @@ def test_intersects_sum_agrees_with_intersect_of_the_sum(s, a, b):
 def hull_path(pts) -> ConvexPolygon:
     """What from_points returns through the sort-and-chain hull."""
     return ConvexPolygon(geom2d._canonical(geom2d._prune(geom2d._hull_chain(
-        [(float(x), float(y)) for x, y in pts]))))
+        sorted({(float(x), float(y)) for x, y in pts})))))
 
 
 def rotated(pts, k: int):
@@ -591,11 +591,61 @@ def crowded_arcs(draw):
 @example([AngleInterval(1.0, 0.0)] * 3)
 @example(  # both gaps are 0.7e-12 wide: no start covers short of the cut-off
     [AngleInterval(0.0, math.pi - 1.2e-12), AngleInterval(math.pi, 0.5e-12)])
+# about 100 headings across the seam, with pi and -pi (one start) repeated
+@example([AngleInterval(h, 0.0) for h in
+          [math.pi - 0.02 * k for k in range(45)]
+          + [-math.pi + 0.02 * k for k in range(1, 45)]
+          + [math.pi, -math.pi] * 5])
+@example([AngleInterval(h, 0.0) for h in
+          [math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+           math.nextafter(-math.pi, 0.0), 0.5, -0.5] * 16])
+# a start a few ulps past another, where d / 2*pi underflows to -0.0: the
+# scan puts both starts at one point
+@example([AngleInterval(5e-324, 0.0), AngleInterval(-1e-323, 0.0)] * 4)
 def test_enclose_angles_is_the_full_scan(items):
     # the early exits change no bit of the answer, ties included (repr tells
     # -0.0 from 0.0)
     got = geom2d.enclose_angles(items)
     assert repr(got) == repr(enclose_angles_reference(items))
+
+
+# --- outer polygons of disks and sectors within a few EPS_GEOM -------------
+
+# parts of a radius or a half-width at which sample points are taken: both
+# ends, kept 1e-6 (relative) inside so that rounding of the point cannot
+# put it across the polygon's boundary
+SAMPLE_PARTS = (1e-6, 0.25, 0.5, 0.75, 1.0 - 1e-6)
+tiny_radii = st.one_of(
+    st.sampled_from([2e-9, 1.5e-9, 1e-9, 0.5e-9, 1e-8]),
+    st.floats(min_value=0.0, max_value=1e-8, exclude_min=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_radii, st.floats(min_value=0.0, max_value=0.9),
+       st.one_of(st.sampled_from([1.0, 1.25]),
+                 st.floats(min_value=0.01, max_value=1.5)),
+       st.floats(min_value=-4.0, max_value=4.0),
+       st.sampled_from([4, 8, 16, 32]))
+@example(2e-9, 0.0, 1.0, 1.0, 16)
+@example(2e-9, 0.0, 1.25, 1.0, 16)
+def test_tiny_disks_and_sectors_keep_every_point_at_tol_0(r_hi, lo_part, w,
+                                                          c, k):
+    # a disk or an annular sector of radius at most 1e-8 lies inside its
+    # outer polygon with no tolerance at all: no vertex of it is merged or
+    # dropped as too close to another
+    ball = geom2d.ball_outer_polygon(r_hi, k)
+    sector = geom2d.sector_outer_polygon(AngleInterval(c, w),
+                                         Interval(lo_part * r_hi, r_hi))
+    r_lo = lo_part * r_hi
+    for part in SAMPLE_PARTS:
+        r = r_lo + part * (r_hi - r_lo)
+        for turn in SAMPLE_PARTS:
+            a = c + (2.0 * turn - 1.0) * w
+            q = (r * math.cos(a), r * math.sin(a))
+            assert geom2d.contains(sector, q, tol=0.0), (part, turn)
+            b = turn * TWO_PI
+            q = (part * r_hi * math.cos(b), part * r_hi * math.sin(b))
+            assert geom2d.contains(ball, q, tol=0.0), (part, turn)
 
 
 @st.composite

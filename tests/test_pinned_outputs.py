@@ -92,3 +92,23 @@ def test_parking_variant_outputs_are_pinned(name):
         "geometry.ndjson moved"
     assert sha256(rec.to_csv(include_timings=False)) == metrics_digest, \
         "metrics.csv moved"
+
+
+# the particle filter alone with 1,000 particles, 40 steps at seed 11: the
+# size where the heading cover and the hull of the particles' marker points
+# weigh most in a step.  Taken before the cover stopped scanning every start
+# and the hull stopped going through from_points.
+MANY_PARTICLES = (
+    "b54c26f1ffbf9d135b4931fd5a45fcbe884aff1e3a07bb41ae77c3f8c3e7c0cb",
+    "af8aa675bd5aee9cb7957813ee87bd9767e2013ab944ad64620dba85b68662a9")
+
+
+def test_many_particles_outputs_are_pinned():
+    cfg = replace(scenario.load_builtin("parking"), seed=11,
+                  estimators="fastslam", fastslam_particles=1000)
+    rec = scenario.simulate_run(cfg, steps=40, record_geometry=True)
+    metrics_digest, geometry_digest = MANY_PARTICLES
+    assert sha256("\n".join(rec.geometry) + "\n") == geometry_digest, \
+        "geometry.ndjson moved"
+    assert sha256(rec.to_csv(include_timings=False)) == metrics_digest, \
+        "metrics.csv moved"
