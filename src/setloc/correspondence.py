@@ -81,38 +81,49 @@ def enumerate_assignments(c: CandidateMatrix,
                           cap: int = DEFAULT_ASSIGNMENT_CAP) -> list[Assignment]:
     """All injective row->column selections consistent with the matrix.
 
-    Search visits rows in ascending candidate count to keep branching low;
-    raising on cap overflow (rather than truncating) preserves the guarantee
-    that the true assignment is among the results.
+    A matrix with one candidate per row, all distinct, has the one
+    assignment that picks them, returned without a search.  Otherwise the
+    search visits rows in ascending candidate count to keep branching low;
+    raising on cap overflow (rather than truncating) preserves the
+    guarantee that the true assignment is among the results.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     n_rows = c.n_rows
     if n_rows == 0:
         return [()]
+    if all(row.count(True) == 1 for row in c.rows):
+        only = tuple(row.index(True) for row in c.rows)
+        if len(set(only)) == n_rows:
+            return [only]
     order = sorted(range(n_rows), key=lambda q: sum(c.rows[q]))
     results: list[Assignment] = []
-    chosen = [-1] * n_rows
-    used = [False] * c.n_cols
-
-    def descend(depth: int) -> None:
-        if depth == n_rows:
-            if len(results) >= cap:
-                raise CapExceeded(f"more than {cap} correspondence solutions")
-            results.append(tuple(chosen))
-            return
-        q = order[depth]
-        for j, ok in enumerate(c.rows[q]):
-            if ok and not used[j]:
-                used[j] = True
-                chosen[q] = j
-                descend(depth + 1)
-                used[j] = False
-        chosen[q] = -1
-
-    descend(0)
+    _descend(c.rows, order, 0, [-1] * n_rows, [False] * c.n_cols, results,
+             cap)
     results.sort()
     return results
+
+
+def _descend(rows: Sequence[Sequence[bool]], order: Sequence[int], depth: int,
+             chosen: list[int], used: list[bool], results: list[Assignment],
+             cap: int) -> None:
+    """Extend the selection of rows order[:depth] (chosen, with the used
+    columns) by every free candidate of the next row, appending each full
+    selection to results.  A module function, not a closure, so a call
+    leaves no reference cycle that would keep the matrix alive."""
+    if depth == len(order):
+        if len(results) >= cap:
+            raise CapExceeded(f"more than {cap} correspondence solutions")
+        results.append(tuple(chosen))
+        return
+    q = order[depth]
+    for j, ok in enumerate(rows[q]):
+        if ok and not used[j]:
+            used[j] = True
+            chosen[q] = j
+            _descend(rows, order, depth + 1, chosen, used, results, cap)
+            used[j] = False
+    chosen[q] = -1
 
 
 def markers_with_certain_measurement(assignments: Sequence[Assignment],

@@ -178,59 +178,32 @@ def bearing_cone_too_wide(model: SensorModel, theta: AngleInterval) -> bool:
     return model.eps_bearing + theta.half_width >= math.pi / 2.0
 
 
+# a measurement's cone and radii, as sensing.measurement_cone gives them
+Cone = tuple[AngleInterval, Interval]
+
+
 def _sectors(batch: Sequence[Measurement], model: SensorModel,
-             theta: AngleInterval) -> tuple[ConvexPolygon, ...]:
-    """Each measurement's sector of marker positions seen from the sensor,
+             theta: AngleInterval
+             ) -> tuple[tuple[Cone, ...], tuple[ConvexPolygon, ...]]:
+    """Each measurement's cone and radii (sensing.measurement_cone) and its
+    sector of marker positions seen from the sensor, built from that cone,
     under the sensor orientation interval theta."""
-    return tuple(sensing.feasible_marker_region(
+    cones = tuple(sensing.measurement_cone(
         m.bearing, m.range, model, theta.center, theta.half_width)
         for m in batch)
+    return cones, tuple(geom2d.sector_outer_polygon(*c) for c in cones)
 
 
-def _keeps_orientation(theta: AngleInterval, sensor_xy: ConvexPolygon,
-                       markers: Sequence[ConvexPolygon],
-                       pairs: Iterable[tuple[int, int]],
-                       batch: Sequence[Measurement], eps_bearing: float) -> bool:
-    """Whether the orientation phase is sure to return theta itself, to the
-    last bit, for the (slot, marker) pairs of the hypotheses.
-
-    The inner disks of the sensor set (centre s0) and of a marker set
-    (centre m0) give an arc of directions inside that pair's bearing span,
-    atan2(m0 - s0) +- asin((rho_M + rho_S) / |m0 - s0|).  When that arc,
-    less the slot's bearing and widened by eps_bearing, holds theta for
-    every pair, every candidate interval holds theta, and so do their
-    intersections, their enclosing arc and its intersection with theta.
-    A guard from the outer radii keeps every candidate half-width below
-    pi/2, so no intersection splits in two (which would count a degenerate
-    intersection).  Each bound keeps a margin above the rounding of the
-    exact phase, which grows as the sets near each other.
-    """
-    disk = sensor_xy.inner_disk
+def _centre(p: ConvexPolygon) -> tuple[float, float, float]:
+    """(x, y, rho): a disk of radius rho about (x, y) inside p.  Its inner
+    disk where it has one, else the vertex mean with radius 0: a point of
+    p (the midpoint of a segment) up to the rounding of the mean."""
+    disk = p.inner_disk
     if disk is None:
-        return False
-    sx, sy, rho_s = disk
-    out_s = _outer_radius(sensor_xy, sx, sy)
-    for q, j in pairs:
-        marker = markers[j]
-        disk = marker.inner_disk
-        if disk is None:
-            return False
-        mx, my, rho_m = disk
-        dx, dy = mx - sx, my - sy
-        d = math.hypot(dx, dy)
-        gap = d - out_s - _outer_radius(marker, mx, my)
-        if gap <= 0.0:
-            return False
-        scale = max(map(abs, sensor_xy.bbox + marker.bbox))
-        margin = geom2d.INNER_MARGIN * (1.0 + scale / gap)
-        if math.asin(1.0 - gap / d) + eps_bearing >= 0.5 * math.pi - 2.0 * margin:
-            return False
-        off = abs(geom2d.wrap_angle(math.atan2(dy, dx) - batch[q].bearing
-                                    - theta.center))
-        if off + theta.half_width + margin > \
-                math.asin((rho_s + rho_m) / d) + eps_bearing:
-            return False
-    return True
+        v = p.vertices
+        disk = (sum(x for x, _ in v) / len(v), sum(y for _, y in v) / len(v),
+                0.0)
+    return disk
 
 
 def _outer_radius(p: ConvexPolygon, cx: float, cy: float) -> float:
@@ -240,42 +213,100 @@ def _outer_radius(p: ConvexPolygon, cx: float, cy: float) -> float:
     return math.hypot(max(cx - x0, x1 - cx), max(cy - y0, y1 - cy))
 
 
-def _keeps_position(sensor_xy: ConvexPolygon, marker: ConvexPolygon,
-                    cone: AngleInterval, radii: Interval) -> bool:
-    """Whether sum_boundary(marker, -sector).clip(sensor_xy) is sure to
-    return sensor_xy itself, for the sector of cone and radii.
-
-    It is when every vertex of the sensor set lies in the marker's inner
-    disk plus the reflected inner rectangle of the sector
-    (geom2d.sector_inner_rectangle), a subset of marker - sector, with a
-    margin for the rounding of the clip: then no support line of the sum
-    cuts the set.
-    The rectangle's inner radius is radii.lo, or where that is 0 (an
-    angle-only sensor), the least reach of the vertices along the axis.
-    """
-    disk = marker.inner_disk
-    if disk is None:
+def _within_reach(cone: AngleInterval, radii: Interval,
+                  points: Sequence[tuple[float, float]], slack: float,
+                  reach: float) -> bool:
+    """Whether every point (u, v), and every point within slack of one,
+    lies within reach of the sector's inner rectangle
+    (geom2d.sector_inner_rectangle) in the sector's frame.  The
+    rectangle's inner radius is radii.lo, or where that is 0 (an
+    angle-only sensor) the least u less slack."""
+    reach -= slack
+    if reach <= 0.0:
         return False
-    mx, my, rho = disk
-    c, s = math.cos(cone.center), math.sin(cone.center)
-    # each vertex's offset to the disk centre, in the sector's frame
-    offsets = [((mx - x) * c + (my - y) * s, (my - y) * c - (mx - x) * s)
-               for x, y in sensor_xy.vertices]
     rect = geom2d.sector_inner_rectangle(
-        cone, radii, radii.lo or min(u for u, _ in offsets))
+        cone, radii, radii.lo or min(u for u, _ in points) - slack)
     if rect is None:
         return False
     u_lo, u_hi, h = rect
-    reach = rho - geom2d.INNER_MARGIN * (
-        max(map(abs, sensor_xy.bbox + marker.bbox)) + radii.hi)
-    if reach <= 0.0:
-        return False
-    for u, v in offsets:
+    for u, v in points:
         du = max(u_lo - u, u - u_hi, 0.0)
         dv = max(abs(v) - h, 0.0)
         if du * du + dv * dv > reach * reach:
             return False
     return True
+
+
+def _settle(theta: AngleInterval, sensor_xy: ConvexPolygon,
+            markers: Sequence[ConvexPolygon],
+            pairs: Iterable[tuple[int, int]], batch: Sequence[Measurement],
+            cones: Sequence[Cone], eps_bearing: float
+            ) -> tuple[bool, set[tuple[int, int]]]:
+    """One pass over the (slot, marker) pairs of a batch's hypotheses, by
+    inner bounds (set inversion's inner test): whether the orientation
+    phase is sure to return theta itself, to the last bit, and the pairs
+    whose position clip, sum_boundary(marker, -sector).clip(sensor_xy), is
+    sure to return sensor_xy itself, for the sectors of cones.
+
+    Each set is a disk about its centre (_centre), inside it, and a radius
+    about that centre that holds it (_outer_radius); a point or a segment
+    is a disk of radius 0 about its midpoint.  Per pair the offset m0 - s0
+    between the centres and the coordinate scale serve both bounds.
+
+    Orientation: the two disks give an arc of directions inside the pair's
+    bearing span, atan2(m0 - s0) +- asin((rho_M + rho_S) / |m0 - s0|).
+    When that arc, less the slot's bearing and widened by eps_bearing,
+    holds theta for every pair, every candidate interval holds theta, and
+    so do their intersections, their enclosing arc and its intersection
+    with theta.  A guard from the outer radii keeps every candidate
+    half-width below pi/2, so no intersection splits in two (which would
+    count a degenerate intersection).
+
+    Position: when every point of the sensor set lies in the marker's
+    inner disk plus the reflected inner rectangle of the sector, a subset
+    of marker - sector, no support line of that sum cuts the set.  This
+    is tried for the sensor set's outer disk, and where that declines for
+    its vertices.
+
+    Each bound keeps a margin above the rounding of the exact phase, which
+    grows as the sets near each other.
+    """
+    sx, sy, rho_s = _centre(sensor_xy)
+    out_s = _outer_radius(sensor_xy, sx, sy)
+    scale_s = max(map(abs, sensor_xy.bbox))
+    keeps_theta = True
+    kept = set()
+    for q, j in pairs:
+        marker = markers[j]
+        mx, my, rho_m = _centre(marker)
+        dx, dy = mx - sx, my - sy
+        scale = max(scale_s, *map(abs, marker.bbox))
+        if keeps_theta:
+            d = math.hypot(dx, dy)
+            gap = d - out_s - _outer_radius(marker, mx, my)
+            if gap > 0.0:
+                margin = geom2d.INNER_MARGIN * (1.0 + scale / gap)
+                off = abs(geom2d.wrap_angle(math.atan2(dy, dx)
+                                            - batch[q].bearing - theta.center))
+                keeps_theta = (
+                    math.asin(1.0 - gap / d) + eps_bearing
+                    < 0.5 * math.pi - 2.0 * margin
+                    and off + theta.half_width + margin
+                    <= math.asin((rho_s + rho_m) / d) + eps_bearing)
+            else:
+                keeps_theta = False
+        cone, radii = cones[q]
+        c, s = math.cos(cone.center), math.sin(cone.center)
+        reach = rho_m - geom2d.INNER_MARGIN * (scale + radii.hi)
+        # the marker centre's offset to the sensor centre, and then to each
+        # vertex, in the sector's frame
+        if _within_reach(cone, radii, [(dx * c + dy * s, dy * c - dx * s)],
+                         out_s, reach) or out_s > 0.0 and _within_reach(
+                cone, radii, [((mx - x) * c + (my - y) * s,
+                               (my - y) * c - (mx - x) * s)
+                              for x, y in sensor_xy.vertices], 0.0, reach):
+            kept.add((q, j))
+    return keeps_theta, kept
 
 
 def _narrow_orientation(theta: AngleInterval, sensor_xy: ConvexPolygon,
@@ -285,11 +316,7 @@ def _narrow_orientation(theta: AngleInterval, sensor_xy: ConvexPolygon,
                         sensor: int) -> AngleInterval:
     """The orientation phase: each hypothesis intersects one interval per
     matched measurement; the union over hypotheses must still cover the
-    truth.  theta itself when _keeps_orientation settles it."""
-    if _keeps_orientation(theta, sensor_xy, markers,
-                          {(q, j) for a in assigns for q, j in enumerate(a)},
-                          batch, eps_bearing):
-        return theta
+    truth."""
     # directions from the sensor set to each matched marker set: the arc
     # of marker + (-sensor), with the sensor set reflected once per set
     sensor_back = sensor_xy.reflection
@@ -320,32 +347,24 @@ def _narrow_orientation(theta: AngleInterval, sensor_xy: ConvexPolygon,
 
 
 def _narrow_position(sensor_xy: ConvexPolygon, markers: Sequence[ConvexPolygon],
-                     batch: Sequence[Measurement], sectors: Sequence[ConvexPolygon],
-                     assigns: Sequence[Assignment], model: SensorModel,
-                     theta: AngleInterval, sensor: int) -> ConvexPolygon:
+                     sectors: Sequence[ConvexPolygon],
+                     assigns: Sequence[Assignment],
+                     kept: set[tuple[int, int]], sensor: int) -> ConvexPolygon:
     """The position phase: per hypothesis, clip the sensor set by every
     matched marker set plus the reflected sector (the sensor positions that
     see the marker there), then hull the union over hypotheses.  While a
-    hypothesis's region is still the sensor set, a pair that
-    _keeps_position settles is not clipped, and its sector not reflected.
-    Each (slot, marker) pair's sum boundary is built once, for the first
+    hypothesis's region is still the sensor set, a pair in kept (settled by
+    _settle) is not clipped, and its sector not reflected.  Each
+    (slot, marker) pair's sum boundary is built once, for the first
     hypothesis that clips by it."""
     backs: dict[int, ConvexPolygon] = {}
     bounds: dict[tuple[int, int], geom2d.SumBoundary] = {}
-    kept: dict[tuple[int, int], bool] = {}
     xy_options = []
     for a in assigns:
         region = sensor_xy
         for q, j in enumerate(a):
-            if region is sensor_xy:
-                if (q, j) not in kept:
-                    m = batch[q]
-                    kept[q, j] = _keeps_position(
-                        sensor_xy, markers[j], *sensing.measurement_cone(
-                            m.bearing, m.range, model, theta.center,
-                            theta.half_width))
-                if kept[q, j]:
-                    continue
+            if region is sensor_xy and (q, j) in kept:
+                continue
             bound = bounds.get((q, j))
             if bound is None:
                 if q not in backs:
@@ -377,10 +396,11 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
     using only sensors that measured a marker under every hypothesis.  A
     sensor whose bearing cone is too wide (bearing_cone_too_wide) is skipped.
 
-    Before a phase builds any sum, inner bounds may show that it would
-    return the predicted orientation or position set (_keeps_orientation,
-    _keeps_position); it then returns that value without the work, so the
-    result is the same to the last bit.
+    Before a phase builds any sum, one pass of inner bounds over the
+    batch's (slot, marker) pairs (_settle) may show that it would return
+    the predicted orientation, or that a pair's clip would return the
+    predicted position set; the phase, or the clip, is then skipped, so
+    the result is the same to the last bit.
     """
     n_markers = len(predicted.markers)
     sensor_theta = list(predicted.sensor_theta)
@@ -395,38 +415,49 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
         theta = predicted.sensor_theta[i]
         if bearing_cone_too_wide(model, theta):
             continue
-        sectors = _sectors(batch, model, theta)
+        xy = predicted.sensor_xy[i]
+        cones, sectors = _sectors(batch, model, theta)
         cmat = correspondence.build_candidate_matrix(
-            sectors, predicted.markers, predicted.sensor_xy[i], sensor_id=i)
+            sectors, predicted.markers, xy, sensor_id=i)
         assigns = correspondence.enumerate_assignments(cmat, models.assignment_cap)
         if not assigns:
             raise EmptySetFault("no consistent correspondence", sensor=i)
+        pairs = {(q, j) for a in assigns for q, j in enumerate(a)}
+        theta_kept, kept = _settle(theta, xy, predicted.markers, pairs, batch,
+                                   cones, model.eps_bearing)
 
-        new_theta = _narrow_orientation(
-            theta, predicted.sensor_xy[i], predicted.markers, batch, assigns,
-            model.eps_bearing, i)
-        sensor_theta[i] = new_theta
-
-        # the position and marker phases use the sectors under the new
-        # orientation interval
-        if new_theta != theta:
-            sectors = _sectors(batch, model, new_theta)
-        sensor_xy[i] = _narrow_position(
-            predicted.sensor_xy[i], predicted.markers, batch, sectors, assigns,
-            model, new_theta, i)
+        if not theta_kept:
+            new_theta = _narrow_orientation(
+                theta, xy, predicted.markers, batch, assigns,
+                model.eps_bearing, i)
+            sensor_theta[i] = new_theta
+            # the position and marker phases use the sectors under the new
+            # orientation interval, and so do the position decisions
+            if new_theta != theta:
+                cones, sectors = _sectors(batch, model, new_theta)
+                kept = _settle(new_theta, xy, predicted.markers, pairs, batch,
+                               cones, model.eps_bearing)[1]
+        # with every pair kept the phase would return simplify_outer(xy),
+        # which is xy itself because a predicted sensor set (an initial set
+        # or the output of an earlier update) has at most V_MAX vertices;
+        # a larger one still goes through the phase
+        if len(kept) < len(pairs) or xy.n > geom2d.V_MAX:
+            sensor_xy[i] = _narrow_position(xy, predicted.markers, sectors,
+                                            assigns, kept, i)
 
         per_sensor.append((i, assigns, sectors, cmat.boundaries))
 
     # markers: only sensors certain to have measured marker j may narrow it,
     # to the sensor set plus the sector (or the hull of the sectors) of the
-    # slots that measured it.  Where the position and orientation phases
+    # slots that measured it, read from the hypotheses (one slot where
+    # there is one hypothesis).  Where the position and orientation phases
     # kept the very sensor set and sector the candidate matrix summed, its
     # boundary of that sum is the one to clip by.
     markers = list(predicted.markers)
     for i, assigns, sectors, boundaries in per_sensor:
-        certain = correspondence.markers_with_certain_measurement(assigns, n_markers)
-        for j in certain:
-            slots = sorted({q for a in assigns for q, jj in enumerate(a) if jj == j})
+        for j in correspondence.markers_with_certain_measurement(assigns,
+                                                                 n_markers):
+            slots = sorted({a.index(j) for a in assigns})
             cone = sectors[slots[0]] if len(slots) == 1 else \
                 geom2d.convex_hull([sectors[q] for q in slots])
             boundary = boundaries[slots[0]]

@@ -266,7 +266,9 @@ def heading_interval_particles(ps: ParticleSet,
                                spec: RigidBodySpec) -> AngleInterval:
     """Smallest arc containing every particle's implied heading.  Only the
     distinct headings are enclosed, in first-occurrence order, which gives
-    the same arc (enclose_angles keeps the first of equally good starts)."""
+    the same arc (enclose_spans keeps the first of equally good starts).
+    Each is a zero-width span starting at its wrapped heading, the start
+    AngleInterval(h, 0.0) would give."""
     headings = dict.fromkeys(particle_headings(ps, spec).tolist())
-    arcs = [AngleInterval(h, 0.0) for h in headings]
-    return geom2d.enclose_angles(arcs)
+    return geom2d.enclose_spans([geom2d.wrap_angle(h) for h in headings],
+                                [0.0] * len(headings))

@@ -197,7 +197,19 @@ def intersect_angles(a: AngleInterval, b: AngleInterval) -> AngleInterval | None
 
 
 def enclose_angles(arcs: Sequence[AngleInterval]) -> AngleInterval:
-    """Smallest arc covering the union of the given arcs.
+    """Smallest arc covering the union of the given arcs: enclose_spans of
+    their starts (a.lo) and widths, written out."""
+    if not arcs:
+        raise ValueError("enclose_angles needs at least one interval")
+    halves = [a.half_width for a in arcs]
+    return enclose_spans([wrap_angle(a.center - h) for a, h in zip(arcs, halves)],
+                         [2.0 * h for h in halves])
+
+
+def enclose_spans(los: Sequence[float], widths: Sequence[float]
+                  ) -> AngleInterval:
+    """Smallest arc covering the arcs that start at los (each in (-pi, pi])
+    and span widths (each in [0, 2*pi]); at least one arc.
 
     The answer is the full scan's to the last bit: each arc's start is tried
     as the start of the cover, a start's need is its largest reach (the
@@ -207,16 +219,11 @@ def enclose_angles(arcs: Sequence[AngleInterval]) -> AngleInterval:
     of the least need the first in input order wins.  Only the starts that
     _cover_starts picks are scanned (every start of up to four arcs, where
     that is cheaper than sorting), in input order, and each scan stops at
-    the first reach that gets to the best width so far.
+    the first reach that gets to the best width so far.  A width of
+    2*pi - 2e-12 or more (a full arc) gives the full circle.
     """
-    if not arcs:
-        raise ValueError("enclose_angles needs at least one interval")
-    halves = [a.half_width for a in arcs]
-    if max(halves) >= math.pi - 1e-12:    # some a.is_full
+    if max(widths) >= TWO_PI - 2e-12:
         return FULL_CIRCLE
-    # a.lo and a.width, written out
-    los = [wrap_angle(a.center - h) for a, h in zip(arcs, halves)]
-    widths = [2.0 * h for h in halves]
     spans = list(zip(los, widths))
     best_width = math.inf
     best_start = 0.0
@@ -244,7 +251,7 @@ def enclose_angles(arcs: Sequence[AngleInterval]) -> AngleInterval:
 
 def _cover_starts(los: list[float], widths: list[float]) -> list[int]:
     """The indices, ascending, of the arc starts (wrapped into (-pi, pi])
-    that can start enclose_angles' cover; one sort, O(S log S) unless many
+    that can start enclose_spans' cover; one sort, O(S log S) unless many
     starts tie within 1e-9.
 
     A start's need is 2*pi less the uncovered gap in front of it, so one
@@ -1048,6 +1055,9 @@ def sector_outer_polygon(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
     and cut the sector, so the square about the sensor that covers the
     ring's radius is returned instead.  A sector of radius up to EPS_GEOM
     is the square of half side EPS_GEOM, and one of radius 0 the origin.
+    One of half-width up to 1e-15 is the segment between its radii, or
+    where the hull would merge its two ends, the box about them grown by
+    EPS_GEOM.
     """
     if angle.half_width >= math.pi / 2.0:
         raise ValueError(f"sector half-width {angle.half_width:.4f} >= pi/2")
@@ -1060,9 +1070,15 @@ def sector_outer_polygon(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
         return (_square(EPS_GEOM) if r_hi > 0.0
                 else ConvexPolygon.point(0.0, 0.0))
     if w <= 1e-15:
-        u = (math.cos(c), math.sin(c))
-        return ConvexPolygon.from_points([(r_lo * u[0], r_lo * u[1]),
-                                          (r_hi * u[0], r_hi * u[1])])
+        ux, uy = math.cos(c), math.sin(c)
+        ends = [(r_lo * ux, r_lo * uy), (r_hi * ux, r_hi * uy)]
+        seg = ConvexPolygon.from_points(ends)
+        if seg.n == 2 or ends[0] == ends[1]:
+            return seg
+        # the hull merged ends closer than EPS_GEOM: the box about them
+        (x0, y0), (x1, y1) = ends
+        return ConvexPolygon.box(min(x0, x1) - EPS_GEOM, max(x0, x1) + EPS_GEOM,
+                                 min(y0, y1) - EPS_GEOM, max(y0, y1) + EPS_GEOM)
     m = max(2, math.ceil(2.0 * w / _SECTOR_MAX_STEP))
     step = 2.0 * w / m
     rc = r_hi / math.cos(0.5 * step)

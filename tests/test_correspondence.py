@@ -1,9 +1,12 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from setloc import correspondence
 from setloc.correspondence import (CandidateMatrix, CapExceeded,
                                    InconsistentBatch, build_candidate_matrix,
                                    enumerate_assignments,
@@ -126,6 +129,37 @@ def test_enumerate_matches_brute_force_random():
         cmat = CandidateMatrix(rows)
         assert enumerate_assignments(cmat, cap=5000) == \
             brute_force_assignments(rows)
+
+
+def test_one_candidate_per_row_is_one_assignment_without_a_search(
+        monkeypatch):
+    def search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(correspondence, "_descend", search)
+    rows = ((False, False, True, False), (True, False, False, False),
+            (False, False, False, True))
+    assert enumerate_assignments(CandidateMatrix(rows), cap=1) == [(2, 0, 3)]
+    assert brute_force_assignments(rows) == [(2, 0, 3)]
+    # two rows with the same one candidate are left to the search
+    with pytest.raises(AssertionError, match="searched"):
+        enumerate_assignments(CandidateMatrix(((True, False), (True, False))))
+
+
+def test_enumeration_leaves_no_cycle_holding_the_matrix():
+    # with the cyclic collector off, a matrix is freed as soon as the caller
+    # drops it, whether the search ran on it or not
+    gc.disable()
+    try:
+        for rows in (((True, True, False), (True, True, True)),
+                     ((False, True), (True, False))):
+            cmat = CandidateMatrix(rows)
+            ref = weakref.ref(cmat)
+            assert enumerate_assignments(cmat)
+            del cmat
+            assert ref() is None, rows
+    finally:
+        gc.enable()
 
 
 def test_cap_exceeded():

@@ -457,30 +457,35 @@ def test_update_builds_sectors_again_only_when_the_orientation_narrows(
     # update builds each measurement's sector under the predicted orientation
     # for the candidate matrix, and a second time, for the position and
     # marker phases, only when the orientation interval narrows: an exact
-    # orientation cannot narrow, a 0.3 rad half-width does; no sensor sector
-    # is built at all
+    # orientation cannot narrow, a 0.3 rad half-width does; each build
+    # computes the measurement's cone once, and no sensor sector is built
+    # at all
     rng = np.random.default_rng(3)
     pose = RobotPose(5.0, 3.0, 0.7)
     sensors = [SensorPose(0.0, 0.0, 0.2), SensorPose(12.0, -1.0, 2.0)]
     state = boxed_state(rng, pose, sensors, 0.3, 0.05, theta_half)
     models = EstimatorModels(ROBOT, OFFSETS, (PANORAMIC, PANORAMIC))
     batches = world_measurements(rng, pose, sensors, (PANORAMIC, PANORAMIC))
-    calls = {"feasible_marker_region": 0, "feasible_sensor_region": 0}
+    calls = {"sector_outer_polygon": 0, "measurement_cone": 0,
+             "feasible_marker_region": 0, "feasible_sensor_region": 0}
     for name in calls:
-        real = getattr(sensing, name)
+        owner = geom2d if name == "sector_outer_polygon" else sensing
+        real = getattr(owner, name)
 
         def counted(*args, _real=real, _name=name):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(sensing, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     out = update(state, batches, models)
     assert all(b for b in batches)
     assert [new != old for new, old in zip(out.sensor_theta,
                                            state.sensor_theta)] == \
         [builds == 2] * len(sensors)
-    assert calls == {"feasible_marker_region": builds * sum(map(len, batches)),
-                     "feasible_sensor_region": 0}
+    sectors = builds * sum(map(len, batches))
+    assert calls == {"sector_outer_polygon": sectors,
+                     "measurement_cone": sectors,
+                     "feasible_marker_region": 0, "feasible_sensor_region": 0}
     assert_containment(out, pose, sensors)
 
 
@@ -493,7 +498,7 @@ def test_feasibility_and_bearing_spans_build_no_polygon(monkeypatch):
     sensors = [SensorPose(0.0, 0.0, 0.2), SensorPose(12.0, -1.0, 2.0)]
     state = boxed_state(rng, pose, sensors, 0.3, 0.05, 0.0)
     batches = world_measurements(rng, pose, sensors, (PANORAMIC, PANORAMIC))
-    sectors = [est._sectors(batch, PANORAMIC, theta)
+    sectors = [est._sectors(batch, PANORAMIC, theta)[1]
                for batch, theta in zip(batches, state.sensor_theta)]
     assert all(p.n >= 3 for p in (*state.markers, *state.sensor_xy,
                                   *sectors[0], *sectors[1]))

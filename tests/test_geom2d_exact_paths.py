@@ -34,7 +34,9 @@ def general_hull(pts):
 def general_sector(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
     """sector_outer_polygon's ring, hulled by general_hull where the ring is
     canonical as built; where it is not, or the sector lies within EPS_GEOM
-    of the sensor, the square about the sensor that covers the ring."""
+    of the sensor, the square about the sensor that covers the ring.  A
+    segment sector whose ends the hull merges is the box about its ends
+    grown by EPS_GEOM."""
     r_lo, r_hi = rng.lo, rng.hi
     c, w = angle.center, angle.half_width
     if r_hi == 0.0:
@@ -43,8 +45,14 @@ def general_sector(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
         return ConvexPolygon.box(-EPS_GEOM, EPS_GEOM, -EPS_GEOM, EPS_GEOM)
     if w <= 1e-15:
         u = (math.cos(c), math.sin(c))
-        return ConvexPolygon.from_points([(r_lo * u[0], r_lo * u[1]),
-                                          (r_hi * u[0], r_hi * u[1])])
+        (x0, y0), (x1, y1) = ends = [(r_lo * u[0], r_lo * u[1]),
+                                     (r_hi * u[0], r_hi * u[1])]
+        seg = ConvexPolygon.from_points(ends)
+        if seg.n == 1 and ends[0] != ends[1]:
+            return ConvexPolygon.box(
+                min(x0, x1) - EPS_GEOM, max(x0, x1) + EPS_GEOM,
+                min(y0, y1) - EPS_GEOM, max(y0, y1) + EPS_GEOM)
+        return seg
     m = max(2, math.ceil(2.0 * w / geom2d._SECTOR_MAX_STEP))
     step = 2.0 * w / m
     rc = r_hi / math.cos(0.5 * step)

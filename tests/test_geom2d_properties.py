@@ -609,6 +609,21 @@ def test_enclose_angles_is_the_full_scan(items):
     assert repr(got) == repr(enclose_angles_reference(items))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.sampled_from([math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+                     math.nextafter(-math.pi, 0.0), 0.0, -0.0])),
+    min_size=1, max_size=120))
+def test_zero_width_spans_are_enclosed_as_their_arcs(headings):
+    # the particle filter passes its wrapped headings as the starts of
+    # zero-width spans: the answer is that of their arcs to the last bit
+    got = geom2d.enclose_spans([geom2d.wrap_angle(h) for h in headings],
+                               [0.0] * len(headings))
+    want = geom2d.enclose_angles([AngleInterval(h, 0.0) for h in headings])
+    assert repr(got) == repr(want)
+
+
 # --- outer polygons of disks and sectors within a few EPS_GEOM -------------
 
 # parts of a radius or a half-width at which sample points are taken: both
@@ -646,6 +661,23 @@ def test_tiny_disks_and_sectors_keep_every_point_at_tol_0(r_hi, lo_part, w,
             b = turn * TWO_PI
             q = (part * r_hi * math.cos(b), part * r_hi * math.sin(b))
             assert geom2d.contains(ball, q, tol=0.0), (part, turn)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e3)),
+       st.floats(min_value=0.0, max_value=1e-8),
+       st.floats(min_value=-4.0, max_value=4.0),
+       st.sampled_from([0.0, 1e-16, 1e-15]))
+@example(1.0, 5e-10, 0.3, 0.0)
+@example(1.0, 5e-10, 0.0, 0.0)
+def test_segment_sectors_keep_both_ends_at_tol_0(r_lo, gap, c, w):
+    # a sector of half-width up to 1e-15 is a segment; where its radii are
+    # closer than EPS_GEOM, both of its ends still lie in it at tol 0
+    cone = AngleInterval(c, w)
+    sector = geom2d.sector_outer_polygon(cone, Interval(r_lo, r_lo + gap))
+    u = (math.cos(cone.center), math.sin(cone.center))
+    for r in (r_lo, r_lo + gap):
+        assert geom2d.contains(sector, (r * u[0], r * u[1]), tol=0.0), r
 
 
 @st.composite

@@ -1,12 +1,13 @@
-"""Property tests: the inner-bound tests that settle update's phases.
+"""Property tests: the inner-bound pass that settles update's phases.
 
-``estimator.update`` skips its orientation phase when ``_keeps_orientation``
-shows that the phase would return the predicted interval, and a position
-clip when ``_keeps_position`` shows that it would return the predicted set.
-Both rest on inner bounds: ``ConvexPolygon.inner_disk`` and
-``geom2d.sector_inner_rectangle``, which must lie inside their sets at
-tol = 0.  Whenever a test passes, the exact phase must return the predicted
-value: the equal interval, without a degenerate angle intersection, or the
+``estimator.update`` makes one pass over each batch's (slot, marker) pairs,
+``_settle``; it skips the orientation phase when the pass shows that the
+phase would return the predicted interval, and a position clip when it
+shows that the clip would return the predicted set.  Both rest on inner
+bounds: ``ConvexPolygon.inner_disk`` (or the midpoint of a point or segment)
+and ``geom2d.sector_inner_rectangle``, which must lie inside their sets at
+tol = 0.  Whenever the pass keeps a value, the exact phase must return it:
+the equal interval, without a degenerate angle intersection, or the
 predicted set itself.
 """
 
@@ -145,7 +146,7 @@ def test_sector_rectangle_needs_room():
     assert 36.0 - 1e-6 < u_hi ** 2 + h ** 2 < 36.0
 
 
-# --- a passing test concludes what the exact phase returns ------------------
+# --- a kept value is what the exact phase returns ---------------------------
 
 
 # marker radii as shares of the distance: mostly clear of the sensor set
@@ -154,21 +155,28 @@ radius_shares = st.one_of(st.floats(0.0, 0.6), st.floats(0.0, 1.2))
 
 @st.composite
 def orientation_cases(draw):
-    """A sensor set, matched marker sets and the hypotheses of a batch that
+    """A sensor set (a polygon, a disk, a point or a segment), matched
+    marker sets, the sensor model and the hypotheses of a batch that
     measured them under an orientation inside theta, within the bearing
-    noise: mostly cases the test can settle, some near its bounds."""
+    noise: mostly cases the pass can settle, some near its bounds; with
+    two or more markers, sometimes a second hypothesis that swaps the
+    first two."""
     s = draw(st.sampled_from([1e-6, 1e-3, 1.0, 30.0, 1e3]))
     ox, oy = draw(offsets), draw(offsets)
     sensor = draw(st.one_of(
-        polygons(min_size=3),
-        st.builds(lambda r: ring(ox, oy, r * s), st.floats(0.001, 0.2))))
+        polygons(min_size=3), polygons(),
+        st.builds(lambda r: ring(ox, oy, r * s), st.floats(0.001, 0.2)),
+        st.builds(lambda a, b: ConvexPolygon.from_points(
+            [(ox, oy), (ox + 0.2 * s * a, oy + 0.2 * s * b)]), unit, unit)))
     n = draw(st.integers(1, 3))
     markers, batch = [], []
     theta = AngleInterval(draw(st.floats(-math.pi, math.pi)),
                           draw(st.floats(0.0, 0.3)))
-    eps_bearing = draw(st.floats(0.0, 1.2))
-    assume(not est.bearing_cone_too_wide(SensorModel(ANGLE_ONLY, eps_bearing),
-                                         theta))
+    kind = draw(st.sampled_from([ANGLE_ONLY, ANGLE_RANGE]))
+    model = SensorModel(kind, draw(st.floats(0.0, 1.2)),
+                        s * draw(st.floats(0.0, 0.5)),
+                        max_range=s * draw(st.floats(0.5, 4.0)))
+    assume(not est.bearing_cone_too_wide(model, theta))
     sx, sy = sensor.vertices[0]
     for _ in range(n):
         d = s * draw(st.floats(0.05, 3.0))
@@ -177,44 +185,86 @@ def orientation_cases(draw):
         markers.append(ring(mx, my, d * draw(radius_shares),
                             draw(st.sampled_from([4, 5, 16]))))
         orientation = theta.center + theta.half_width * draw(unit)
-        noise = eps_bearing * draw(st.floats(-1.3, 1.3))
+        noise = model.eps_bearing * draw(st.floats(-1.3, 1.3))
+        r = max(0.0, d + model.eps_range * draw(st.floats(-1.3, 1.3)))
         batch.append(Measurement(geom2d.wrap_angle(a - orientation + noise),
-                                 None))
+                                 r if kind == ANGLE_RANGE else None))
     hypotheses = [tuple(range(n))]
     if n >= 2 and draw(st.booleans()):
         hypotheses.append((1, 0) + tuple(range(2, n)))
-    return theta, sensor, markers, batch, hypotheses, eps_bearing
+    return theta, sensor, markers, batch, hypotheses, model
 
 
-def exact_orientation(theta, sensor, markers, batch, hypotheses, eps_bearing):
-    """The orientation phase without its shortcut, with the degenerate
-    intersections it counts; None when it raises."""
-    before = geom2d.degenerate_intersection_count()
-    with mock.patch.object(est, "_keeps_orientation", lambda *args: False):
-        try:
-            out = est._narrow_orientation(theta, sensor, markers, batch,
-                                          hypotheses, eps_bearing, 0)
-        except est.EmptySetFault:
-            out = None
-    return out, geom2d.degenerate_intersection_count() - before
-
-
-def keeps_orientation(theta, sensor, markers, batch, hypotheses, eps_bearing):
+def settle(theta, sensor, markers, batch, hypotheses, model):
+    """The pass over the hypotheses' pairs, under the cones of theta: the
+    orientation decision, the kept pairs and the sectors."""
+    cones, sectors = est._sectors(batch, model, theta)
     pairs = {(q, j) for a in hypotheses for q, j in enumerate(a)}
-    return est._keeps_orientation(theta, sensor, markers, pairs, batch,
-                                  eps_bearing)
+    keeps, kept = est._settle(theta, sensor, markers, pairs, batch, cones,
+                              model.eps_bearing)
+    return keeps, kept, sectors
+
+
+def exact_orientation(theta, sensor, markers, batch, hypotheses, model):
+    """The orientation phase, with the degenerate intersections it counts;
+    None when it raises."""
+    before = geom2d.degenerate_intersection_count()
+    try:
+        out = est._narrow_orientation(theta, sensor, markers, batch,
+                                      hypotheses, model.eps_bearing, 0)
+    except est.EmptySetFault:
+        out = None
+    return out, geom2d.degenerate_intersection_count() - before
 
 
 @settings(max_examples=500, deadline=None)
 @given(orientation_cases())
 def test_kept_orientation_is_what_the_exact_phase_returns(case):
-    if not keeps_orientation(*case):
+    if not settle(*case)[0]:
         return
     theta = case[0]
     out, degenerate = exact_orientation(*case)
     assert out is not None
     assert (out.center, out.half_width) == (theta.center, theta.half_width)
     assert degenerate == 0
+
+
+def exact_position(sensor, markers, sectors, hypotheses, kept):
+    try:
+        return est._narrow_position(sensor, markers, sectors, hypotheses,
+                                    kept, 0)
+    except est.EmptySetFault:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(orientation_cases())
+def test_kept_pairs_of_a_batch_are_what_the_exact_clips_return(case):
+    theta, sensor, markers, batch, hypotheses, model = case
+    _, kept, sectors = settle(*case)
+    for q, j in kept:
+        assert geom2d.sum_boundary(markers[j], geom2d.negate(sectors[q])) \
+            .clip(sensor) is sensor
+    assert exact_position(sensor, markers, sectors, hypotheses, kept) == \
+        exact_position(sensor, markers, sectors, hypotheses, set())
+
+
+def test_a_point_or_segment_sensor_set_can_keep_its_orientation():
+    # neither has an inner disk: the pass takes its midpoint as a disk of
+    # radius 0, with half its length as the outer radius
+    markers = [ring(3.0, 0.0, 0.5), ring(0.0, 4.0, 0.5)]
+    theta = AngleInterval(0.2, 0.01)
+    batch = [Measurement(-0.2, None),
+             Measurement(geom2d.wrap_angle(0.5 * math.pi - 0.2), None)]
+    model = SensorModel(ANGLE_ONLY, 0.05)
+    for sensor in (ConvexPolygon.point(0.0, 0.0),
+                   ConvexPolygon.from_points([(-0.01, 0.0), (0.01, 0.005)])):
+        assert sensor.inner_disk is None
+        case = (theta, sensor, markers, batch, [(0, 1)], model)
+        assert settle(*case)[0]
+        out, degenerate = exact_orientation(*case)
+        assert (out.center, out.half_width) == (theta.center, theta.half_width)
+        assert degenerate == 0
 
 
 def wide_arcs():
@@ -226,12 +276,12 @@ def wide_arcs():
     markers = [ring(3.0, 0.0, 0.5), ring(-3.0, 0.0, 0.5)]
     batch = [Measurement(0.0, None), Measurement(0.0, None)]
     return (AngleInterval(0.5 * math.pi, 0.01), sensor, markers, batch,
-            [(0, 1)], 1.43)
+            [(0, 1)], SensorModel(ANGLE_ONLY, 1.43))
 
 
 def test_orientation_test_declines_where_the_exact_phase_splits():
     case = wide_arcs()
-    theta, sensor, markers, batch, _, eps_bearing = case
+    theta, sensor, markers, batch, _, model = case
     # the inner arcs alone would settle it
     sx, sy, rho_s = sensor.inner_disk
     for marker, m in zip(markers, batch):
@@ -239,10 +289,10 @@ def test_orientation_test_declines_where_the_exact_phase_splits():
         inner = math.asin((rho_s + rho_m) / math.hypot(mx - sx, my - sy))
         off = abs(geom2d.wrap_angle(math.atan2(my - sy, mx - sx) - m.bearing
                                     - theta.center))
-        assert off + theta.half_width < inner + eps_bearing - 1e-3
+        assert off + theta.half_width < inner + model.eps_bearing - 1e-3
     _, degenerate = exact_orientation(*case)
     assert degenerate == 1
-    assert not keeps_orientation(*case)
+    assert not settle(*case)[0]
 
 
 @st.composite
@@ -278,7 +328,9 @@ def position_cases(draw):
 @given(position_cases())
 def test_kept_position_is_what_the_exact_clip_returns(case):
     sensor, marker, m, model, theta, cone, radii = case
-    if not est._keeps_position(sensor, marker, cone, radii):
+    _, kept = est._settle(theta, sensor, [marker], [(0, 0)], [m],
+                          [(cone, radii)], model.eps_bearing)
+    if not kept:
         return
     sector = sensing.feasible_marker_region(m.bearing, m.range, model,
                                             theta.center, theta.half_width)
@@ -325,6 +377,15 @@ def test_update_is_the_update_without_its_shortcuts(case):
     models = est.EstimatorModels(est.RobotModel(2.0, 0.1), (), (model,))
     state = est.EstimatorState(tuple(markers), (sensor,), (theta,),
                                AngleInterval.full())
+    phases = {"_narrow_orientation": 0, "_narrow_position": 0}
+
+    def counted(name):
+        real = getattr(est, name)
+
+        def phase(*args):
+            phases[name] += 1
+            return real(*args)
+        return mock.patch.object(est, name, phase)
 
     def run():
         before = geom2d.degenerate_intersection_count()
@@ -335,7 +396,12 @@ def test_update_is_the_update_without_its_shortcuts(case):
         return out, geom2d.degenerate_intersection_count() - before
 
     fast = run()
-    with mock.patch.object(est, "_keeps_orientation", lambda *a: False), \
-            mock.patch.object(est, "_keeps_position", lambda *a: False):
+    # without the pass nothing is kept, and both phases run for the batch
+    with mock.patch.object(est, "_settle", lambda *a, **k: (False, set())), \
+            counted("_narrow_orientation"), counted("_narrow_position"):
         exact = run()
     assert fast == exact
+    if est.bearing_cone_too_wide(model, theta):
+        assert phases == {"_narrow_orientation": 0, "_narrow_position": 0}
+    elif isinstance(exact[0], est.EstimatorState):
+        assert phases == {"_narrow_orientation": 1, "_narrow_position": 1}
