@@ -389,12 +389,13 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
            models: EstimatorModels) -> EstimatorState:
     """Condition all sets on one round of per-sensor measurement batches.
 
-    Per sensor: enumerate the correspondence hypotheses, then narrow the
-    orientation interval, then the position set (unions across hypotheses are
-    over-approximated by enclosing arcs / convex hulls, which keeps every
-    update a superset of the exact one).  Marker sets are narrowed last,
-    using only sensors that measured a marker under every hypothesis.  A
-    sensor whose bearing cone is too wide (bearing_cone_too_wide) is skipped.
+    One pass over the sensors.  Per sensor: enumerate the correspondence
+    hypotheses, then narrow the orientation interval, the position set
+    (unions across hypotheses are over-approximated by enclosing arcs /
+    convex hulls, which keeps every update a superset of the exact one) and
+    the markers it measured under every hypothesis.  Every phase reads the
+    predicted marker sets.  A sensor whose bearing cone is too wide
+    (bearing_cone_too_wide) is skipped.
 
     Before a phase builds any sum, one pass of inner bounds over the
     batch's (slot, marker) pairs (_settle) may show that it would return
@@ -405,8 +406,7 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
     n_markers = len(predicted.markers)
     sensor_theta = list(predicted.sensor_theta)
     sensor_xy = list(predicted.sensor_xy)
-    per_sensor: list[tuple[int, list[Assignment], tuple[ConvexPolygon, ...],
-                           tuple[geom2d.SumBoundary, ...]]] = []
+    markers = list(predicted.markers)
 
     for i, batch in enumerate(batches):
         if not batch:
@@ -445,22 +445,17 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
             sensor_xy[i] = _narrow_position(xy, predicted.markers, sectors,
                                             assigns, kept, i)
 
-        per_sensor.append((i, assigns, sectors, cmat.boundaries))
-
-    # markers: only sensors certain to have measured marker j may narrow it,
-    # to the sensor set plus the sector (or the hull of the sectors) of the
-    # slots that measured it, read from the hypotheses (one slot where
-    # there is one hypothesis).  Where the position and orientation phases
-    # kept the very sensor set and sector the candidate matrix summed, its
-    # boundary of that sum is the one to clip by.
-    markers = list(predicted.markers)
-    for i, assigns, sectors, boundaries in per_sensor:
+        # markers: only a sensor certain to have measured marker j narrows
+        # it, to the sensor set plus the sector (or the hull of the sectors)
+        # of the slots that measured it under the hypotheses.  Where the
+        # phases above kept the very sensor set and sector the candidate
+        # matrix summed, its boundary of that sum is the one to clip by.
         for j in correspondence.markers_with_certain_measurement(assigns,
                                                                  n_markers):
             slots = sorted({a.index(j) for a in assigns})
             cone = sectors[slots[0]] if len(slots) == 1 else \
                 geom2d.convex_hull([sectors[q] for q in slots])
-            boundary = boundaries[slots[0]]
+            boundary = cmat.boundaries[slots[0]]
             if boundary.a is not sensor_xy[i] or boundary.b is not cone:
                 boundary = geom2d.sum_boundary(sensor_xy[i], cone)
             narrowed = boundary.clip(markers[j])

@@ -370,8 +370,6 @@ def _prune(verts: list[tuple[float, float]]) -> list[tuple[float, float]]:
 
 def _canonical(verts: Sequence[tuple[float, float]]
                ) -> tuple[tuple[float, float], ...]:
-    if not verts:
-        return ()
     k = verts.index(min(verts))
     return tuple(verts[k:] + verts[:k])
 
@@ -421,7 +419,7 @@ def _hull_vertices(pts: Sequence[tuple[float, float]]
     other point list goes through the sort-and-chain hull and _prune; what
     collapses to one point is the least point."""
     return _canonical_ring(pts) or _canonical(
-        _prune(_hull_chain(sorted(set(pts)))) or [min(pts)])
+        _prune(_hull_chain(sorted(set(pts)))))
 
 
 @dataclass(frozen=True)
@@ -775,35 +773,6 @@ def _clip_ring(pts: Sequence[tuple[float, float]],
     return pts
 
 
-def _clip_segment(seg: ConvexPolygon,
-                  lines: Sequence[Line]) -> ConvexPolygon | None:
-    """Parametric clip of a segment by the left sides of lines; seg itself
-    when no line cuts it."""
-    (ax, ay), (bx, by) = seg.vertices
-    t0, t1 = 0.0, 1.0
-    for px, py, qx, qy in lines:
-        ex, ey = qx - px, qy - py
-        elen = math.hypot(ex, ey)
-        sa = ex * (ay - py) - ey * (ax - px)
-        sb = ex * (by - py) - ey * (bx - px)
-        slack = -EPS_GEOM * elen
-        da = sa - slack
-        db = sb - slack
-        if da < 0.0 and db < 0.0:
-            return None
-        if da < 0.0:
-            t0 = max(t0, da / (da - db))
-        elif db < 0.0:
-            t1 = min(t1, da / (da - db))
-        if t0 > t1:
-            return None
-    if t0 == 0.0 and t1 == 1.0:
-        return seg
-    pa = (ax + t0 * (bx - ax), ay + t0 * (by - ay))
-    pb = (ax + t1 * (bx - ax), ay + t1 * (by - ay))
-    return ConvexPolygon.from_points([pa, pb])
-
-
 def _seg_seg(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
     (p1x, p1y), (p2x, p2y) = a.vertices
     (q1x, q1y), (q2x, q2y) = b.vertices
@@ -848,12 +817,10 @@ def _clip_by(s: ConvexPolygon, lines: Sequence[Line]) -> ConvexPolygon | None:
     """s clipped by the left sides of lines: s itself when no line cuts it,
     None when the clip is empty.
 
-    A segment is clipped by its parameter, any other set as a ring.  A cut
-    ring goes through the hull, which mends a collapsed clip and the
+    Every set is clipped as a ring, a segment as a ring of two vertices.
+    A cut ring goes through the hull, which mends a collapsed clip and the
     duplicate, collinear or reflex vertices that rounding can leave.
     """
-    if s.is_segment:
-        return _clip_segment(s, lines)
     pts = _clip_ring(s.vertices, s.bbox, lines)
     if pts is s.vertices:
         return s
@@ -970,8 +937,8 @@ def _leaves_box(box: tuple[float, float, float, float],
                 lines: Sequence[Line]) -> bool:
     """Whether a line longer than EPS_GEOM has the whole box beyond its
     EPS_GEOM slack on its right: then no point of a set in the box is kept
-    by _clip_ring or _clip_segment.  The box corner farthest to the line's
-    left is tested, as in _clip_ring."""
+    by _clip_ring.  The box corner farthest to the line's left is tested,
+    as in _clip_ring."""
     x0, x1, y0, y1 = box
     for ax, ay, bx, by in lines:
         ex, ey = bx - ax, by - ay
@@ -989,9 +956,9 @@ def _keeps_a_vertex(pts: Sequence[tuple[float, float]],
     """Whether some point of pts lies on the closed left side of every line,
     by _clip_poly_halfplane's side formula without its slack.
 
-    Such a point is kept by every clip of _clip_ring and _clip_segment, so
-    their result is not empty.  Each point is tested first against the line
-    that rejected the point before it.
+    Such a point is kept by every clip of _clip_ring, so its result is not
+    empty.  Each point is tested first against the line that rejected the
+    point before it.
     """
     worst = lines[0]
     for x, y in pts:
@@ -1155,8 +1122,6 @@ def _vertex_arc(pts: Sequence[tuple[float, float]]) -> AngleInterval:
     angles = [math.atan2(y, x) for x, y in pts if math.hypot(x, y) > EPS_GEOM]
     if not angles:
         return FULL_CIRCLE
-    if len(angles) == 1:
-        return AngleInterval(angles[0], 0.0)
     # origin is outside a convex set: all member angles fit in a half circle,
     # so the complement of the largest gap between vertex angles encloses them
     angles.sort()

@@ -400,6 +400,21 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         # initial_sets cannot build the orientation intervals
         problems.append("[initial_sets] sensor_theta_deg must be in [0, 360]")
         return problems
+    # an exact sensor pins each marker it sees to a point that misses the
+    # truth by rounding, and beside other noise those points' headings need
+    # not meet.  A config without any noise has points from the start.
+    exact = [f"[sensor.{i}]" for i, s in enumerate(cfg.sensors, start=1)
+             if s.model.eps_bearing == 0.0]
+    noise = (cfg.robot.eps_v, cfg.robot.eps_delta, cfg.robot.eps_f,
+             cfg.initial_marker_area, cfg.omni_v_max,
+             *(x for s in cfg.sensors for x in (s.model.eps_bearing,
+                                                s.model.eps_range)))
+    if exact and cfg.initial_sensor_area == cfg.initial_sensor_theta == 0.0 \
+            and any(noise):
+        problems.append(f"{', '.join(exact)} eps_bearing_deg = 0 with "
+                        f"[initial_sets] sensor_area = 0 and sensor_theta_deg"
+                        f" = 0: exact sensors beside other noise are not "
+                        f"supported; make one of the three positive")
     # the containment hypothesis: every true state inside its initial set
     markers, sensor_xy, sensor_theta = initial_sets(cfg)
     for j, off in enumerate(cfg.offsets):

@@ -210,6 +210,33 @@ def test_every_command_rejects_what_the_estimator_cannot_start(
     assert not out.exists()
 
 
+def test_every_command_rejects_exact_sensors_beside_other_noise(
+        parking_cfg, tmp_path, capsys):
+    # no bearing noise and no initial sensor uncertainty pin the markers to
+    # points that miss the truth by rounding; every seed faulted at step 1
+    text = parking_cfg.read_text()
+    for old, new in (("eps_bearing_deg = 1.0", "eps_bearing_deg = 0.0"),
+                     ("sensor_area = 0.01", "sensor_area = 0"),
+                     ("sensor_theta_deg = 2.0", "sensor_theta_deg = 0.0")):
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "exact.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    # the swept range noise leaves the bearing noise at 0
+    for args in (["validate"],
+                 ["run", "--out", str(out), "--steps", "40",
+                  "--estimator", "set"],
+                 ["sweep", "--out", str(out), "--parameter", "eps_wr",
+                  "--values", "0.1", "--seeds", "1", "--steps", "2"]):
+        assert run_cli(*args, "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
+        assert "[sensor.21] eps_bearing_deg = 0" in err
+        assert "sensor_area" in err and "sensor_theta_deg" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, args, key", [
     ("omni", ["run", "--steps", "-3"], "steps"),
     ("omni", ["run", "--steps", "0"], "steps"),

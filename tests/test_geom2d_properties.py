@@ -761,6 +761,9 @@ def test_simplify_outer_holds_its_input_within_the_budget(p, v_max):
 @settings(max_examples=300, deadline=None)
 @given(parallelograms())
 @example(ConvexPolygon.box(0.0, 1.0, 0.0, 1.0))
+# edges that converge only by rounding once put a corner near 1e16
+@example(ConvexPolygon.from_points([(0.0, 0.0), (17.0, 0.0), (17.4, 1.0),
+                                    (0.4, 1.0)]))
 def test_simplify_outer_encloses_a_parallelogram_in_a_triangle(p):
     if p.n < 4:                 # flat: returned as it is
         return

@@ -147,6 +147,44 @@ def test_zero_noise_run_perfect_metrics(parking):
     assert rec.set_containment_ok()
 
 
+def scaled_noise(cfg, s):
+    """cfg with every noise bound, the initial orientation width and the
+    square root of each initial area multiplied by s."""
+    r = cfg.robot
+    sensors = tuple(SensorSite(site.pose, replace(
+        site.model, eps_bearing=s * site.model.eps_bearing,
+        eps_range=s * site.model.eps_range)) for site in cfg.sensors)
+    return replace(cfg, sensors=sensors,
+                   robot=replace(r, eps_v=s * r.eps_v,
+                                 eps_delta=s * r.eps_delta, eps_f=s * r.eps_f),
+                   initial_marker_area=s * s * cfg.initial_marker_area,
+                   initial_sensor_area=s * s * cfg.initial_sensor_area,
+                   initial_sensor_theta=s * cfg.initial_sensor_theta)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_scaled_noise_keeps_the_truth_at_tol_0(parking, seed):
+    # at s = 1e-8 the initial marker boxes have side 1e-8 m, ten times
+    # EPS_GEOM; every set must hold its truth without any tolerance.  The
+    # estimator is stepped on simulate_run's world and measurement streams
+    cfg = replace(scaled_noise(parking, 1e-8), seed=seed, estimators="set")
+    rng_proc, rng_meas, rng_shuf, _ = (
+        np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(4))
+    models, state, trajectory = scenario._start_tracker(cfg, 40)
+    for k, u, truth in scenario._bicycle_world(cfg, trajectory, rng_proc):
+        batches = scenario._measurement_batches(truth.markers, cfg.sensors,
+                                                rng_meas, rng_shuf)
+        state = est.step(state, u, batches, models)
+        for j, (p, t) in enumerate(zip(state.markers, truth.markers)):
+            assert geom2d.contains(p, t, tol=0.0), (k, f"marker {j}")
+        for i, site in enumerate(cfg.sensors):
+            assert geom2d.contains(state.sensor_xy[i], site.pose.xy,
+                                   tol=0.0), (k, f"sensor {i} position")
+            assert state.sensor_theta[i].contains(site.pose.theta, tol=0.0), \
+                (k, f"sensor {i} orientation")
+        assert state.heading.contains(truth.heading, tol=0.0), (k, "heading")
+
+
 def test_parking_defaults_containment(parking):
     rec = simulate_run(replace(parking, seed=123))
     assert rec.set_containment_ok()
