@@ -28,8 +28,10 @@ def _setup_logging() -> None:
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     log.handlers[:] = [handler]
     log.propagate = False
-    level = os.environ.get("SETLOC_LOG", "WARNING").upper()
-    log.setLevel(getattr(logging, level, logging.WARNING))
+    # a level name maps to its number; anything else, such as another
+    # attribute of logging, maps to a string and gives WARNING
+    level = logging.getLevelName(os.environ.get("SETLOC_LOG", "WARNING").upper())
+    log.setLevel(level if isinstance(level, int) else logging.WARNING)
 
 
 def _load(args) -> scenario.ScenarioConfig:

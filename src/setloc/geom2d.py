@@ -427,7 +427,9 @@ class ConvexPolygon:
     """Bounded convex region as a CCW tuple of (x, y) float pairs.
 
     Degenerate regions are first-class: one vertex is a point, two vertices a
-    segment.  Construct through :meth:`from_points` unless the vertices are
+    segment.  Every set is clipped as a ring and clips by lines (_lines): a
+    segment by its sides and end caps, a point by a zero-size box about it.
+    Construct through :meth:`from_points` unless the vertices are
     already canonical (strictly convex, CCW, starting at the lexicographic
     minimum).
     """
@@ -697,6 +699,23 @@ def _edge_lines(v: Sequence[tuple[float, float]]) -> list[Line]:
     return [(ax, ay, bx, by) for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1])]
 
 
+def _lines(p: ConvexPolygon) -> list[Line]:
+    """Lines whose left sides meet in p: a polygon's edge lines; a
+    segment's two sides and the two end caps square to it; a point's four
+    sides of a zero-size box about it.  With the clips' EPS_GEOM slack, a
+    set without area clips by the part within EPS_GEOM of each line."""
+    v = p.vertices
+    if len(v) >= 3:
+        return _edge_lines(v)
+    (ax, ay), (bx, by) = v[0], v[-1]
+    if len(v) == 1:
+        return [(ax, ay, ax + 1.0, ay), (ax, ay, ax, ay + 1.0),
+                (ax, ay, ax - 1.0, ay), (ax, ay, ax, ay - 1.0)]
+    dx, dy = bx - ax, by - ay
+    return [(ax, ay, bx, by), (bx, by, bx - dy, by + dx),
+            (bx, by, ax, ay), (ax, ay, ax + dy, ay - dx)]
+
+
 def _clip_poly_halfplane(pts: Sequence[tuple[float, float]], ax: float, ay: float,
                          bx: float, by: float) -> Sequence[tuple[float, float]]:
     # keep the closed left side of the directed line a->b, with EPS_GEOM of
@@ -773,46 +792,6 @@ def _clip_ring(pts: Sequence[tuple[float, float]],
     return pts
 
 
-def _seg_seg(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
-    (p1x, p1y), (p2x, p2y) = a.vertices
-    (q1x, q1y), (q2x, q2y) = b.vertices
-    rx, ry = p2x - p1x, p2y - p1y
-    sx, sy = q2x - q1x, q2y - q1y
-    den = rx * sy - ry * sx
-    if abs(den) <= EPS_GEOM * max(math.hypot(rx, ry), math.hypot(sx, sy)):
-        # parallel: overlap only if collinear
-        if _dist_point_segment(q1x, q1y, p1x, p1y, p2x, p2y) > EPS_GEOM \
-           and _dist_point_segment(q2x, q2y, p1x, p1y, p2x, p2y) > EPS_GEOM \
-           and _dist_point_segment(p1x, p1y, q1x, q1y, q2x, q2y) > EPS_GEOM:
-            return None
-        r2 = rx * rx + ry * ry
-        if r2 == 0.0:
-            return _intersect_point(ConvexPolygon.point(*a.vertices[0]), b)
-        ts = [((qx - p1x) * rx + (qy - p1y) * ry) / r2
-              for qx, qy in ((q1x, q1y), (q2x, q2y))]
-        t0 = max(0.0, min(ts))
-        t1 = min(1.0, max(ts))
-        if t0 > t1:
-            return None
-        pa = (p1x + t0 * rx, p1y + t0 * ry)
-        pb = (p1x + t1 * rx, p1y + t1 * ry)
-        if _dist_point_segment(pa[0], pa[1], q1x, q1y, q2x, q2y) > EPS_GEOM:
-            return None
-        return ConvexPolygon.from_points([pa, pb])
-    t = ((q1x - p1x) * sy - (q1y - p1y) * sx) / den
-    pt = (p1x + t * rx, p1y + t * ry)
-    if _dist_point_segment(pt[0], pt[1], p1x, p1y, p2x, p2y) <= EPS_GEOM \
-       and _dist_point_segment(pt[0], pt[1], q1x, q1y, q2x, q2y) <= EPS_GEOM:
-        return ConvexPolygon.point(*pt)
-    return None
-
-
-def _intersect_point(p: ConvexPolygon,
-                     other: ConvexPolygon) -> ConvexPolygon | None:
-    """The point p itself if it lies in other, else None."""
-    return p if contains(other, p.vertices[0]) else None
-
-
 def _clip_by(s: ConvexPolygon, lines: Sequence[Line]) -> ConvexPolygon | None:
     """s clipped by the left sides of lines: s itself when no line cuts it,
     None when the clip is empty.
@@ -830,22 +809,20 @@ def _clip_by(s: ConvexPolygon, lines: Sequence[Line]) -> ConvexPolygon | None:
 
 
 def intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
-    """Exact intersection; None signals disjoint sets (a value, not an error).
+    """Intersection up to the clips' EPS_GEOM slack; None signals disjoint
+    sets (a value, not an error).
 
-    a is clipped by the lines of b, so a itself is returned when no line of
-    b cuts it: with a inside b the clip costs one side test per vertex and
-    line.  Pass the set expected to be the smaller one as a.  A segment is
-    always the one clipped.
+    a is clipped by the lines of b (_lines), so a itself is returned when no
+    line of b cuts it: with a inside b the clip costs one side test per
+    vertex and line.  Pass the set expected to be the smaller one as a.
+    Where b has no area and fewer vertices than a, b is clipped by the lines
+    of a instead.  Where neither has an area, the result is the part of one
+    within EPS_GEOM of each line of the other: a superset of the exact
+    intersection, at most sqrt(2) * EPS_GEOM beyond it.
     """
-    if a.is_point:
-        return _intersect_point(a, b)
-    if b.is_point:
-        return _intersect_point(b, a)
-    if a.is_segment and b.is_segment:
-        return _seg_seg(a, b)
-    if b.is_segment:
-        return _clip_by(b, _edge_lines(a.vertices))
-    return _clip_by(a, _edge_lines(b.vertices))
+    if b.n < min(a.n, 3):
+        a, b = b, a
+    return _clip_by(a, _lines(b))
 
 
 def _left_turn_lines(ring: Sequence[tuple[float, float]]) -> list[Line] | None:
@@ -862,15 +839,15 @@ def _left_turn_lines(ring: Sequence[tuple[float, float]]) -> list[Line] | None:
 
 
 def _sum_lines(a: ConvexPolygon, b: ConvexPolygon) -> list[Line]:
-    """Boundary lines of a + b, one operand with an area: the support
-    half-planes n . x <= h_a(n) + h_b(n) over the outward edge normals n of
-    both operands (de Berg et al., section 13.3).
+    """Boundary lines of a + b: the support half-planes
+    n . x <= h_a(n) + h_b(n) over the outward normals n of the lines of
+    both operands (_lines; de Berg et al., section 13.3).
 
-    An edge of one operand, moved by the other's support vertex for its
-    normal, is an edge of the sum.  For two polygons these are the edges of
-    the merge ring, or of its hull where rounding left a duplicate,
-    collinear or reflex vertex: those are the edges of minkowski_sum(a, b),
-    so SumBoundary.clip clips by the same lines as intersect with the built
+    A line of one operand, moved by the other's support vertex for its
+    normal, supports the sum.  For two polygons these are the edges of the
+    merge ring, or of its hull where rounding left a duplicate, collinear
+    or reflex vertex: those are the edges of minkowski_sum(a, b), so
+    SumBoundary.clip clips by the same lines as intersect with the built
     sum.  The merge ring winds once by construction, so left turns alone
     show it convex.
     """
@@ -880,9 +857,7 @@ def _sum_lines(a: ConvexPolygon, b: ConvexPolygon) -> list[Line]:
         return lines if lines is not None else _edge_lines(_hull_vertices(ring))
     lines: list[Line] = []
     for own, other in ((a, b), (b, a)):
-        if own.n < 2:
-            continue
-        for px, py, qx, qy in _edge_lines(own.vertices):
+        for px, py, qx, qy in _lines(own):
             wx, wy = max(other.vertices,
                          key=lambda v: (qy - py) * v[0] + (px - qx) * v[1])
             lines.append((px + wx, py + wy, qx + wx, qy + wy))
@@ -892,25 +867,17 @@ def _sum_lines(a: ConvexPolygon, b: ConvexPolygon) -> list[Line]:
 class SumBoundary(NamedTuple):
     """The boundary of a + b without the sum, built once to clip several
     sets by: the operands and the support lines of their sum (_sum_lines).
-
-    lines is None when neither operand has an area: the sum then has at
-    most four vertices and may be a point or a segment, which intersect
-    clips by s rather than s by it, so clip builds that sum and intersects
-    it (s itself when s lies within EPS_GEOM of it).
     """
 
     a: ConvexPolygon
     b: ConvexPolygon
-    lines: list[Line] | None
+    lines: list[Line]
 
     def clip(self, s: ConvexPolygon) -> ConvexPolygon | None:
-        """intersect(s, minkowski_sum(a, b)) without building the sum: s
-        clipped by the support half-planes, each with the same EPS_GEOM
-        outward slack as intersect.  s itself when no half-plane cuts it,
-        None when the result is empty."""
-        if self.lines is None:
-            total = minkowski_sum(self.a, self.b)
-            return s if contains_polygon(total, s) else intersect(s, total)
+        """s clipped by the support half-planes of a + b, each with the same
+        EPS_GEOM outward slack as intersect: intersect(s, minkowski_sum(a,
+        b)) up to that slack, without building the sum.  s itself when no
+        half-plane cuts it, None when the result is empty."""
         return _clip_by(s, self.lines)
 
     def meets(self, s: ConvexPolygon) -> bool:
@@ -922,15 +889,12 @@ class SumBoundary(NamedTuple):
         is not clipped; of any other set's clip only the emptiness is kept.
         """
         lines = self.lines
-        if lines is None:
-            return self.clip(s) is not None
         return not _leaves_box(s.bbox, lines) and (
             _keeps_a_vertex(s.vertices, lines) or _clip_by(s, lines) is not None)
 
 
 def sum_boundary(a: ConvexPolygon, b: ConvexPolygon) -> SumBoundary:
-    return SumBoundary(a, b, None if a.n <= 2 and b.n <= 2
-                       else _sum_lines(a, b))
+    return SumBoundary(a, b, _sum_lines(a, b))
 
 
 def _leaves_box(box: tuple[float, float, float, float],

@@ -1,3 +1,4 @@
+import logging
 import os
 import subprocess
 import sys
@@ -352,3 +353,15 @@ def test_console_entry_point():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "run" in proc.stdout and "sweep" in proc.stdout
+
+
+@pytest.mark.parametrize("value, level", [("debug", logging.DEBUG),
+                                          ("BASIC_FORMAT", logging.WARNING),
+                                          ("nonsense", logging.WARNING)])
+def test_log_level_names_a_level_or_falls_back_to_warning(
+        parking_cfg, monkeypatch, capsys, value, level):
+    # BASIC_FORMAT is an attribute of logging, but a format, not a level
+    monkeypatch.setenv("SETLOC_LOG", value)
+    assert run_cli("validate", "--config", str(parking_cfg)) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert cli.log.level == level

@@ -177,6 +177,11 @@ def test_intersect_degenerate_cases():
     cross = intersect(seg, seg2)
     assert cross is not None and cross.is_point
     assert cross.vertices[0] == pytest.approx((1.0, 1.0), abs=2e-9)
+    overlap = intersect(ConvexPolygon.from_points([(0, 0), (2, 0)]),
+                        ConvexPolygon.from_points([(1, 0), (3, 0)]))
+    assert overlap == ConvexPolygon.from_points([(1, 0), (2, 0)])
+    assert intersect(ConvexPolygon.from_points([(0, 0), (1, 0)]),
+                     ConvexPolygon.from_points([(0, 1), (1, 1)])) is None
 
 
 # ---------------------------------------------------------------------------

@@ -262,23 +262,15 @@ def test_merge_walks_are_the_modular_merge(a, b):
                                             canonical_polygons(max_n=2))))
 def test_intersects_sum_is_the_clip_it_skips(case):
     # the bounding-box "no" answers of SumBoundary.meets only where the clip
-    # is empty, and the clip is intersect with the built sum where neither
-    # operand has an area
+    # is empty, and the clip is the clip by the sum's support lines, with an
+    # operand that has an area or without
     s, a, b = case
     boundary = geom2d.sum_boundary(a, b)
-    if a.n <= 2 and b.n <= 2:
-        assert boundary.lines is None
-        total = geom2d.minkowski_sum(a, b)
-        clipped = s if geom2d.contains_polygon(total, s) \
-            else geom2d.intersect(s, total)
-        expected = clipped is not None
-    else:
-        lines = geom2d._sum_lines(a, b)
-        assert boundary.lines == lines
-        clipped = geom2d._clip_by(s, lines)
-        expected = (geom2d._keeps_a_vertex(s.vertices, lines)
-                    or clipped is not None)
-    assert boundary.meets(s) == expected
+    lines = geom2d._sum_lines(a, b)
+    assert boundary.lines == lines
+    clipped = geom2d._clip_by(s, lines)
+    assert boundary.meets(s) == (geom2d._keeps_a_vertex(s.vertices, lines)
+                                 or clipped is not None)
     assert boundary.clip(s) == clipped
 
 

@@ -286,6 +286,44 @@ def test_intersect_sum_matches_intersect_of_the_sum(s, a, b):
     out.validate()
 
 
+flat = st.one_of(cloud(min_size=1, max_size=1), cloud(min_size=2, max_size=2),
+                collinear_run()).map(ConvexPolygon.from_points).filter(
+                    lambda p: p.n <= 2)
+
+
+@st.composite
+def near_flat_sum(draw):
+    """(s, a, b) with neither a nor b an area, and s drawn about a + b, or
+    any set."""
+    a, b = draw(flat), draw(flat)
+    total = geom2d.minkowski_sum(a, b)
+    return draw(st.one_of(inside(total), polygons)), a, b
+
+
+@settings(max_examples=500, deadline=None)
+@given(near_flat_sum())
+@example((  # crossing segments
+    ConvexPolygon.from_points([(-1.0, 0.0), (1.0, 0.0)]),
+    ConvexPolygon.from_points([(0.0, -1.0), (0.0, 1.0)]),
+    ConvexPolygon.point(0.0, 0.0)))
+@example((  # a point beside a point sum, within the caps' corner slack
+    ConvexPolygon.point(0.9e-9, 0.9e-9),
+    ConvexPolygon.point(0.0, 0.0), ConvexPolygon.point(0.0, 0.0)))
+def test_a_sum_without_area_clips_within_its_slack(case):
+    """Where neither operand has an area the clip keeps the part of s within
+    EPS_GEOM of each support line: within 2 EPS_GEOM of the sum (sqrt(2)
+    EPS_GEOM at a corner), and every vertex of s that the sum holds."""
+    s, a, b = case
+    total = geom2d.minkowski_sum(a, b)
+    clipped = geom2d.sum_boundary(a, b).clip(s)
+    held = [v for v in s.vertices if geom2d.contains(total, v, 0.0)]
+    if clipped is None:
+        assert not held
+        return
+    assert geom2d.contains_polygon(total, clipped, tol=2 * geom2d.EPS_GEOM)
+    assert all(geom2d.contains(clipped, v) for v in held)
+
+
 @st.composite
 def inside_sum(draw):
     """(s, a, b) with s inside a + b: the sum itself, b moved by a vertex of
@@ -314,6 +352,24 @@ def test_intersect_sum_returns_a_set_inside_the_sum_itself(case):
 @settings(max_examples=2000, deadline=None)
 @given(polygons, polygons, polygons, st.integers(0, 2**32 - 1),
        st.sampled_from(["as drawn", "moved onto the witness", "the witness"]))
+# a point or a segment against a segment sum (seed 7 puts the witness
+# in p, except where p and the sum are disjoint)
+@example(  # crossing segments
+    ConvexPolygon.from_points([(-1.0, 0.5), (1.0, 0.5)]),
+    ConvexPolygon.from_points([(0.0, -1.0), (0.0, 1.0)]),
+    ConvexPolygon.point(0.0, 0.0), 7, "moved onto the witness")
+@example(  # collinear overlapping segments
+    ConvexPolygon.from_points([(-1.0, 0.0), (0.5, 0.0)]),
+    ConvexPolygon.from_points([(0.0, 0.0), (1.0, 0.0)]),
+    ConvexPolygon.point(0.0, 0.0), 7, "moved onto the witness")
+@example(  # parallel disjoint segments
+    ConvexPolygon.from_points([(0.0, 1.0), (1.0, 1.0)]),
+    ConvexPolygon.from_points([(0.0, 0.0), (1.0, 0.0)]),
+    ConvexPolygon.point(0.0, 0.0), 7, "as drawn")
+@example(  # a point on a segment sum
+    ConvexPolygon.point(0.0, 0.0),
+    ConvexPolygon.from_points([(0.0, 0.0), (1.0, 2.0)]),
+    ConvexPolygon.from_points([(0.0, 0.0), (-3.0, 1.0)]), 7, "the witness")
 def test_intersects_sum_never_misses_a_witness(p, a, b, seed, where):
     """A point s + t of a + b (s in a, t in b) that lies in p makes p
     feasible: a false "no" would cut the truth."""
