@@ -126,6 +126,17 @@ def make_state(markers: Sequence[ConvexPolygon],
 # propagation
 # ---------------------------------------------------------------------------
 
+def _grow(p: ConvexPolygon, x_lo: float, x_hi: float, y_lo: float,
+          y_hi: float) -> ConvexPolygon:
+    """p plus the box [x_lo, x_hi] x [y_lo, y_hi], simplified: a translation
+    where the box is one point, which ConvexPolygon.box would widen, so a
+    set that does not move does not grow."""
+    if x_lo == x_hi and y_lo == y_hi:
+        return geom2d.simplify_outer(geom2d.translate(p, x_lo, y_lo))
+    return geom2d.simplify_outer(geom2d.minkowski_sum(
+        p, ConvexPolygon.box(x_lo, x_hi, y_lo, y_hi)))
+
+
 def propagate(state: EstimatorState, u: Control,
               models: EstimatorModels) -> EstimatorState:
     """Predict all sets one step ahead; sensors are stationary.
@@ -142,8 +153,8 @@ def propagate(state: EstimatorState, u: Control,
     for poly, offset in zip(state.markers, models.offsets):
         dx, dy = displacement_bounds(u, state.heading, offset, robot,
                                      cover_rigid_step=True)
-        box = ConvexPolygon.box(dx.lo - f, dx.hi + f, dy.lo - f, dy.hi + f)
-        new_markers.append(geom2d.simplify_outer(geom2d.minkowski_sum(poly, box)))
+        new_markers.append(_grow(poly, dx.lo - f, dx.hi + f,
+                                 dy.lo - f, dy.hi + f))
     v_lo, v_hi = u.v - robot.eps_v, u.v + robot.eps_v
     rates = [(v * robot.dt / robot.wheelbase) * math.sin(d)
              for v in (v_lo, v_hi)
@@ -161,9 +172,7 @@ def propagate_omnidirectional(state: EstimatorState, v_max: float,
     if v_max < 0.0:
         raise ValueError("v_max must be >= 0")
     r = v_max * dt
-    box = ConvexPolygon.box(-r, r, -r, r)
-    new_markers = tuple(geom2d.simplify_outer(geom2d.minkowski_sum(p, box))
-                        for p in state.markers)
+    new_markers = tuple(_grow(p, -r, r, -r, r) for p in state.markers)
     return replace(state, markers=new_markers)
 
 
@@ -197,7 +206,7 @@ def _sectors(batch: Sequence[Measurement], model: SensorModel,
 def _centre(p: ConvexPolygon) -> tuple[float, float, float]:
     """(x, y, rho): a disk of radius rho about (x, y) inside p.  Its inner
     disk where it has one, else the vertex mean with radius 0: a point of
-    p (the midpoint of a segment) up to the rounding of the mean."""
+    p up to the rounding of the mean."""
     disk = p.inner_disk
     if disk is None:
         v = p.vertices
@@ -249,9 +258,8 @@ def _settle(theta: AngleInterval, sensor_xy: ConvexPolygon,
     sure to return sensor_xy itself, for the sectors of cones.
 
     Each set is a disk about its centre (_centre), inside it, and a radius
-    about that centre that holds it (_outer_radius); a point or a segment
-    is a disk of radius 0 about its midpoint.  Per pair the offset m0 - s0
-    between the centres and the coordinate scale serve both bounds.
+    about that centre that holds it (_outer_radius).  Per pair the offset
+    m0 - s0 between the centres and the coordinate scale serve both bounds.
 
     Orientation: the two disks give an arc of directions inside the pair's
     bearing span, atan2(m0 - s0) +- asin((rho_M + rho_S) / |m0 - s0|).
@@ -301,7 +309,7 @@ def _settle(theta: AngleInterval, sensor_xy: ConvexPolygon,
         # the marker centre's offset to the sensor centre, and then to each
         # vertex, in the sector's frame
         if _within_reach(cone, radii, [(dx * c + dy * s, dy * c - dx * s)],
-                         out_s, reach) or out_s > 0.0 and _within_reach(
+                         out_s, reach) or _within_reach(
                 cone, radii, [((mx - x) * c + (my - y) * s,
                                (my - y) * c - (mx - x) * s)
                               for x, y in sensor_xy.vertices], 0.0, reach):

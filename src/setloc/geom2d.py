@@ -299,8 +299,6 @@ def _hull_chain(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Andrew's monotone chain over distinct points in lexicographic order,
     such as sorted(set(points)); each turn is _cross(o, a, p), written out
     in the same order."""
-    if len(pts) <= 2:
-        return pts
     lower: list[tuple[float, float]] = []
     for p in pts:
         px, py = p
@@ -416,22 +414,40 @@ def _hull_vertices(pts: Sequence[tuple[float, float]]
                    ) -> tuple[tuple[float, float], ...]:
     """Canonical vertices of the convex hull of pts (non-empty).  A ring
     that is canonical already is returned as such (_canonical_ring), any
-    other point list goes through the sort-and-chain hull and _prune; what
-    collapses to one point is the least point."""
-    return _canonical_ring(pts) or _canonical(
-        _prune(_hull_chain(sorted(set(pts)))))
+    other point list goes through _chain_hull."""
+    return _canonical_ring(pts) or _chain_hull(sorted(set(pts)))
+
+
+def _chain_hull(pts: list[tuple[float, float]]
+                ) -> tuple[tuple[float, float], ...]:
+    """Canonical vertices of the hull of distinct points in lexicographic
+    order: the chain and _prune, or where fewer than three vertices are
+    left, the box about the points (ConvexPolygon.box)."""
+    hull = _prune(_hull_chain(pts))
+    if len(hull) < 3:
+        return ConvexPolygon.box(*_bbox(pts)).vertices
+    return _canonical(hull)
+
+
+def _side(lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi], or where it is shorter than 2 * EPS_GEOM, that length
+    about its middle, each end moved out by at least one float step."""
+    if hi - lo >= 2.0 * EPS_GEOM:
+        return lo, hi
+    mid = 0.5 * (lo + hi)
+    return (min(mid - EPS_GEOM, math.nextafter(lo, -math.inf)),
+            max(mid + EPS_GEOM, math.nextafter(hi, math.inf)))
 
 
 @dataclass(frozen=True)
 class ConvexPolygon:
     """Bounded convex region as a CCW tuple of (x, y) float pairs.
 
-    Degenerate regions are first-class: one vertex is a point, two vertices a
-    segment.  Every set is clipped as a ring and clips by lines (_lines): a
-    segment by its sides and end caps, a point by a zero-size box about it.
-    Construct through :meth:`from_points` unless the vertices are
-    already canonical (strictly convex, CCW, starting at the lexicographic
-    minimum).
+    Every set has an area: at least three vertices.  A hull of points
+    without one (a point, a segment, a sliver that _prune flattens) is the
+    box about them, grown where it is thin (ConvexPolygon.box).  Construct
+    through :meth:`from_points` unless the vertices are already canonical
+    (strictly convex, CCW, starting at the lexicographic minimum).
     """
 
     vertices: tuple[tuple[float, float], ...]
@@ -447,39 +463,25 @@ class ConvexPolygon:
     def from_sorted_points(cls, points: list[tuple[float, float]]
                            ) -> "ConvexPolygon":
         """from_points(points) for distinct points (at least one) in
-        lexicographic order: the chain and _prune without the set, the sort
-        and the canonical walk, which on such a list is a shortcut to the
-        same vertices."""
-        return cls(_canonical(_prune(_hull_chain(points))))
-
-    @classmethod
-    def point(cls, x: float, y: float) -> "ConvexPolygon":
-        return cls(((float(x), float(y)),))
+        lexicographic order: _chain_hull without the set, the sort and the
+        canonical walk, which on such a list is a shortcut to the same
+        vertices."""
+        return cls(_chain_hull(points))
 
     @classmethod
     def box(cls, x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> "ConvexPolygon":
-        """The axis-aligned box.  With both sides positive its corners, from
-        the lower left, are canonical as built, however small the sides: the
-        hull would merge corners closer than EPS_GEOM and shrink the box.
-        The sides' product is each corner's turn, which must not underflow
-        to zero."""
-        x0, x1, y0, y1 = float(x_lo), float(x_hi), float(y_lo), float(y_hi)
-        corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
-        if x0 < x1 and y0 < y1 and (x1 - x0) * (y1 - y0) > 0.0:
-            return cls(corners)
-        return cls.from_points(corners)
+        """The axis-aligned box (x_lo <= x_hi, y_lo <= y_hi), each side
+        widened by _side: both are then positive at any finite coordinate,
+        and their product, each corner's turn, cannot underflow to zero.
+        The corners, from the lower left, are canonical as built; the hull
+        would merge corners closer than EPS_GEOM and shrink the box."""
+        x0, x1 = _side(float(x_lo), float(x_hi))
+        y0, y1 = _side(float(y_lo), float(y_hi))
+        return cls(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
 
     @property
     def n(self) -> int:
         return len(self.vertices)
-
-    @property
-    def is_point(self) -> bool:
-        return len(self.vertices) == 1
-
-    @property
-    def is_segment(self) -> bool:
-        return len(self.vertices) == 2
 
     @cached_property
     def bbox(self) -> tuple[float, float, float, float]:
@@ -496,23 +498,21 @@ class ConvexPolygon:
         """(x, y, radius) of a disk inside the polygon, computed when first
         read: the vertex mean and its least distance to an edge line, less
         INNER_MARGIN times the largest coordinate magnitude, which covers
-        the rounding of both.  None for a point or a segment, and when the
-        margin leaves no disk."""
+        the rounding of both.  None when the margin leaves no disk."""
         return _inner_disk(self.vertices, self.bbox)
 
     def validate(self, v_max: int | None = None) -> None:
-        """Raise if the vertex list is not strictly convex CCW."""
+        """Raise if the vertex list is not strictly convex CCW with at least
+        three vertices."""
         v = self.vertices
-        if len(v) == 0:
-            raise ValueError("empty polygon")
+        if len(v) < 3:
+            raise ValueError(f"{len(v)} vertices: a set needs an area")
         if v_max is not None and len(v) > v_max:
             raise ValueError(f"{len(v)} vertices exceeds budget {v_max}")
         for x, y in v:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError("non-finite vertex")
         n = len(v)
-        if n <= 2:
-            return
         for i in range(n):
             (ax, ay), (bx, by), (cx, cy) = v[i - 1], v[i], v[(i + 1) % n]
             if _cross(ax, ay, bx, by, cx, cy) <= 0.0:
@@ -520,10 +520,8 @@ class ConvexPolygon:
 
 
 def area(p: ConvexPolygon) -> float:
-    """Shoelace area; zero for points and segments."""
+    """Shoelace area."""
     v = p.vertices
-    if len(v) <= 2:
-        return 0.0
     s = 0.0
     for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1]):
         s += ax * by - bx * ay
@@ -545,8 +543,6 @@ def _inner_disk(v: Sequence[tuple[float, float]],
                 box: tuple[float, float, float, float]
                 ) -> tuple[float, float, float] | None:
     n = len(v)
-    if n < 3:
-        return None
     cx = sum(x for x, _ in v) / n
     cy = sum(y for _, y in v) / n
     radius = math.inf
@@ -562,15 +558,7 @@ def _inner_disk(v: Sequence[tuple[float, float]],
 
 def contains(p: ConvexPolygon, q: tuple[float, float], tol: float = EPS_GEOM) -> bool:
     """Point membership within absolute tolerance tol (meters)."""
-    v = p.vertices
-    qx, qy = q[0], q[1]
-    if len(v) == 1:
-        (vx, vy), = v
-        return math.hypot(qx - vx, qy - vy) <= tol
-    if len(v) == 2:
-        (ax, ay), (bx, by) = v
-        return _dist_point_segment(qx, qy, ax, ay, bx, by) <= tol
-    return _ring_contains(v, qx, qy, tol)
+    return _ring_contains(p.vertices, q[0], q[1], tol)
 
 
 def _ring_contains(ring: Sequence[tuple[float, float]], qx: float, qy: float,
@@ -596,8 +584,6 @@ def contains_polygon(outer: ConvexPolygon, inner: ConvexPolygon,
     _clip_ring); inner's vertices are tested one by one only against the
     edges where that corner fails.
     """
-    if outer.n < 3:
-        return all(contains(outer, v, tol) for v in inner.vertices)
     pts = inner.vertices
     x0, x1, y0, y1 = inner.bbox
     ax, ay = outer.vertices[-1]
@@ -665,16 +651,6 @@ def _merge_edges(a: Sequence[tuple[float, float]],
 
 def minkowski_sum(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
     """Exact Minkowski sum {p + q : p in a, q in b} (no vertex cap applied)."""
-    if b.is_point:
-        return translate(a, *b.vertices[0])
-    if a.is_point:
-        return translate(b, *a.vertices[0])
-    if a.is_segment or b.is_segment:
-        # a segment's two edges are antiparallel, so the edge merge cannot
-        # order them; the pairwise sums are only 2m points
-        sums = [(ax + bx, ay + by)
-                for ax, ay in a.vertices for bx, by in b.vertices]
-        return ConvexPolygon.from_points(sums)
     return ConvexPolygon.from_points(_merge_edges(a.vertices, b.vertices))
 
 
@@ -697,23 +673,6 @@ Line = tuple[float, float, float, float]
 def _edge_lines(v: Sequence[tuple[float, float]]) -> list[Line]:
     """The lines through the edges of a vertex ring, in vertex order."""
     return [(ax, ay, bx, by) for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1])]
-
-
-def _lines(p: ConvexPolygon) -> list[Line]:
-    """Lines whose left sides meet in p: a polygon's edge lines; a
-    segment's two sides and the two end caps square to it; a point's four
-    sides of a zero-size box about it.  With the clips' EPS_GEOM slack, a
-    set without area clips by the part within EPS_GEOM of each line."""
-    v = p.vertices
-    if len(v) >= 3:
-        return _edge_lines(v)
-    (ax, ay), (bx, by) = v[0], v[-1]
-    if len(v) == 1:
-        return [(ax, ay, ax + 1.0, ay), (ax, ay, ax, ay + 1.0),
-                (ax, ay, ax - 1.0, ay), (ax, ay, ax, ay - 1.0)]
-    dx, dy = bx - ax, by - ay
-    return [(ax, ay, bx, by), (bx, by, bx - dy, by + dx),
-            (bx, by, ax, ay), (ax, ay, ax + dy, ay - dx)]
 
 
 def _clip_poly_halfplane(pts: Sequence[tuple[float, float]], ax: float, ay: float,
@@ -796,9 +755,9 @@ def _clip_by(s: ConvexPolygon, lines: Sequence[Line]) -> ConvexPolygon | None:
     """s clipped by the left sides of lines: s itself when no line cuts it,
     None when the clip is empty.
 
-    Every set is clipped as a ring, a segment as a ring of two vertices.
-    A cut ring goes through the hull, which mends a collapsed clip and the
-    duplicate, collinear or reflex vertices that rounding can leave.
+    A cut ring goes through the hull, which mends a collapsed clip (into
+    the box about it) and the duplicate, collinear or reflex vertices that
+    rounding can leave.
     """
     pts = _clip_ring(s.vertices, s.bbox, lines)
     if pts is s.vertices:
@@ -812,17 +771,11 @@ def intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
     """Intersection up to the clips' EPS_GEOM slack; None signals disjoint
     sets (a value, not an error).
 
-    a is clipped by the lines of b (_lines), so a itself is returned when no
+    a is clipped by the edge lines of b, so a itself is returned when no
     line of b cuts it: with a inside b the clip costs one side test per
     vertex and line.  Pass the set expected to be the smaller one as a.
-    Where b has no area and fewer vertices than a, b is clipped by the lines
-    of a instead.  Where neither has an area, the result is the part of one
-    within EPS_GEOM of each line of the other: a superset of the exact
-    intersection, at most sqrt(2) * EPS_GEOM beyond it.
     """
-    if b.n < min(a.n, 3):
-        a, b = b, a
-    return _clip_by(a, _lines(b))
+    return _clip_by(a, _edge_lines(b.vertices))
 
 
 def _left_turn_lines(ring: Sequence[tuple[float, float]]) -> list[Line] | None:
@@ -839,29 +792,16 @@ def _left_turn_lines(ring: Sequence[tuple[float, float]]) -> list[Line] | None:
 
 
 def _sum_lines(a: ConvexPolygon, b: ConvexPolygon) -> list[Line]:
-    """Boundary lines of a + b: the support half-planes
-    n . x <= h_a(n) + h_b(n) over the outward normals n of the lines of
-    both operands (_lines; de Berg et al., section 13.3).
-
-    A line of one operand, moved by the other's support vertex for its
-    normal, supports the sum.  For two polygons these are the edges of the
-    merge ring, or of its hull where rounding left a duplicate, collinear
-    or reflex vertex: those are the edges of minkowski_sum(a, b), so
-    SumBoundary.clip clips by the same lines as intersect with the built
-    sum.  The merge ring winds once by construction, so left turns alone
-    show it convex.
+    """Boundary lines of a + b: the edges of the merge ring (de Berg et
+    al., section 13.3), or of its hull where rounding left a duplicate,
+    collinear or reflex vertex.  Those are the edges of minkowski_sum(a,
+    b), so SumBoundary.clip clips by the same lines as intersect with the
+    built sum.  The merge ring winds once by construction, so left turns
+    alone show it convex.
     """
-    if a.n >= 3 and b.n >= 3:
-        ring = _merge_edges(a.vertices, b.vertices)
-        lines = _left_turn_lines(ring)
-        return lines if lines is not None else _edge_lines(_hull_vertices(ring))
-    lines: list[Line] = []
-    for own, other in ((a, b), (b, a)):
-        for px, py, qx, qy in _lines(own):
-            wx, wy = max(other.vertices,
-                         key=lambda v: (qy - py) * v[0] + (px - qx) * v[1])
-            lines.append((px + wx, py + wy, qx + wx, qy + wy))
-    return lines
+    ring = _merge_edges(a.vertices, b.vertices)
+    lines = _left_turn_lines(ring)
+    return lines if lines is not None else _edge_lines(_hull_vertices(ring))
 
 
 class SumBoundary(NamedTuple):
@@ -941,28 +881,25 @@ def _keeps_a_vertex(pts: Sequence[tuple[float, float]],
 
 # --- outer approximations --------------------------------------------------
 
-def _square(h: float) -> ConvexPolygon:
-    """The square of half side h about the origin, which covers the disk of
-    radius h.  With h >= EPS_GEOM, ConvexPolygon.box keeps its four
-    corners (a hull would merge corners closer than EPS_GEOM)."""
-    return ConvexPolygon.box(-h, h, -h, h)
+def _outer_ring(pts: list[tuple[float, float]]) -> ConvexPolygon:
+    """The polygon of a ring built about an arc: the ring itself where it
+    is canonical as built, else the box about it (its vertices too close
+    for the hull to keep them all, which would cut the arc)."""
+    ring = _canonical_ring(pts)
+    return ConvexPolygon(ring) if ring is not None else \
+        ConvexPolygon.box(*_bbox(pts))
 
 
 def ball_outer_polygon(radius: float,
                        k: int = DEFAULT_BALL_SEGMENTS) -> ConvexPolygon:
-    """Regular k-gon circumscribed about the origin-centered disk.
+    """Regular k-gon circumscribed about the origin-centered disk, or the
+    box about it (_outer_ring).
 
     The apothem equals radius, so the polygon always covers the disk at the
-    cost of a sec(pi/k)**2 area factor.  A disk of radius 0 is the origin,
-    one of radius up to EPS_GEOM the square of half side EPS_GEOM, and one
-    whose k-gon is not canonical as built (its vertices too close for the
-    hull to keep them all) the square about it.
+    cost of a sec(pi/k)**2 area factor.
     """
     if radius < 0.0:
         raise ValueError("radius must be >= 0")
-    if radius <= EPS_GEOM:
-        return (_square(EPS_GEOM) if radius > 0.0
-                else ConvexPolygon.point(0.0, 0.0))
     if k < 4:
         raise ValueError("ball polygon needs k >= 4")
     rc = radius / math.cos(math.pi / k)
@@ -970,8 +907,7 @@ def ball_outer_polygon(radius: float,
     for j in range(k):
         ang = (2 * j + 1) * math.pi / k
         pts.append((rc * math.cos(ang), rc * math.sin(ang)))
-    ring = _canonical_ring(pts)
-    return ConvexPolygon(ring) if ring is not None else _square(rc)
+    return _outer_ring(pts)
 
 
 def sector_outer_polygon(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
@@ -982,13 +918,8 @@ def sector_outer_polygon(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
     only adds points of smaller radius.  Requires half_width < pi/2 so the
     sector has a bounded convex superset.  Where that ring is not canonical
     as built (a sector within a few EPS_GEOM of the sensor, or one so thin
-    that its corners nearly meet), its hull would merge or drop vertices
-    and cut the sector, so the square about the sensor that covers the
-    ring's radius is returned instead.  A sector of radius up to EPS_GEOM
-    is the square of half side EPS_GEOM, and one of radius 0 the origin.
-    One of half-width up to 1e-15 is the segment between its radii, or
-    where the hull would merge its two ends, the box about them grown by
-    EPS_GEOM.
+    that its corners nearly meet, down to a segment or a point), the box
+    about the ring is returned instead (_outer_ring).
     """
     if angle.half_width >= math.pi / 2.0:
         raise ValueError(f"sector half-width {angle.half_width:.4f} >= pi/2")
@@ -997,19 +928,6 @@ def sector_outer_polygon(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
     r_lo, r_hi = rng.lo, rng.hi
     c = angle.center
     w = angle.half_width
-    if r_hi <= EPS_GEOM:
-        return (_square(EPS_GEOM) if r_hi > 0.0
-                else ConvexPolygon.point(0.0, 0.0))
-    if w <= 1e-15:
-        ux, uy = math.cos(c), math.sin(c)
-        ends = [(r_lo * ux, r_lo * uy), (r_hi * ux, r_hi * uy)]
-        seg = ConvexPolygon.from_points(ends)
-        if seg.n == 2 or ends[0] == ends[1]:
-            return seg
-        # the hull merged ends closer than EPS_GEOM: the box about them
-        (x0, y0), (x1, y1) = ends
-        return ConvexPolygon.box(min(x0, x1) - EPS_GEOM, max(x0, x1) + EPS_GEOM,
-                                 min(y0, y1) - EPS_GEOM, max(y0, y1) + EPS_GEOM)
     m = max(2, math.ceil(2.0 * w / _SECTOR_MAX_STEP))
     step = 2.0 * w / m
     rc = r_hi / math.cos(0.5 * step)
@@ -1022,8 +940,7 @@ def sector_outer_polygon(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
         pts.append((rc * math.cos(a), rc * math.sin(a)))
     if inner:
         pts.append((r_lo * math.cos(c + w), r_lo * math.sin(c + w)))
-    ring = _canonical_ring(pts)
-    return ConvexPolygon(ring) if ring is not None else _square(rc)
+    return _outer_ring(pts)
 
 
 def sector_inner_rectangle(angle: AngleInterval, rng: Interval, inner: float
@@ -1065,15 +982,11 @@ def angular_hull(p: ConvexPolygon) -> AngleInterval:
 
 def angular_hull_sum(a: ConvexPolygon, b: ConvexPolygon) -> AngleInterval:
     """An arc containing angular_hull(minkowski_sum(a, b)), without building
-    the sum.
-
-    For two operands with an area this is the arc of the edge merge's raw
-    ring: its points beyond the sum's vertices (collinear ones, or ones the
-    hull would merge or prune) lie on the sum's boundary up to rounding, so
-    the arc is the same or, by rounding, wider.
+    the sum: the arc of the edge merge's raw ring.  Its points beyond the
+    sum's vertices (collinear ones, or ones the hull would merge or prune)
+    lie on the sum's boundary up to rounding, so the arc is the same or, by
+    rounding, wider.
     """
-    if a.n < 3 or b.n < 3:
-        return angular_hull(minkowski_sum(a, b))
     ring = _merge_edges(a.vertices, b.vertices)
     if _ring_contains(ring, 0.0, 0.0, EPS_GEOM):
         return FULL_CIRCLE
@@ -1187,16 +1100,8 @@ def _enclosing_triangle(ring: Sequence[tuple[float, float]],
 
 def sample_uniform(p: ConvexPolygon, rng: np.random.Generator,
                    size: int = 1) -> np.ndarray:
-    """Uniform samples from a polygon as an (size, 2) array.
-
-    Points and segments are sampled along their support.
-    """
+    """Uniform samples from a polygon as an (size, 2) array."""
     v = np.asarray(p.vertices, dtype=float)
-    if len(v) == 1:
-        return np.repeat(v, size, axis=0)
-    if len(v) == 2:
-        t = rng.random(size)[:, None]
-        return v[0] + t * (v[1] - v[0])
     anchor = v[0]
     tri_a = v[1:-1] - anchor
     tri_b = v[2:] - anchor

@@ -297,8 +297,6 @@ def _geometry_line(step: int, obj_id: str, poly: ConvexPolygon | None = None,
 
 def _centered_box(center: tuple[float, float], area: float) -> ConvexPolygon:
     h = 0.5 * math.sqrt(max(area, 0.0))
-    if h <= 0.0:
-        return ConvexPolygon.point(*center)
     return ConvexPolygon.box(center[0] - h, center[0] + h,
                              center[1] - h, center[1] + h)
 
@@ -400,21 +398,6 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         # initial_sets cannot build the orientation intervals
         problems.append("[initial_sets] sensor_theta_deg must be in [0, 360]")
         return problems
-    # an exact sensor pins each marker it sees to a point that misses the
-    # truth by rounding, and beside other noise those points' headings need
-    # not meet.  A config without any noise has points from the start.
-    exact = [f"[sensor.{i}]" for i, s in enumerate(cfg.sensors, start=1)
-             if s.model.eps_bearing == 0.0]
-    noise = (cfg.robot.eps_v, cfg.robot.eps_delta, cfg.robot.eps_f,
-             cfg.initial_marker_area, cfg.omni_v_max,
-             *(x for s in cfg.sensors for x in (s.model.eps_bearing,
-                                                s.model.eps_range)))
-    if exact and cfg.initial_sensor_area == cfg.initial_sensor_theta == 0.0 \
-            and any(noise):
-        problems.append(f"{', '.join(exact)} eps_bearing_deg = 0 with "
-                        f"[initial_sets] sensor_area = 0 and sensor_theta_deg"
-                        f" = 0: exact sensors beside other noise are not "
-                        f"supported; make one of the three positive")
     # the containment hypothesis: every true state inside its initial set
     markers, sensor_xy, sensor_theta = initial_sets(cfg)
     for j, off in enumerate(cfg.offsets):
@@ -488,8 +471,10 @@ def _omni_world(cfg: ScenarioConfig, trajectory: Sequence[tuple[float, float]],
         sp = rng.uniform(0.0, min(speed, v_max)) if v_max > 0.0 else 0.0
         center = (center[0] + sp * dt * math.cos(heading),
                   center[1] + sp * dt * math.sin(heading))
+        # a body of radius 0 is the centre itself, a ring of one vertex: the
+        # truth is scored as it is, never widened to a set with an area
         region = geom2d.translate(disk, *center) if cfg.omni_radius > 0.0 \
-            else ConvexPolygon.point(*center)
+            else ConvexPolygon((center,))
         yield k, None, Truth((center,), region, None, center)
 
 

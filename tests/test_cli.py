@@ -187,9 +187,6 @@ def test_validate_rejects_what_run_cannot_run(tmp_path, capsys, name, old,
 
 
 @pytest.mark.parametrize("old, new, key", [
-    # so far from the origin that rounding leaves the initial marker sets
-    # no common heading
-    ("x0 = 8.0", "x0 = 1e20", "[robot] x0"),
     # a marker's distance over the wheelbase overflows when the motion
     # bounds square it
     ("wheelbase = 2.1", "wheelbase = 1e-155", "[robot] wheelbase"),
@@ -211,31 +208,35 @@ def test_every_command_rejects_what_the_estimator_cannot_start(
     assert not out.exists()
 
 
-def test_every_command_rejects_exact_sensors_beside_other_noise(
-        parking_cfg, tmp_path, capsys):
-    # no bearing noise and no initial sensor uncertainty pin the markers to
-    # points that miss the truth by rounding; every seed faulted at step 1
+@pytest.mark.parametrize("edits", [
+    # no bearing noise and no initial sensor uncertainty: each sensor set
+    # is the box about a point and each sector the box about a segment
+    (("eps_bearing_deg = 1.0", "eps_bearing_deg = 0.0"),
+     ("sensor_area = 0.01", "sensor_area = 0"),
+     ("sensor_theta_deg = 2.0", "sensor_theta_deg = 0.0")),
+    # so far from the origin that a float step is 16 km
+    (("x0 = 8.0", "x0 = 1e20"),),
+], ids=["exact sensors", "x0 = 1e20"])
+def test_every_command_runs_exact_sensors_and_far_coordinates(
+        parking_cfg, tmp_path, capsys, edits):
     text = parking_cfg.read_text()
-    for old, new in (("eps_bearing_deg = 1.0", "eps_bearing_deg = 0.0"),
-                     ("sensor_area = 0.01", "sensor_area = 0"),
-                     ("sensor_theta_deg = 2.0", "sensor_theta_deg = 0.0")):
+    for old, new in edits:
         assert old in text
         text = text.replace(old, new)
-    cfg = tmp_path / "exact.cfg"
+    cfg = tmp_path / "edited.cfg"
     cfg.write_text(text, encoding="utf-8")
-    out = tmp_path / "o"
-    # the swept range noise leaves the bearing noise at 0
+    # the swept range noise leaves the bearing noise as it is
     for args in (["validate"],
-                 ["run", "--out", str(out), "--steps", "40",
+                 ["run", "--out", str(tmp_path / "o"), "--steps", "40",
                   "--estimator", "set"],
-                 ["sweep", "--out", str(out), "--parameter", "eps_wr",
-                  "--values", "0.1", "--seeds", "1", "--steps", "2"]):
-        assert run_cli(*args, "--config", str(cfg)) == 1
-        err = capsys.readouterr().err
-        assert "config error:" in err and "Traceback" not in err
-        assert "[sensor.21] eps_bearing_deg = 0" in err
-        assert "sensor_area" in err and "sensor_theta_deg" in err
-    assert not out.exists()
+                 ["sweep", "--out", str(tmp_path / "s"), "--parameter",
+                  "eps_wr", "--values", "0.1", "--seeds", "1", "--steps",
+                  "2"]):
+        assert run_cli(*args, "--config", str(cfg)) == 0
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        if args[0] == "run":
+            assert "containment_rate=100.0%" in out
 
 
 @pytest.mark.parametrize("name, args, key", [

@@ -49,7 +49,7 @@ def worked_example_setup():
     markers = [tiny_box(5 * math.cos(math.radians(b)),
                         5 * math.sin(math.radians(b)))
                for b in bearings_deg]
-    sensor_xy = ConvexPolygon.point(0.0, 0.0)
+    sensor_xy = ConvexPolygon.from_points([(0.0, 0.0)])
     sensor_theta = AngleInterval(0.0, math.radians(7.0))
     batch = [Measurement(math.radians(-6.0), None, 0, 0),
              Measurement(math.radians(6.5), None, 0, 1)]
@@ -77,7 +77,7 @@ def test_single_feasible_entry_from_separated_geometry():
     cmat = build_candidate_matrix(
         sectors_of([Measurement(0.0, None, 0, 0)], model,
                    AngleInterval(0.0, math.radians(0.5))),
-        markers, ConvexPolygon.point(0, 0))
+        markers, ConvexPolygon.from_points([(0, 0)]))
     assert cmat.rows == ((True, False, False),)
 
 
@@ -88,7 +88,7 @@ def test_aligned_batch_diagonal():
     batch = [Measurement(a, None, 0, i) for i, a in enumerate(angs)]
     cmat = build_candidate_matrix(
         sectors_of(batch, model, AngleInterval(0.0, math.radians(0.1))),
-        markers, ConvexPolygon.point(0, 0))
+        markers, ConvexPolygon.from_points([(0, 0)]))
     assert cmat.rows == ((True, False, False),
                          (False, True, False),
                          (False, False, True))
@@ -102,7 +102,7 @@ def test_inconsistent_batch_raises():
         build_candidate_matrix(
             sectors_of([Measurement(math.pi / 2, None, 3, 0)], model,
                        AngleInterval(0.0, 0.01)),
-            markers, ConvexPolygon.point(0, 0), sensor_id=3)
+            markers, ConvexPolygon.from_points([(0, 0)]), sensor_id=3)
     assert err.value.sensor_id == 3
 
 

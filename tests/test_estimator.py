@@ -30,8 +30,9 @@ EXACT_SENSOR = SensorModel(ANGLE_RANGE, 0.0, 0.0, 2 * math.pi, 100.0)
 
 
 def point_state(pose, sensor_poses, spec=SPEC, offsets=OFFSETS):
-    markers = [ConvexPolygon.point(*place_marker(pose, o)) for o in offsets]
-    sxy = [ConvexPolygon.point(*sp.xy) for sp in sensor_poses]
+    markers = [ConvexPolygon.from_points([place_marker(pose, o)])
+               for o in offsets]
+    sxy = [ConvexPolygon.from_points([sp.xy]) for sp in sensor_poses]
     sth = [AngleInterval(sp.theta, 0.0) for sp in sensor_poses]
     return make_state(markers, sxy, sth, spec)
 
@@ -76,10 +77,8 @@ def assert_containment(state, pose, sensor_poses, offsets=OFFSETS):
         assert state.sensor_theta[i].contains(sp.theta), \
             f"sensor {i} orientation escaped"
     assert state.heading.contains(pose.theta)
-    assert geom2d.contains_polygon(state.body,
-                                   geom2d.convex_hull(
-                                       [ConvexPolygon.point(*place_marker(pose, o))
-                                        for o in offsets]))
+    assert geom2d.contains_polygon(state.body, ConvexPolygon.from_points(
+        [place_marker(pose, o) for o in offsets]))
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +99,7 @@ def test_propagate_straight_translation():
     sensors = [SensorPose(0.0, 0.0, 0.0)]
     markers = [geom2d.translate(ConvexPolygon.box(-0.1, 0.1, -0.1, 0.1),
                                 *place_marker(pose, o)) for o in OFFSETS]
-    state = make_state(markers, [ConvexPolygon.point(0, 0)],
+    state = make_state(markers, [ConvexPolygon.from_points([(0, 0)])],
                        [AngleInterval(0.0, 0.0)], None)
     state = replace(state, heading=AngleInterval(0.3, 0.0))
     models = EstimatorModels(EXACT_ROBOT, OFFSETS, (EXACT_SENSOR,))
@@ -110,7 +109,10 @@ def test_propagate_straight_translation():
     for before, after in zip(state.markers, out.markers):
         expect = geom2d.translate(before, dx, dy)
         assert geom2d.contains_polygon(after, expect, tol=1e-9)
-        assert geom2d.contains_polygon(expect, after, tol=1e-9)
+        # a displacement interval a few ulps wide is widened to 2 EPS_GEOM
+        # (ConvexPolygon.box): each side moves out by EPS_GEOM and an ulp
+        assert geom2d.contains_polygon(expect, after,
+                                       tol=geom2d.EPS_GEOM + 1e-15)
 
 
 def test_propagate_area_monotone():
@@ -143,9 +145,9 @@ def test_update_exact_fixed_point():
     batches = world_measurements(rng, pose, sensors,
                                  (EXACT_SENSOR, EXACT_SENSOR))
     out = update(state, batches, models)
-    for got, want in zip(out.markers, state.markers):
-        assert geom2d.contains(got, want.vertices[0], tol=1e-9)
-        assert got.is_point or geom2d.area(got) < 1e-15
+    for got, off in zip(out.markers, OFFSETS):
+        assert geom2d.contains(got, place_marker(pose, off), tol=1e-9)
+        assert geom2d.area(got) < 1e-15
     for i in range(2):
         assert geom2d.contains(out.sensor_xy[i], sensors[i].xy, tol=1e-9)
         assert out.sensor_theta[i].contains(sensors[i].theta, tol=1e-9)
@@ -238,9 +240,10 @@ def test_refine_exact_points_idempotent():
 
 def test_refine_shrinks_huge_set():
     pose = RobotPose(0.0, 0.0, 0.0)
-    markers = [ConvexPolygon.point(*place_marker(pose, o)) for o in OFFSETS]
+    markers = [ConvexPolygon.from_points([place_marker(pose, o)])
+               for o in OFFSETS]
     markers[0] = ConvexPolygon.box(-50, 50, -50, 50)
-    state = make_state(markers, [ConvexPolygon.point(100, 0)],
+    state = make_state(markers, [ConvexPolygon.from_points([(100, 0)])],
                        [AngleInterval(0, 0)], None)
     out = refine_rigid_body(state, SPEC)
     r01 = SPEC.distances[0][1]
@@ -271,8 +274,8 @@ def test_estimates_exact_points():
     pose = RobotPose(2.0, -1.0, 1.1)
     state = point_state(pose, [SensorPose(0, 0, 0)])
     body = state.body
-    truth = geom2d.convex_hull([ConvexPolygon.point(*place_marker(pose, o))
-                                for o in OFFSETS])
+    truth = geom2d.convex_hull([
+        ConvexPolygon.from_points([place_marker(pose, o)]) for o in OFFSETS])
     assert geom2d.contains_polygon(body, truth, tol=1e-9)
     assert geom2d.contains_polygon(truth, body, tol=1e-9)
     heading = estimate_heading(state, SPEC)
@@ -285,7 +288,7 @@ def test_estimates_inflated_boxes():
     pose = RobotPose(0.0, 0.0, 0.9)
     markers = [geom2d.translate(ConvexPolygon.box(-0.1, 0.1, -0.1, 0.1),
                                 *place_marker(pose, o)) for o in OFFSETS]
-    state = make_state(markers, [ConvexPolygon.point(0, 0)],
+    state = make_state(markers, [ConvexPolygon.from_points([(0, 0)])],
                        [AngleInterval(0, 0)], SPEC)
     body = state.body
     for j in range(4):
@@ -345,7 +348,7 @@ def test_step_fallback_returns_prediction():
     # marker sets that each cover every marker make all 4! assignments
     # consistent, so a cap of one (CapExceeded) raises the same fault
     big = ConvexPolygon.box(-4.0, 4.0, -4.0, 4.0)
-    state = make_state([big] * 4, [ConvexPolygon.point(*sensors[0].xy)],
+    state = make_state([big] * 4, [ConvexPolygon.from_points([sensors[0].xy])],
                        [AngleInterval(sensors[0].theta, 0.0)], SPEC)
     batches = world_measurements(np.random.default_rng(4), pose, sensors,
                                  (PANORAMIC,))
@@ -358,7 +361,7 @@ def test_step_fallback_returns_prediction():
 
 def test_propagate_omnidirectional():
     p = ConvexPolygon.box(-0.1, 0.1, -0.1, 0.1)
-    state = make_state([p], [ConvexPolygon.point(5, 5)],
+    state = make_state([p], [ConvexPolygon.from_points([(5, 5)])],
                        [AngleInterval(0, 0)], None)
     out = propagate_omnidirectional(state, 0.0, 0.2)
     assert out.markers[0] == p
@@ -382,7 +385,8 @@ def test_propagate_omnidirectional_adds_a_growth_below_the_tolerance():
     # on the set's edge and moves straight out at full speed stays inside
     r = 0.9e-9
     state = make_state([ConvexPolygon.box(0.0, 1.0, 0.0, 1.0)],
-                       [ConvexPolygon.point(5, 5)], [AngleInterval(0, 0)], None)
+                       [ConvexPolygon.from_points([(5, 5)])],
+                       [AngleInterval(0, 0)], None)
     x = 1.0
     for _ in range(10):
         state = propagate_omnidirectional(state, r, 1.0)
@@ -391,14 +395,16 @@ def test_propagate_omnidirectional_adds_a_growth_below_the_tolerance():
 
 
 def test_propagate_omnidirectional_keeps_a_growth_box_below_the_tolerance():
-    # a growth box of half-side 0.6e-9 keeps its four corners: the hull would
-    # merge them into a diagonal, and a truth moving out through the corner
-    # at full speed would leave the set
+    # a growth box of half-side 0.6e-9 keeps four corners, widened to
+    # half-side EPS_GEOM: the hull would merge them into a diagonal, and a
+    # truth moving out through the corner at full speed would leave the set
     r = 0.6e-9
+    e = geom2d.EPS_GEOM
     assert ConvexPolygon.box(-r, r, -r, r).vertices == (
-        (-r, -r), (r, -r), (r, r), (-r, r))
+        (-e, -e), (e, -e), (e, e), (-e, e))
     state = make_state([ConvexPolygon.box(0.0, 1.0, 0.0, 1.0)],
-                       [ConvexPolygon.point(5, 5)], [AngleInterval(0, 0)], None)
+                       [ConvexPolygon.from_points([(5, 5)])],
+                       [AngleInterval(0, 0)], None)
     x = y = 1.0
     for _ in range(10):
         state = propagate_omnidirectional(state, r, 1.0)
@@ -412,7 +418,8 @@ def test_propagate_adds_a_disturbance_below_the_tolerance():
     robot = RobotModel(wheelbase=2.1, dt=0.5, eps_f=0.9e-9)
     models = EstimatorModels(robot, (MarkerOffset(0.0, 0.0),), (EXACT_SENSOR,))
     state = make_state([ConvexPolygon.box(0.0, 1.0, 0.0, 1.0)],
-                       [ConvexPolygon.point(5, 5)], [AngleInterval(0, 0)], None)
+                       [ConvexPolygon.from_points([(5, 5)])],
+                       [AngleInterval(0, 0)], None)
     x = y = 1.0
     for _ in range(10):
         state = propagate(state, Control(0.0, 0.0), models)
@@ -433,7 +440,7 @@ def test_stationary_repeated_updates_monotone():
     state = make_state([geom2d.translate(ConvexPolygon.box(-0.25, 0.25,
                                                            -0.25, 0.25),
                                          *center)],
-                       [ConvexPolygon.point(*sp.xy) for sp in sensors],
+                       [ConvexPolygon.from_points([sp.xy]) for sp in sensors],
                        [AngleInterval(sp.theta, 0.0) for sp in sensors], None)
     prev_area = geom2d.area(state.markers[0])
     for _ in range(25):

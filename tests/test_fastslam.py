@@ -24,24 +24,30 @@ SENSOR = SensorModel(ANGLE_RANGE, math.radians(1.0), 0.1, 2 * math.pi, 40.0)
 
 
 def point_sets(pose, sensors):
-    markers = [ConvexPolygon.point(*place_marker(pose, o)) for o in OFFSETS]
-    sxy = [ConvexPolygon.point(*sp.xy) for sp in sensors]
+    markers = [ConvexPolygon.from_points([place_marker(pose, o)])
+               for o in OFFSETS]
+    sxy = [ConvexPolygon.from_points([sp.xy]) for sp in sensors]
     sth = [AngleInterval(sp.theta, 0.0) for sp in sensors]
     return markers, sxy, sth
 
 
 def test_init_point_sets_identical_particles():
+    # identical up to the set of one point, the box of side 2 EPS_GEOM
+    # about it
     pose = RobotPose(1.0, 2.0, 0.3)
     sensors = [SensorPose(0, 0, 0)]
     markers, sxy, sth = point_sets(pose, sensors)
     ps = fs.init_particles(markers, sxy, sth, 50, np.random.default_rng(0))
-    assert np.ptp(ps.markers, axis=0).max() == 0.0
-    assert np.ptp(ps.sensor_xy, axis=0).max() == 0.0
+    assert np.ptp(ps.markers, axis=0).max() <= 2.0 * geom2d.EPS_GEOM + 1e-15
+    assert np.ptp(ps.sensor_xy, axis=0).max() <= 2.0 * geom2d.EPS_GEOM + 1e-15
+    for k in range(50):
+        for j, poly in enumerate(markers):
+            assert geom2d.contains(poly, tuple(ps.markers[k, j]), tol=0.0)
 
 
 def test_init_uniform_statistics():
     box = ConvexPolygon.box(0.0, 1.0, 0.0, 1.0)
-    ps = fs.init_particles([box], [ConvexPolygon.point(0, 0)],
+    ps = fs.init_particles([box], [ConvexPolygon.from_points([(0, 0)])],
                            [AngleInterval(0, 0)], 100,
                            np.random.default_rng(1))
     mean = ps.markers[:, 0, :].mean(axis=0)
@@ -116,7 +122,7 @@ def test_heading_interval_after_resampling_matches_every_particle():
     pose = RobotPose(5.0, 5.0, 3.0)
     boxes = [geom2d.translate(ConvexPolygon.box(-0.5, 0.5, -0.5, 0.5),
                               *place_marker(pose, o)) for o in OFFSETS]
-    ps = fs.init_particles(boxes, [ConvexPolygon.point(0, 0)],
+    ps = fs.init_particles(boxes, [ConvexPolygon.from_points([(0, 0)])],
                            [AngleInterval(0, 0)], 100, rng)
     ps = fs.resample(replace(ps, weights=rng.dirichlet(np.full(100, 0.1))), rng)
     headings = fs._particle_headings(ps.markers, SPEC)
@@ -132,7 +138,7 @@ def test_particle_hull_area_band_at_start():
     boxes = [geom2d.translate(ConvexPolygon.box(-0.5, 0.5, -0.5, 0.5),
                               *place_marker(pose, o)) for o in OFFSETS]
     outer = geom2d.convex_hull(boxes)
-    ps = fs.init_particles(boxes, [ConvexPolygon.point(0, 0)],
+    ps = fs.init_particles(boxes, [ConvexPolygon.from_points([(0, 0)])],
                            [AngleInterval(0, 0)], 100,
                            np.random.default_rng(11))
     hull = fs.estimate_body_particles(ps)
@@ -146,10 +152,13 @@ def test_estimate_body_particles_hull():
     markers, sxy, sth = point_sets(pose, sensors)
     ps = fs.init_particles(markers, sxy, sth, 1, np.random.default_rng(6))
     body = fs.estimate_body_particles(ps)
-    truth = geom2d.convex_hull([ConvexPolygon.point(*place_marker(pose, o))
-                                for o in OFFSETS])
-    assert geom2d.contains_polygon(body, truth, tol=1e-9)
-    assert geom2d.contains_polygon(truth, body, tol=1e-9)
+    truth = ConvexPolygon.from_points([place_marker(pose, o)
+                                       for o in OFFSETS])
+    # each particle's marker is drawn within the box of half-side EPS_GEOM
+    # about the true one, at most sqrt(2) EPS_GEOM from it
+    tol = 2.0 * geom2d.EPS_GEOM
+    assert geom2d.contains_polygon(body, truth, tol=tol)
+    assert geom2d.contains_polygon(truth, body, tol=tol)
 
 
 # coordinates where the particle hull's sort and deduplication decide:
@@ -204,7 +213,7 @@ def test_kept_headings_are_the_headings_of_the_markers():
     sensors = [SensorPose(15.0, 5.0, math.pi)]
     boxes = [geom2d.translate(ConvexPolygon.box(-0.5, 0.5, -0.5, 0.5),
                               *place_marker(pose, o)) for o in OFFSETS]
-    ps = fs.init_particles(boxes, [ConvexPolygon.point(*sensors[0].xy)],
+    ps = fs.init_particles(boxes, [ConvexPolygon.from_points([sensors[0].xy])],
                            [AngleInterval(math.pi, 0.0)], 64, rng)
     batch = []
     for pt in [place_marker(pose, o) for o in OFFSETS]:
@@ -252,8 +261,8 @@ def test_degenerate_weights_reset_counted():
     # each measurement is explainable by some particle, but no particle
     # explains both: the whole set dies and resets to uniform
     sensor = SensorPose(0.0, 0.0, 0.0)
-    ps = fs.init_particles([ConvexPolygon.point(10.0, 0.0)],
-                           [ConvexPolygon.point(0.0, 0.0)],
+    ps = fs.init_particles([ConvexPolygon.from_points([(10.0, 0.0)])],
+                           [ConvexPolygon.from_points([(0.0, 0.0)])],
                            [AngleInterval(0.0, 0.0)], 2,
                            np.random.default_rng(9))
     markers = ps.markers.copy()

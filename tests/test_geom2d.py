@@ -11,6 +11,7 @@ from setloc.geom2d import (AngleInterval, ConvexPolygon, Interval, angular_hull,
                            wrap_angle)
 
 RNG = np.random.default_rng(20240811)
+E = geom2d.EPS_GEOM
 
 
 def random_polygon(rng, n_max=8, scale=5.0, offset=10.0):
@@ -24,10 +25,15 @@ def random_polygon(rng, n_max=8, scale=5.0, offset=10.0):
 # ---------------------------------------------------------------------------
 
 def test_minkowski_translation_identity():
+    # a point's set is the box of half-side EPS_GEOM about it: the sum is
+    # the translate grown by EPS_GEOM on each side
     square = ConvexPolygon.box(0, 1, 0, 1)
-    point = ConvexPolygon.point(2, 3)
+    point = ConvexPolygon.from_points([(2, 3)])
     out = minkowski_sum(square, point)
-    assert out == ConvexPolygon.box(2, 3, 3, 4)
+    moved = ConvexPolygon.box(2, 3, 3, 4)
+    assert out.n == 4
+    assert geom2d.contains_polygon(out, moved, tol=0.0)
+    assert geom2d.contains_polygon(moved, out, tol=E + 1e-15)
 
 
 def test_minkowski_box_sum():
@@ -37,12 +43,16 @@ def test_minkowski_box_sum():
 
 
 def test_minkowski_sliver_keeps_its_tips():
-    # the four pairwise sums are collinear within 1e-101; the middle two are
-    # dropped, the ends (0, 0) and (1e-101, 2) must stay
+    # the four pairwise sums are collinear within 1e-101: each operand is
+    # the box about its segment, and the sum holds the tips (0, 0) and
+    # (1e-101, 2) at tol 0
     a = ConvexPolygon.from_points([(0.0, 0.0), (0.0, 1.0)])
     b = ConvexPolygon.from_points([(0.0, 0.0), (1e-101, 1.0)])
     out = minkowski_sum(a, b)
-    assert out.vertices == ((0.0, 0.0), (1e-101, 2.0))
+    out.validate()
+    for tip in ((0.0, 0.0), (1e-101, 2.0)):
+        assert contains(out, tip, tol=0.0)
+    assert out.bbox == pytest.approx((-2 * E, 2 * E, 0.0, 2.0), abs=1e-15)
 
 
 def test_intersect_sum_clips_by_the_hull_of_a_collinear_merge_ring():
@@ -162,26 +172,36 @@ def test_intersect_subset_of_both():
 
 
 def test_intersect_degenerate_cases():
+    # points and segments are the boxes about them, grown to sides of
+    # 2 EPS_GEOM, and intersect like any other set
     box = ConvexPolygon.box(0, 2, 0, 2)
-    pt_in = ConvexPolygon.point(1, 1)
-    pt_out = ConvexPolygon.point(5, 5)
-    assert intersect(box, pt_in) == pt_in
+    pt_in = ConvexPolygon.from_points([(1, 1)])
+    pt_out = ConvexPolygon.from_points([(5, 5)])
+    assert intersect(pt_in, box) is pt_in
+    assert intersect(box, pt_in).bbox == pytest.approx(pt_in.bbox, abs=1e-15)
     assert intersect(pt_out, box) is None
     seg = ConvexPolygon.from_points([(-1, 1), (3, 1)])
     clipped = intersect(seg, box)
-    assert clipped is not None and clipped.is_segment
-    assert area(minkowski_sum(clipped, ConvexPolygon.point(0, 0))) == 0.0
-    assert clipped.vertices[0] == pytest.approx((0.0, 1.0), abs=2e-9)
-    assert clipped.vertices[1] == pytest.approx((2.0, 1.0), abs=2e-9)
+    clipped.validate()
+    assert clipped.bbox == pytest.approx((0.0, 2.0, 1 - E, 1 + E), abs=2e-9)
     seg2 = ConvexPolygon.from_points([(1, -1), (1, 3)])
     cross = intersect(seg, seg2)
-    assert cross is not None and cross.is_point
-    assert cross.vertices[0] == pytest.approx((1.0, 1.0), abs=2e-9)
+    assert contains(cross, (1.0, 1.0), tol=0.0)
+    assert cross.bbox == pytest.approx((1 - E, 1 + E, 1 - E, 1 + E),
+                                       abs=1e-15)
     overlap = intersect(ConvexPolygon.from_points([(0, 0), (2, 0)]),
                         ConvexPolygon.from_points([(1, 0), (3, 0)]))
-    assert overlap == ConvexPolygon.from_points([(1, 0), (2, 0)])
+    assert overlap.bbox == pytest.approx((1.0, 2.0, -E, E), abs=2e-9)
     assert intersect(ConvexPolygon.from_points([(0, 0), (1, 0)]),
                      ConvexPolygon.from_points([(0, 1), (1, 1)])) is None
+
+
+def test_a_box_thinner_than_eps_geom_clips_across_its_sides():
+    # sides of 1e-10 and 5e-10 are widened to 2 EPS_GEOM, and no longer
+    # skipped as lines shorter than EPS_GEOM: the first box lies 999 m
+    # beyond the second
+    assert intersect(ConvexPolygon.box(999, 1000, 2e-10, 3e-10),
+                     ConvexPolygon.box(0, 1, 0, 5e-10)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +214,14 @@ def test_hull_idempotent():
 
 
 def test_hull_two_points_is_segment():
-    a = ConvexPolygon.point(0, 0)
-    b = ConvexPolygon.point(1, 1)
+    # the set of the segment: the box about it, which holds it at tol 0
+    a = ConvexPolygon.from_points([(0, 0)])
+    b = ConvexPolygon.from_points([(1, 1)])
     h = convex_hull([a, b])
-    assert h.is_segment
+    h.validate()
+    for t in np.linspace(0.0, 1.0, 11):
+        assert contains(h, (t, t), tol=0.0)
+    assert h.bbox == pytest.approx((-E, 1 + E, -E, 1 + E), abs=1e-15)
 
 
 def test_hull_four_squares():
@@ -250,8 +274,10 @@ def test_ball_l2_covers_disk():
 # ---------------------------------------------------------------------------
 
 def test_angular_hull_point():
-    out = angular_hull(ConvexPolygon.point(1, 1))
-    assert out.half_width == pytest.approx(0.0, abs=1e-12)
+    # the box of half-side EPS_GEOM about (1, 1) spans EPS_GEOM radians on
+    # either side of pi / 4 (its corners (1 + e, 1 - e) and (1 - e, 1 + e))
+    out = angular_hull(ConvexPolygon.from_points([(1, 1)]))
+    assert out.half_width == pytest.approx(E, rel=1e-6)
     assert out.center == pytest.approx(math.pi / 4)
 
 
@@ -300,9 +326,12 @@ def test_sector_thin_contains_samples():
 
 
 def test_sector_degenerate_point():
+    # a sector of no width and no depth is the box about its one point
     out = sector_outer_polygon(AngleInterval(0.7, 0.0), Interval(1.0, 1.0))
-    assert out.is_point
-    assert out.vertices[0] == pytest.approx((math.cos(0.7), math.sin(0.7)))
+    out.validate()
+    x, y = math.cos(0.7), math.sin(0.7)
+    assert contains(out, (x, y), tol=0.0)
+    assert out.bbox == pytest.approx((x - E, x + E, y - E, y + E), abs=1e-15)
 
 
 def test_sector_annular_construction():

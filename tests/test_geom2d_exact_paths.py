@@ -22,37 +22,27 @@ from setloc.geom2d import (EPS_GEOM, TWO_PI, AngleInterval, ConvexPolygon,
 # --- the general paths -----------------------------------------------------
 
 
+def bounding_box(pts) -> ConvexPolygon:
+    xs, ys = zip(*pts)
+    return ConvexPolygon.box(min(xs), max(xs), min(ys), max(ys))
+
+
 def general_hull(pts):
     """_hull_vertices without the canonical-ring shortcut: the sort-and-chain
-    hull."""
+    hull, or where it leaves fewer than three vertices, the box about the
+    points."""
     hull = geom2d._prune(geom2d._hull_chain(sorted(set(pts))))
-    if not hull:
-        hull = [min(pts)]
+    if len(hull) < 3:
+        return bounding_box(pts).vertices
     return geom2d._canonical(hull)
 
 
 def general_sector(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
     """sector_outer_polygon's ring, hulled by general_hull where the ring is
-    canonical as built; where it is not, or the sector lies within EPS_GEOM
-    of the sensor, the square about the sensor that covers the ring.  A
-    segment sector whose ends the hull merges is the box about its ends
-    grown by EPS_GEOM."""
+    canonical as built; where it is not (a sector within a few EPS_GEOM of
+    the sensor, a segment or a point), the box about the ring."""
     r_lo, r_hi = rng.lo, rng.hi
     c, w = angle.center, angle.half_width
-    if r_hi == 0.0:
-        return ConvexPolygon.point(0.0, 0.0)
-    if r_hi <= EPS_GEOM:
-        return ConvexPolygon.box(-EPS_GEOM, EPS_GEOM, -EPS_GEOM, EPS_GEOM)
-    if w <= 1e-15:
-        u = (math.cos(c), math.sin(c))
-        (x0, y0), (x1, y1) = ends = [(r_lo * u[0], r_lo * u[1]),
-                                     (r_hi * u[0], r_hi * u[1])]
-        seg = ConvexPolygon.from_points(ends)
-        if seg.n == 1 and ends[0] != ends[1]:
-            return ConvexPolygon.box(
-                min(x0, x1) - EPS_GEOM, max(x0, x1) + EPS_GEOM,
-                min(y0, y1) - EPS_GEOM, max(y0, y1) + EPS_GEOM)
-        return seg
     m = max(2, math.ceil(2.0 * w / geom2d._SECTOR_MAX_STEP))
     step = 2.0 * w / m
     rc = r_hi / math.cos(0.5 * step)
@@ -65,7 +55,7 @@ def general_sector(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
     if inner:
         pts.append((r_lo * math.cos(c + w), r_lo * math.sin(c + w)))
     if geom2d._canonical_ring(pts) is None:
-        return ConvexPolygon.box(-rc, rc, -rc, rc)
+        return bounding_box(pts)
     return ConvexPolygon(general_hull(pts))
 
 
@@ -172,18 +162,17 @@ coord = st.floats(-50.0, 50.0, allow_subnormal=False)
 
 
 @st.composite
-def canonical_polygons(draw, min_n=1, max_n=None):
+def canonical_polygons(draw, max_n=None):
+    """Hulls of up to max_n points, or of convex rings and point lists: the
+    boxes about points and segments among them."""
     if max_n is not None:
         pts = draw(st.lists(st.tuples(coord, coord), min_size=1,
                             max_size=max_n))
     else:
         pts = draw(st.one_of(
             convex_rings(),
-            st.lists(st.tuples(coord, coord), min_size=min_n, max_size=10)))
-    p = ConvexPolygon.from_points(pts)
-    if p.n < min_n:
-        p = ConvexPolygon.from_points([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-    return p
+            st.lists(st.tuples(coord, coord), min_size=1, max_size=10)))
+    return ConvexPolygon.from_points(pts)
 
 
 point_lists = st.lists(st.tuples(coord, coord), min_size=3, max_size=8)
@@ -191,9 +180,10 @@ point_lists = st.lists(st.tuples(coord, coord), min_size=3, max_size=8)
 
 @st.composite
 def near_boundary(draw):
-    """(s, a, b): s a point or a segment beyond one support line of a + b by
-    a distance around the clips' EPS_GEOM slack, or any polygon."""
-    a, b = draw(canonical_polygons(min_n=3)), draw(canonical_polygons())
+    """(s, a, b): s the box about a point or a segment beyond one support
+    line of a + b by a distance around the clips' EPS_GEOM slack, or any
+    polygon."""
+    a, b = draw(canonical_polygons()), draw(canonical_polygons())
     if draw(st.booleans()):
         return draw(canonical_polygons()), a, b
     ax, ay, bx, by = draw(st.sampled_from(geom2d._sum_lines(a, b)))
@@ -240,9 +230,9 @@ def test_sector_is_the_hull_of_its_ring(args):
 
 
 @settings(max_examples=600, deadline=None)
-@given(st.one_of(canonical_polygons(min_n=3).map(lambda p: p.vertices),
+@given(st.one_of(canonical_polygons().map(lambda p: p.vertices),
                  point_lists),
-       st.one_of(canonical_polygons(min_n=3).map(lambda p: p.vertices),
+       st.one_of(canonical_polygons().map(lambda p: p.vertices),
                  point_lists))
 def test_merge_walks_are_the_modular_merge(a, b):
     # any two rings of three or more points, convex or not, so that the
@@ -262,8 +252,8 @@ def test_merge_walks_are_the_modular_merge(a, b):
                                             canonical_polygons(max_n=2))))
 def test_intersects_sum_is_the_clip_it_skips(case):
     # the bounding-box "no" answers of SumBoundary.meets only where the clip
-    # is empty, and the clip is the clip by the sum's support lines, with an
-    # operand that has an area or without
+    # is empty, and the clip is the clip by the sum's support lines, with
+    # operands of any size, the boxes about points and segments included
     s, a, b = case
     boundary = geom2d.sum_boundary(a, b)
     lines = geom2d._sum_lines(a, b)
@@ -290,9 +280,17 @@ def test_intersect_angles_is_the_deduplicated_intersection(a, b):
 @given(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), scales, scales)
 def test_box_keeps_its_corners(x, y, w, h):
     p = ConvexPolygon.box(x, x + w, y, y + h)
-    if x < x + w and y < y + h:
-        assert p.vertices == ((x, y), (x + w, y), (x + w, y + h), (x, y + h))
-        p.validate()
+    p.validate()
+    corners = ((x, y), (x + w, y), (x + w, y + h), (x, y + h))
+    if min(x + w - x, y + h - y) >= 2 * EPS_GEOM:
+        assert p.vertices == corners
+    else:
+        # a side shorter than 2 EPS_GEOM is widened to that about its
+        # middle, and holds its corners
+        assert all(geom2d.contains(p, c, tol=0.0) for c in corners)
+        x0, x1, y0, y1 = p.bbox
+        assert x1 - x0 <= max(x + w - x, 2 * EPS_GEOM) + 1e-13
+        assert y1 - y0 <= max(y + h - y, 2 * EPS_GEOM) + 1e-13
     if min(x + w - x, y + h - y) > 4 * EPS_GEOM:
         # where the hull keeps every corner, the box is the hull's box
         assert p.vertices == general_hull(list(p.vertices))

@@ -3,9 +3,10 @@
 Every operation that keeps polygons canonical by construction must return
 exactly the vertices the generic hull (``ConvexPolygon.from_points``) would
 return for the same point cloud.  The strategies aim at the inputs where an
-edge merge or a clip goes wrong first: points, segments, collinear runs,
-boxes (parallel edges in both operands) and large coordinate offsets.
-The arc operations are checked against what they must enclose.
+edge merge or a clip goes wrong first: the boxes about points, segments and
+collinear runs, boxes (parallel edges in both operands) and large coordinate
+offsets.  The arc operations are checked against what they must enclose.
+Every set has an area, however degenerate its input.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ def box(draw):
 
 hulls = st.one_of(
     cloud(),
-    cloud(min_size=1, max_size=1),           # points
-    cloud(min_size=2, max_size=2),           # segments
+    cloud(min_size=1, max_size=1),           # boxes about points
+    cloud(min_size=2, max_size=2),           # boxes about segments
     collinear_run(),
     box(),
 ).map(ConvexPolygon.from_points)
@@ -63,7 +64,7 @@ hulls = st.one_of(
 @st.composite
 def translated(draw):
     """A hull moved by a translate, whose rounding can break strict
-    convexity (minkowski_sum translates by a point operand)."""
+    convexity (propagate translates a set that does not grow)."""
     p = draw(hulls)
     return geom2d.translate(p, draw(coord) + draw(offset), draw(coord))
 
@@ -82,13 +83,7 @@ def reference_sum(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
 @given(polygons, polygons)
 def test_minkowski_sum_matches_hull_of_pairwise_sums(a, b):
     out = geom2d.minkowski_sum(a, b)
-    if a.is_point or b.is_point:
-        # a point operand translates without re-hulling
-        (p,) = (a if a.is_point else b).vertices
-        other = b if a.is_point else a
-        assert out == geom2d.translate(other, *p)
-    else:
-        assert out == reference_sum(a, b)
+    assert out == reference_sum(a, b)
     out.validate()
 
 
@@ -108,8 +103,6 @@ def test_negate_matches_hull_of_negated_vertices(p):
                                (-6.0, 1.5175369318688041)]))
 def test_intersect_matches_hull_of_clip_output(a, b):
     out = geom2d.intersect(a, b)
-    if a.n < 3 or b.n < 3:
-        return
     pts = geom2d._clip_ring(a.vertices, a.bbox, geom2d._edge_lines(b.vertices))
     if pts is None:
         assert out is None
@@ -161,8 +154,6 @@ def outer_and_inner(draw):
 def contains_reference(p: ConvexPolygon, q, tol: float) -> bool:
     """contains of one point, written out apart from the loop it shares
     with angular_hull_sum: one edge length per edge and point."""
-    if p.n <= 2:
-        return geom2d.contains(p, q, tol)
     ax, ay = p.vertices[-1]
     for bx, by in p.vertices:
         ex, ey = bx - ax, by - ay
@@ -219,22 +210,35 @@ def cuts(lines, p: ConvexPolygon) -> bool:
     False)
 def test_intersect_does_not_depend_on_the_order_of_its_operands(case, swap):
     """intersect(a, b) clips a by b's lines and intersect(b, a) b by a's;
-    both keep EPS_GEOM of slack past each line, so they agree up to it."""
+    both keep EPS_GEOM of slack past each line, so they agree up to it.  A
+    clip whose points have no area is the box about them: only its points
+    are held to both operands."""
     b, a = case
     if swap:
         a, b = b, a
     ab, ba = geom2d.intersect(a, b), geom2d.intersect(b, a)
-    if b.n >= 3 and not cuts(geom2d._edge_lines(b.vertices), a):
+    if not cuts(geom2d._edge_lines(b.vertices), a):
         assert ab is a
     tol = 2 * geom2d.EPS_GEOM
-    assert all(within(r, a, tol) and within(r, b, tol)
-               for r in (ab, ba) if r is not None)
+    collapsed = False
+    for r, (p, q) in ((ab, (a, b)), (ba, (b, a))):
+        if r is None:
+            continue
+        held = r.vertices
+        pts = geom2d._clip_ring(p.vertices, p.bbox,
+                                geom2d._edge_lines(q.vertices))
+        if len(geom2d._prune(geom2d._hull_chain(sorted(set(pts))))) < 3:
+            collapsed = True
+            assert r == ConvexPolygon.box(*geom2d._bbox(pts))
+            held = pts
+        assert all(geom2d.contains(a, v, tol) and geom2d.contains(b, v, tol)
+                   for v in held)
     if (ab is None) != (ba is None):
         # one is empty only where the overlap is no deeper than 2 EPS_GEOM
         c = centroid(ab if ba is None else ba)
         assert not (geom2d.contains(a, c, -tol) and geom2d.contains(b, c, -tol))
         return
-    if ab is None:
+    if ab is None or collapsed:
         return
     x0, y0 = a.vertices[0]
     area_ab, area_ba = local_area(ab, x0, y0), local_area(ba, x0, y0)
@@ -244,31 +248,29 @@ def test_intersect_does_not_depend_on_the_order_of_its_operands(case, swap):
     assert abs(area_ab - area_ba) <= 1e-12 * max(area_ab, area_ba) + floor
     # a vertex one clip keeps by the slack lies EPS_GEOM past a line whose
     # crossing the other clip rounds (by 1.2e-10 at 1e6 offsets), so each
-    # is inside the other within 2 EPS_GEOM.  Near a point or segment
-    # containment is a distance, and where a line meets the other set at a
-    # shallow angle t the slack stretches to EPS_GEOM / sin t along it: such
-    # results are held to both operands only
-    if ab.n >= 3 and ba.n >= 3:
-        assert within(ab, ba, tol) and within(ba, ab, tol)
+    # is inside the other within 2 EPS_GEOM
+    assert within(ab, ba, tol) and within(ba, ab, tol)
 
 
 @settings(max_examples=400, deadline=None)
 @given(polygons, polygons, polygons)
 @example(  # a sliver sum whose tip (0, 0) the hull's pruning used to drop
-    ConvexPolygon.point(0.0, 0.0),
+    ConvexPolygon.from_points([(0.0, 0.0)]),
     ConvexPolygon.from_points([(0.0, 0.0), (0.0, 1.0)]),
     ConvexPolygon.from_points([(0.0, 0.0), (3.2826778072258016e-101, 1.0)]))
-@example(  # a point sum: the caps' slack reaches just past EPS_GEOM
+@example(  # the boxes about a segment and two points
     ConvexPolygon.from_points([(0.0, 0.0), (0.0, -2.0)]),
-    ConvexPolygon.point(0.0, 0.0), ConvexPolygon.point(0.0, 0.0))
-@example(  # s crosses the slack band of a segment sum at a shallow angle
+    ConvexPolygon.from_points([(0.0, 0.0)]),
+    ConvexPolygon.from_points([(0.0, 0.0)]))
+@example(  # s crosses the sum of the boxes about two segments at a shallow
+    # angle
     ConvexPolygon.from_points([(0.0, 0.0), (0.0, 1.0)]),
     ConvexPolygon.from_points([(0.0, 1.0), (1.0, -1.0)]),
-    ConvexPolygon.point(0.0, 0.0))
-@example(  # a segment sum touches s at a vertex, at slope 1/2: clipping the
-    # segment by s stretches past the vertex by EPS_GEOM * sqrt(5)
+    ConvexPolygon.from_points([(0.0, 0.0)]))
+@example(  # the sum of the boxes about a point and a segment touches s at a
+    # vertex
     ConvexPolygon.from_points([(0.0, 0.0), (0.0, 1.0), (2.0, 1.0)]),
-    ConvexPolygon.point(0.0, 0.0),
+    ConvexPolygon.from_points([(0.0, 0.0)]),
     ConvexPolygon.from_points([(0.0, 0.0), (1.0, 0.0)]))
 def test_intersect_sum_matches_intersect_of_the_sum(s, a, b):
     """Equal up to the clips' slack: both keep EPS_GEOM past every line, and
@@ -286,63 +288,22 @@ def test_intersect_sum_matches_intersect_of_the_sum(s, a, b):
     out.validate()
 
 
-flat = st.one_of(cloud(min_size=1, max_size=1), cloud(min_size=2, max_size=2),
-                collinear_run()).map(ConvexPolygon.from_points).filter(
-                    lambda p: p.n <= 2)
-
-
-@st.composite
-def near_flat_sum(draw):
-    """(s, a, b) with neither a nor b an area, and s drawn about a + b, or
-    any set."""
-    a, b = draw(flat), draw(flat)
-    total = geom2d.minkowski_sum(a, b)
-    return draw(st.one_of(inside(total), polygons)), a, b
-
-
-@settings(max_examples=500, deadline=None)
-@given(near_flat_sum())
-@example((  # crossing segments
-    ConvexPolygon.from_points([(-1.0, 0.0), (1.0, 0.0)]),
-    ConvexPolygon.from_points([(0.0, -1.0), (0.0, 1.0)]),
-    ConvexPolygon.point(0.0, 0.0)))
-@example((  # a point beside a point sum, within the caps' corner slack
-    ConvexPolygon.point(0.9e-9, 0.9e-9),
-    ConvexPolygon.point(0.0, 0.0), ConvexPolygon.point(0.0, 0.0)))
-def test_a_sum_without_area_clips_within_its_slack(case):
-    """Where neither operand has an area the clip keeps the part of s within
-    EPS_GEOM of each support line: within 2 EPS_GEOM of the sum (sqrt(2)
-    EPS_GEOM at a corner), and every vertex of s that the sum holds."""
-    s, a, b = case
-    total = geom2d.minkowski_sum(a, b)
-    clipped = geom2d.sum_boundary(a, b).clip(s)
-    held = [v for v in s.vertices if geom2d.contains(total, v, 0.0)]
-    if clipped is None:
-        assert not held
-        return
-    assert geom2d.contains_polygon(total, clipped, tol=2 * geom2d.EPS_GEOM)
-    assert all(geom2d.contains(clipped, v) for v in held)
-
-
 @st.composite
 def inside_sum(draw):
-    """(s, a, b) with s inside a + b: the sum itself, b moved by a vertex of
-    a, or one vertex sum."""
+    """(s, a, b) with s inside a + b: the sum itself, or b moved by a vertex
+    of a."""
     a, b = draw(polygons), draw(polygons)
     va = draw(st.sampled_from(a.vertices))
-    vb = draw(st.sampled_from(b.vertices))
-    s = draw(st.sampled_from([
-        geom2d.minkowski_sum(a, b),
-        geom2d.minkowski_sum(ConvexPolygon((va,)), b),
-        ConvexPolygon.point(va[0] + vb[0], va[1] + vb[1])]))
+    s = draw(st.sampled_from([geom2d.minkowski_sum(a, b),
+                              geom2d.translate(b, *va)]))
     return s, a, b
 
 
 @settings(max_examples=400, deadline=None)
 @given(inside_sum())
-@example((  # a segment sum that intersect would round (4.7e-92 to 0.0)
+@example((  # a sum that intersect would round (4.7e-92 to 0.0)
     ConvexPolygon.from_points([(-1.0, 0.0), (4.6949326410541904e-92, 0.0)]),
-    ConvexPolygon.point(4.6949326410541904e-92, 0.0),
+    ConvexPolygon.from_points([(4.6949326410541904e-92, 0.0)]),
     ConvexPolygon.from_points([(0.0, 0.0), (-1.0, 0.0)])))
 def test_intersect_sum_returns_a_set_inside_the_sum_itself(case):
     s, a, b = case
@@ -352,22 +313,23 @@ def test_intersect_sum_returns_a_set_inside_the_sum_itself(case):
 @settings(max_examples=2000, deadline=None)
 @given(polygons, polygons, polygons, st.integers(0, 2**32 - 1),
        st.sampled_from(["as drawn", "moved onto the witness", "the witness"]))
-# a point or a segment against a segment sum (seed 7 puts the witness
-# in p, except where p and the sum are disjoint)
+# the boxes about a point or a segment against the sum of the boxes about
+# two segments (seed 7 puts the witness in p, except where p and the sum
+# are disjoint)
 @example(  # crossing segments
     ConvexPolygon.from_points([(-1.0, 0.5), (1.0, 0.5)]),
     ConvexPolygon.from_points([(0.0, -1.0), (0.0, 1.0)]),
-    ConvexPolygon.point(0.0, 0.0), 7, "moved onto the witness")
+    ConvexPolygon.from_points([(0.0, 0.0)]), 7, "moved onto the witness")
 @example(  # collinear overlapping segments
     ConvexPolygon.from_points([(-1.0, 0.0), (0.5, 0.0)]),
     ConvexPolygon.from_points([(0.0, 0.0), (1.0, 0.0)]),
-    ConvexPolygon.point(0.0, 0.0), 7, "moved onto the witness")
+    ConvexPolygon.from_points([(0.0, 0.0)]), 7, "moved onto the witness")
 @example(  # parallel disjoint segments
     ConvexPolygon.from_points([(0.0, 1.0), (1.0, 1.0)]),
     ConvexPolygon.from_points([(0.0, 0.0), (1.0, 0.0)]),
-    ConvexPolygon.point(0.0, 0.0), 7, "as drawn")
+    ConvexPolygon.from_points([(0.0, 0.0)]), 7, "as drawn")
 @example(  # a point on a segment sum
-    ConvexPolygon.point(0.0, 0.0),
+    ConvexPolygon.from_points([(0.0, 0.0)]),
     ConvexPolygon.from_points([(0.0, 0.0), (1.0, 2.0)]),
     ConvexPolygon.from_points([(0.0, 0.0), (-3.0, 1.0)]), 7, "the witness")
 def test_intersects_sum_never_misses_a_witness(p, a, b, seed, where):
@@ -377,7 +339,7 @@ def test_intersects_sum_never_misses_a_witness(p, a, b, seed, where):
     s, t = geom2d.sample_uniform(a, rng)[0], geom2d.sample_uniform(b, rng)[0]
     w = (float(s[0] + t[0]), float(s[1] + t[1]))
     if where == "the witness":
-        p = ConvexPolygon.point(*w)
+        p = ConvexPolygon.from_points([w])
     elif where == "moved onto the witness":
         u = geom2d.sample_uniform(p, rng)[0]
         p = geom2d.translate(p, w[0] - float(u[0]), w[1] - float(u[1]))
@@ -446,8 +408,8 @@ def test_intersects_sum_agrees_with_intersect_of_the_sum(s, a, b):
 
 def hull_path(pts) -> ConvexPolygon:
     """What from_points returns through the sort-and-chain hull."""
-    return ConvexPolygon(geom2d._canonical(geom2d._prune(geom2d._hull_chain(
-        sorted({(float(x), float(y)) for x, y in pts})))))
+    return ConvexPolygon(geom2d._chain_hull(
+        sorted({(float(x), float(y)) for x, y in pts})))
 
 
 def rotated(pts, k: int):
@@ -455,11 +417,8 @@ def rotated(pts, k: int):
     return list(pts[k:]) + list(pts[:k])
 
 
-areas = hulls.filter(lambda p: p.n >= 3)
-
-
 @settings(max_examples=400, deadline=None)
-@given(areas, areas, st.integers(0, 63))
+@given(hulls, hulls, st.integers(0, 63))
 def test_ring_fast_path_equals_the_hull_path(p, q, k):
     # canonical polygons and the edge merge's candidates are convex rings
     for ring in (rotated(p.vertices, k),
@@ -469,7 +428,7 @@ def test_ring_fast_path_equals_the_hull_path(p, q, k):
 
 
 @settings(max_examples=300, deadline=None)
-@given(areas, st.integers(0, 63))
+@given(hulls, st.integers(0, 63))
 def test_rings_that_are_not_convex_take_the_hull_path(p, k):
     v = list(p.vertices)
     if len(v) >= 5:
@@ -727,13 +686,138 @@ def test_tiny_disks_and_sectors_keep_every_point_at_tol_0(r_hi, lo_part, w,
 @example(1.0, 5e-10, 0.3, 0.0)
 @example(1.0, 5e-10, 0.0, 0.0)
 def test_segment_sectors_keep_both_ends_at_tol_0(r_lo, gap, c, w):
-    # a sector of half-width up to 1e-15 is a segment; where its radii are
-    # closer than EPS_GEOM, both of its ends still lie in it at tol 0
+    # a sector of half-width up to 1e-15 is the box about its segment; where
+    # its radii are closer than EPS_GEOM, both of its ends still lie in it
+    # at tol 0
     cone = AngleInterval(c, w)
     sector = geom2d.sector_outer_polygon(cone, Interval(r_lo, r_lo + gap))
     u = (math.cos(cone.center), math.sin(cone.center))
     for r in (r_lo, r_lo + gap):
         assert geom2d.contains(sector, (r * u[0], r * u[1]), tol=0.0), r
+
+
+# --- every set has an area --------------------------------------------------
+
+# lengths at and below EPS_GEOM, and offsets out to where a float step is
+# 0.125 m
+SMALL = [0.0, 1e-300, 1e-15, 1e-12, 5e-10, 1e-9, 1.5e-9, 2e-9]
+far = st.sampled_from([0.0, 1.0, -7.5, 1e6, -1e6, 1e15])
+small = st.sampled_from(SMALL)
+
+
+@st.composite
+def degenerate_hulls(draw):
+    """from_points of copies of up to three points, of a collinear run, or
+    of points closer than EPS_GEOM to each other (which _prune merges into
+    one); with its points."""
+    kind = draw(st.sampled_from(["repeated", "collinear", "crowded"]))
+    if kind == "repeated":
+        pts = draw(st.lists(st.sampled_from(draw(cloud(max_size=3))),
+                            min_size=1, max_size=8))
+    elif kind == "collinear":
+        pts = draw(collinear_run())
+    else:
+        x, y = draw(coord) + draw(far), draw(coord) + draw(far)
+        near = st.sampled_from(SMALL[:5])
+        pts = [(x + draw(near), y + draw(near))
+               for _ in range(draw(st.integers(1, 5)))]
+    return ConvexPolygon.from_points(pts), pts
+
+
+@st.composite
+def thin_boxes(draw):
+    """A box with a side of zero or below EPS_GEOM; with its corners."""
+    x, y = draw(coord) + draw(far), draw(coord) + draw(far)
+    x1 = x + draw(small)
+    y1 = y + draw(st.sampled_from(SMALL + [1.0]))
+    if draw(st.booleans()):
+        x, x1, y, y1 = y, y1, x, x1
+    return (ConvexPolygon.box(x, x1, y, y1),
+            [(x, y), (x1, y), (x1, y1), (x, y1)])
+
+
+@st.composite
+def tiny_disks_and_sectors(draw):
+    """A disk or an annular sector of radius 0 to EPS_GEOM, or a sector of
+    no width out to 1e3; with points of it (the ends of a sector without
+    width, otherwise kept inside by SAMPLE_PARTS)."""
+    if draw(st.booleans()):
+        r_hi = draw(st.one_of(small, st.floats(0.0, geom2d.EPS_GEOM)))
+        w = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.5)))
+    else:
+        r_hi = draw(st.one_of(st.sampled_from([1.0, 1e3]),
+                              st.floats(0.0, 1e3)))
+        w = 0.0
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([4, 16, 32]))
+        return geom2d.ball_outer_polygon(r_hi, k), [
+            (part * r_hi * math.cos(turn * TWO_PI),
+             part * r_hi * math.sin(turn * TWO_PI))
+            for part in SAMPLE_PARTS for turn in SAMPLE_PARTS]
+    cone = AngleInterval(draw(st.floats(-4.0, 4.0)), w)
+    r_lo = draw(st.sampled_from([0.0, 0.5, 1.0])) * r_hi
+    c = cone.center
+    if w == 0.0:
+        pts = [(r * math.cos(c), r * math.sin(c)) for r in (r_lo, r_hi)]
+    else:
+        pts = [((r_lo + part * (r_hi - r_lo)) * math.cos(a),
+                (r_lo + part * (r_hi - r_lo)) * math.sin(a))
+               for part in SAMPLE_PARTS
+               for a in (c + (2.0 * t - 1.0) * w for t in SAMPLE_PARTS)]
+    return geom2d.sector_outer_polygon(cone, Interval(r_lo, r_hi)), pts
+
+
+@st.composite
+def collapsing_clips(draw):
+    """intersect of two boxes that share only an edge or a corner, in
+    either order; with the shared corners."""
+    x0, y0 = draw(coord) + draw(far), draw(coord) + draw(far)
+    w, h = draw(st.floats(0.5, 5.0)), draw(st.floats(0.5, 5.0))
+    a = ConvexPolygon.box(x0, x0 + w, y0, y0 + h)
+    x1, y1 = x0 + w, y0 + h
+    if draw(st.booleans()):
+        b = ConvexPolygon.box(x1, x1 + 1.0, y0, y1)
+        shared = [(x1, y0), (x1, y1)]
+    else:
+        b = ConvexPolygon.box(x1, x1 + 1.0, y1, y1 + 1.0)
+        shared = [(x1, y1)]
+    if draw(st.booleans()):
+        a, b = b, a
+    return geom2d.intersect(a, b), shared
+
+
+@st.composite
+def collapsing_sums(draw):
+    """minkowski_sum of the sets of two points or segments, and of their
+    sums with a box without width; with the sums of their points."""
+    p, q = draw(cloud(max_size=2)), draw(cloud(max_size=2))
+    total = geom2d.minkowski_sum(ConvexPolygon.from_points(p),
+                                 ConvexPolygon.from_points(q))
+    pts = [(px + qx, py + qy) for px, py in p for qx, qy in q]
+    return draw(st.sampled_from([
+        (total, pts),
+        (geom2d.minkowski_sum(total, ConvexPolygon.box(0.0, 0.0, 0.0, 1.0)),
+         pts)]))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(degenerate_hulls(), thin_boxes(), tiny_disks_and_sectors(),
+                 collapsing_clips(), collapsing_sums()))
+@example((ConvexPolygon.box(999, 1000, 2e-10, 3e-10),
+          [(999, 2e-10), (1000, 3e-10)]))
+@example((ConvexPolygon.from_points([(1e15, 0.0)] * 3), [(1e15, 0.0)]))
+@example((geom2d.sector_outer_polygon(AngleInterval(0.7, 0.0),
+                                      Interval(0.0, 0.0)), [(0.0, 0.0)]))
+@example((geom2d.ball_outer_polygon(0.0), [(0.0, 0.0)]))
+def test_every_set_has_an_area(case):
+    """Every set that the kernel returns, from inputs without an area, has
+    three or more vertices in strictly convex CCW order, and holds each of
+    its input points with no tolerance at all."""
+    out, pts = case
+    assert out.n >= 3
+    out.validate()
+    for q in pts:
+        assert geom2d.contains(out, q, tol=0.0), q
 
 
 @st.composite
@@ -821,7 +905,7 @@ def test_simplify_outer_holds_its_input_within_the_budget(p, v_max):
 @example(ConvexPolygon.from_points([(0.0, 0.0), (17.0, 0.0), (17.4, 1.0),
                                     (0.4, 1.0)]))
 def test_simplify_outer_encloses_a_parallelogram_in_a_triangle(p):
-    if p.n < 4:                 # flat: returned as it is
+    if p.n < 4:                 # pruned to a triangle: returned as it is
         return
     out = geom2d.simplify_outer(p, 3)
     assert out.n <= 3

@@ -110,7 +110,7 @@ def test_scoring_an_estimate_that_holds_the_truth_cuts_nothing(case,
         robot = RobotModel(wheelbase=2.1, dt=0.5, body_length=4.0,
                            body_width=1.8)
         truth = body_polygon(RobotPose(3, 2, 0.4), robot)
-        body = geom2d.convex_hull([truth, ConvexPolygon.point(9.0, 5.0)])
+        body = ConvexPolygon.from_points([*truth.vertices, (9.0, 5.0)])
     cuts = []
     clip = geom2d._clip_poly_halfplane
 
@@ -162,15 +162,13 @@ def scaled_noise(cfg, s):
                    initial_sensor_theta=s * cfg.initial_sensor_theta)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_scaled_noise_keeps_the_truth_at_tol_0(parking, seed):
-    # at s = 1e-8 the initial marker boxes have side 1e-8 m, ten times
-    # EPS_GEOM; every set must hold its truth without any tolerance.  The
-    # estimator is stepped on simulate_run's world and measurement streams
-    cfg = replace(scaled_noise(parking, 1e-8), seed=seed, estimators="set")
-    rng_proc, rng_meas, rng_shuf, _ = (
-        np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(4))
-    models, state, trajectory = scenario._start_tracker(cfg, 40)
+def assert_holds_the_truth_at_tol_0(cfg, steps):
+    """Step the estimator on simulate_run's world and measurement streams,
+    and check that every set holds its truth without any tolerance."""
+    streams = np.random.SeedSequence(cfg.seed).spawn(4)
+    rng_proc, rng_meas, rng_shuf, _ = (np.random.default_rng(c)
+                                       for c in streams)
+    models, state, trajectory = scenario._start_tracker(cfg, steps)
     for k, u, truth in scenario._bicycle_world(cfg, trajectory, rng_proc):
         batches = scenario._measurement_batches(truth.markers, cfg.sensors,
                                                 rng_meas, rng_shuf)
@@ -183,6 +181,50 @@ def test_scaled_noise_keeps_the_truth_at_tol_0(parking, seed):
             assert state.sensor_theta[i].contains(site.pose.theta, tol=0.0), \
                 (k, f"sensor {i} orientation")
         assert state.heading.contains(truth.heading, tol=0.0), (k, "heading")
+
+
+# at s = 1e-8 the initial marker boxes have side 1e-8 m, ten times
+# EPS_GEOM; at 1e-9 and 1e-10 they are thinner than 2 EPS_GEOM, and
+# ConvexPolygon.box widens them to that
+@pytest.mark.parametrize("s, seed", [
+    pytest.param(s, seed, id=str(seed) if s == 1e-8 else f"s={s:g}-{seed}")
+    for s in (1e-8, 1e-9, 1e-10) for seed in range(5)])
+def test_scaled_noise_keeps_the_truth_at_tol_0(parking, s, seed):
+    assert_holds_the_truth_at_tol_0(
+        replace(scaled_noise(parking, s), seed=seed, estimators="set"), 40)
+
+
+def exact_sensors(cfg):
+    """cfg with no bearing noise and no initial sensor uncertainty: each
+    sensor set is the box about a point and each sector the box about a
+    segment."""
+    sensors = tuple(SensorSite(site.pose, replace(site.model, eps_bearing=0.0))
+                    for site in cfg.sensors)
+    return replace(cfg, sensors=sensors, initial_sensor_area=0.0,
+                   initial_sensor_theta=0.0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_exact_sensors_keep_the_truth_at_tol_0(parking, seed):
+    assert_holds_the_truth_at_tol_0(
+        replace(exact_sensors(parking), seed=seed, estimators="set"), 40)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_noise_free_parking_keeps_the_truth_at_tol_0(parking, seed):
+    # every noise bound and initial size 0, on the bundled trajectory
+    assert_holds_the_truth_at_tol_0(
+        replace(scaled_noise(parking, 0.0), seed=seed, estimators="set"), 150)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_omni_without_a_body_radius_scores_m1_0(seed):
+    # the true body is the robot's centre, which no set is widened about:
+    # it covers no area of any estimate
+    cfg = replace(scenario.load_builtin("omni"), seed=seed, omni_radius=0.0)
+    rec = simulate_run(cfg, steps=200)
+    assert all(r.set_metrics.m1 == 0.0 for r in rec.rows)
+    assert rec.containment_rate() == 1.0
 
 
 def test_parking_defaults_containment(parking):

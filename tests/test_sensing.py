@@ -55,15 +55,22 @@ def test_measure_gating():
 def test_feasible_sensor_region_exact_point():
     exact = SensorModel(ANGLE_RANGE, 0.0, 0.0, 2 * math.pi, 20.0)
     region = feasible_sensor_region(0.0, 1.0, exact, 0.0, 0.0)
-    assert region.is_point
-    assert region.vertices[0] == pytest.approx((-1.0, 0.0))
+    # the box of half-side EPS_GEOM about the one sensor position
+    e = geom2d.EPS_GEOM
+    assert geom2d.contains(region, (-1.0, 0.0), tol=0.0)
+    assert region.bbox == pytest.approx((-1.0 - e, -1.0 + e, -e, e),
+                                        abs=1e-15)
 
 
 def test_feasible_marker_region_exact_point():
     exact = SensorModel(ANGLE_RANGE, 0.0, 0.0, 2 * math.pi, 20.0)
     region = feasible_marker_region(math.pi / 2, 2.0, exact, 0.0, 0.0)
-    assert region.is_point
-    assert region.vertices[0] == pytest.approx((0.0, 2.0), abs=1e-12)
+    # the box of half-side EPS_GEOM about the one marker position
+    e = geom2d.EPS_GEOM
+    x, y = 2.0 * math.cos(math.pi / 2), 2.0
+    assert geom2d.contains(region, (x, y), tol=0.0)
+    assert region.bbox == pytest.approx((x - e, x + e, y - e, y + e),
+                                        abs=1e-15)
 
 
 def test_mirror_property():

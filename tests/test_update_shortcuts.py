@@ -4,11 +4,11 @@
 ``_settle``; it skips the orientation phase when the pass shows that the
 phase would return the predicted interval, and a position clip when it
 shows that the clip would return the predicted set.  Both rest on inner
-bounds: ``ConvexPolygon.inner_disk`` (or the midpoint of a point or segment)
-and ``geom2d.sector_inner_rectangle``, which must lie inside their sets at
-tol = 0.  Whenever the pass keeps a value, the exact phase must return it:
-the equal interval, without a degenerate angle intersection, or the
-predicted set itself.
+bounds: ``ConvexPolygon.inner_disk`` (or the vertex mean of a set too thin
+for one) and ``geom2d.sector_inner_rectangle``, which must lie inside their
+sets at tol = 0.  Whenever the pass keeps a value, the exact phase must
+return it: the equal interval, without a degenerate angle intersection, or
+the predicted set itself.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ unit = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
 
 @st.composite
 def polygons(draw, min_size=1):
-    """Hulls of clouds of up to 12 points: points, segments, slivers and
-    rings at scales 1e-9 to 1e3, placed up to 1e4 from the origin."""
+    """Hulls of clouds of up to 12 points: the boxes about points and
+    segments, slivers and rings at scales 1e-9 to 1e3, placed up to 1e4
+    from the origin."""
     s = draw(scales)
     dx, dy = draw(offsets), draw(offsets)
     pts = draw(st.lists(st.tuples(unit, unit), min_size=min_size,
@@ -51,14 +52,12 @@ def ring(cx, cy, r, k=16):
 
 @settings(max_examples=400, deadline=None)
 @given(polygons())
-@example(ConvexPolygon.point(1.0, 2.0))
+@example(ConvexPolygon.from_points([(1.0, 2.0)]))
 @example(ConvexPolygon.from_points([(0.0, 0.0), (3.0, 1.0)]))
 @example(ConvexPolygon.box(1e3, 1e3 + 1e-6, -1e4, -1e4 + 1e-6))
+@example(ConvexPolygon.box(1e3, 1e3, -1e4, -1e4))
 def test_inner_disk_lies_in_its_polygon(p):
     disk = p.inner_disk
-    if p.n < 3:
-        assert disk is None
-        return
     if disk is None:
         return
     cx, cy, rho = disk
@@ -155,8 +154,8 @@ radius_shares = st.one_of(st.floats(0.0, 0.6), st.floats(0.0, 1.2))
 
 @st.composite
 def orientation_cases(draw):
-    """A sensor set (a polygon, a disk, a point or a segment), matched
-    marker sets, the sensor model and the hypotheses of a batch that
+    """A sensor set (a polygon, a disk, the box about a point or a segment),
+    matched marker sets, the sensor model and the hypotheses of a batch that
     measured them under an orientation inside theta, within the bearing
     noise: mostly cases the pass can settle, some near its bounds; with
     two or more markers, sometimes a second hypothesis that swaps the
@@ -250,16 +249,15 @@ def test_kept_pairs_of_a_batch_are_what_the_exact_clips_return(case):
 
 
 def test_a_point_or_segment_sensor_set_can_keep_its_orientation():
-    # neither has an inner disk: the pass takes its midpoint as a disk of
-    # radius 0, with half its length as the outer radius
+    # each is the box about it, grown to sides of 2 EPS_GEOM where thinner:
+    # the pass takes that box's inner disk and outer radius
     markers = [ring(3.0, 0.0, 0.5), ring(0.0, 4.0, 0.5)]
     theta = AngleInterval(0.2, 0.01)
     batch = [Measurement(-0.2, None),
              Measurement(geom2d.wrap_angle(0.5 * math.pi - 0.2), None)]
     model = SensorModel(ANGLE_ONLY, 0.05)
-    for sensor in (ConvexPolygon.point(0.0, 0.0),
+    for sensor in (ConvexPolygon.from_points([(0.0, 0.0)]),
                    ConvexPolygon.from_points([(-0.01, 0.0), (0.01, 0.005)])):
-        assert sensor.inner_disk is None
         case = (theta, sensor, markers, batch, [(0, 1)], model)
         assert settle(*case)[0]
         out, degenerate = exact_orientation(*case)
