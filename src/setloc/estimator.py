@@ -398,12 +398,17 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
     """Condition all sets on one round of per-sensor measurement batches.
 
     One pass over the sensors.  Per sensor: enumerate the correspondence
-    hypotheses, then narrow the orientation interval, the position set
+    hypotheses, then narrow the orientation interval and the position set
     (unions across hypotheses are over-approximated by enclosing arcs /
-    convex hulls, which keeps every update a superset of the exact one) and
-    the markers it measured under every hypothesis.  Every phase reads the
-    predicted marker sets.  A sensor whose bearing cone is too wide
-    (bearing_cone_too_wide) is skipped.
+    convex hulls, which keeps every update a superset of the exact one),
+    and gather the lines that each marker it measured under every
+    hypothesis is clipped by.  Every phase reads the predicted marker sets.
+    A sensor whose bearing cone is too wide (bearing_cone_too_wide) is
+    skipped.  After the pass each measured marker set is clipped once, by
+    the lines of all its sensors in sensor order, then hulled and
+    simplified once: the same half-planes the sensors would clip by in
+    turn, without the hulls and simplifications between them, which mend
+    rounding or grow a set but clip by no half-plane.
 
     Before a phase builds any sum, one pass of inner bounds over the
     batch's (slot, marker) pairs (_settle) may show that it would return
@@ -414,7 +419,9 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
     n_markers = len(predicted.markers)
     sensor_theta = list(predicted.sensor_theta)
     sensor_xy = list(predicted.sensor_xy)
-    markers = list(predicted.markers)
+    # per marker: the lines of every sum it is clipped by, in sensor order,
+    # and (sensor, end of that sensor's lines)
+    cuts: dict[int, tuple[list[geom2d.Line], list[tuple[int, int]]]] = {}
 
     for i, batch in enumerate(batches):
         if not batch:
@@ -466,11 +473,20 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
             boundary = cmat.boundaries[slots[0]]
             if boundary.a is not sensor_xy[i] or boundary.b is not cone:
                 boundary = geom2d.sum_boundary(sensor_xy[i], cone)
-            narrowed = boundary.clip(markers[j])
-            if narrowed is None:
-                raise EmptySetFault("marker update", sensor=i, marker=j)
-            markers[j] = geom2d.simplify_outer(narrowed)
+            lines, ends = cuts.setdefault(j, ([], []))
+            lines.extend(boundary.lines)
+            ends.append((i, len(lines)))
 
+    markers = list(predicted.markers)
+    for j, (lines, ends) in cuts.items():
+        narrowed = geom2d.clip_by(markers[j], lines)
+        if narrowed is None:
+            # the clip reads its lines in order: the fault names the first
+            # sensor whose lines, after those before them, empty the set
+            i = next(i for i, end in ends
+                     if geom2d.clip_by(markers[j], lines[:end]) is None)
+            raise EmptySetFault("marker update", sensor=i, marker=j)
+        markers[j] = geom2d.simplify_outer(narrowed)
     return EstimatorState(tuple(markers), tuple(sensor_xy), tuple(sensor_theta),
                           predicted.heading, predicted.k)
 

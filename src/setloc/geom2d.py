@@ -751,20 +751,29 @@ def _clip_ring(pts: Sequence[tuple[float, float]],
     return pts
 
 
-def _clip_by(s: ConvexPolygon, lines: Sequence[Line]) -> ConvexPolygon | None:
-    """s clipped by the left sides of lines: s itself when no line cuts it,
-    None when the clip is empty.
+def clip_by(s: ConvexPolygon, lines: Sequence[Line]) -> ConvexPolygon | None:
+    """s clipped by the left sides of lines, in their order: s itself when
+    no line cuts it, None when the clip is empty.
 
-    A cut ring goes through the hull, which mends a collapsed clip (into
-    the box about it) and the duplicate, collinear or reflex vertices that
-    rounding can leave.
+    A cut ring goes through the hull, as in _hull_vertices, which mends
+    the duplicate, collinear or reflex vertices that rounding can leave.  A
+    ring that collapses, with fewer than three vertices left by _prune, has
+    no hull; the box about it and s both hold the exact clip, and the one
+    with the smaller area is returned (the box can be larger than s).
     """
     pts = _clip_ring(s.vertices, s.bbox, lines)
     if pts is s.vertices:
         return s
     if pts is None:
         return None
-    return ConvexPolygon(_hull_vertices(pts))
+    ring = _canonical_ring(pts)
+    if ring is None:
+        hull = _prune(_hull_chain(sorted(set(pts))))
+        if len(hull) < 3:
+            box = ConvexPolygon.box(*_bbox(pts))
+            return box if area(box) < area(s) else s
+        ring = _canonical(hull)
+    return ConvexPolygon(ring)
 
 
 def intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
@@ -775,7 +784,7 @@ def intersect(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
     line of b cuts it: with a inside b the clip costs one side test per
     vertex and line.  Pass the set expected to be the smaller one as a.
     """
-    return _clip_by(a, _edge_lines(b.vertices))
+    return clip_by(a, _edge_lines(b.vertices))
 
 
 def _left_turn_lines(ring: Sequence[tuple[float, float]]) -> list[Line] | None:
@@ -818,7 +827,7 @@ class SumBoundary(NamedTuple):
         EPS_GEOM outward slack as intersect: intersect(s, minkowski_sum(a,
         b)) up to that slack, without building the sum.  s itself when no
         half-plane cuts it, None when the result is empty."""
-        return _clip_by(s, self.lines)
+        return clip_by(s, self.lines)
 
     def meets(self, s: ConvexPolygon) -> bool:
         """Whether clip(s) is not None.
@@ -830,7 +839,7 @@ class SumBoundary(NamedTuple):
         """
         lines = self.lines
         return not _leaves_box(s.bbox, lines) and (
-            _keeps_a_vertex(s.vertices, lines) or _clip_by(s, lines) is not None)
+            _keeps_a_vertex(s.vertices, lines) or clip_by(s, lines) is not None)
 
 
 def sum_boundary(a: ConvexPolygon, b: ConvexPolygon) -> SumBoundary:

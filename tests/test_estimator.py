@@ -359,6 +359,33 @@ def test_step_fallback_returns_prediction():
     assert info.value.predicted.k == state.k + 1
 
 
+def test_marker_fault_names_the_sensor_that_empties_the_set():
+    # three sensors about one marker set each read a range that meets the
+    # set alone; sensors 0 and 2 see the marker 0.5 m right of the set's
+    # middle, sensor 1 sees it 0.5 m left, which misses what sensor 0 left.
+    # The marker phase clips once, after every sensor, and the fault still
+    # names the first sensor whose lines empty the set
+    model = SensorModel(ANGLE_RANGE, 0.001, 0.01, 2 * math.pi, 40.0)
+    sensors = [SensorPose(-10.0, 0.0, 0.0), SensorPose(10.0, 0.0, math.pi),
+               SensorPose(0.5, -10.0, 0.5 * math.pi)]
+    models = EstimatorModels(EXACT_ROBOT, (MarkerOffset(0.0, 0.0),),
+                             (model,) * 3, omni_v_max=0.0)
+    state = make_state(
+        [ConvexPolygon.box(-1.0, 1.0, -1.0, 1.0)],
+        [ConvexPolygon.from_points([sp.xy]) for sp in sensors],
+        [AngleInterval(sp.theta, 0.0) for sp in sensors], None)
+    batches = [[Measurement(0.0, r, i, 0)]
+               for i, r in enumerate((10.5, 10.5, 10.0))]
+    for i in range(3):
+        alone = [b if k == i else [] for k, b in enumerate(batches)]
+        assert geom2d.area(step(state, None, alone, models).markers[0]) < 0.01
+    with pytest.raises(StepFault) as info:
+        step(state, None, batches, models)
+    cause = info.value.cause
+    assert isinstance(cause, EmptySetFault)
+    assert (cause.what, cause.sensor, cause.marker) == ("marker update", 1, 0)
+
+
 def test_propagate_omnidirectional():
     p = ConvexPolygon.box(-0.1, 0.1, -0.1, 0.1)
     state = make_state([p], [ConvexPolygon.from_points([(5, 5)])],

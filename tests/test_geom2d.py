@@ -204,6 +204,18 @@ def test_a_box_thinner_than_eps_geom_clips_across_its_sides():
                      ConvexPolygon.box(0, 1, 0, 5e-10)) is None
 
 
+def test_a_collapsed_clip_is_no_larger_than_its_operand():
+    # the triangles share only a's long edge, so the clip of a by b's lines
+    # collapses onto that edge; the box about it, [0, 1] x [0, 1e-6], has
+    # twice a's area, and a holds the exact clip too
+    a = ConvexPolygon.from_points([(0, 0), (1, 0), (0, 1e-6)])
+    b = ConvexPolygon.from_points([(0, 1e-6), (1, 0), (1, 1)])
+    out = intersect(a, b)
+    assert area(out) <= area(a)
+    assert contains(out, (0.0, 1e-6), tol=0.0)
+    assert contains(out, (1.0, 0.0), tol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # convex hull
 # ---------------------------------------------------------------------------

@@ -258,7 +258,7 @@ def test_intersects_sum_is_the_clip_it_skips(case):
     boundary = geom2d.sum_boundary(a, b)
     lines = geom2d._sum_lines(a, b)
     assert boundary.lines == lines
-    clipped = geom2d._clip_by(s, lines)
+    clipped = geom2d.clip_by(s, lines)
     assert boundary.meets(s) == (geom2d._keeps_a_vertex(s.vertices, lines)
                                  or clipped is not None)
     assert boundary.clip(s) == clipped

@@ -96,6 +96,27 @@ def test_parking_variant_outputs_are_pinned(name):
         "metrics.csv moved"
 
 
+# parking with 8 degrees of bearing noise (the sweep's widest eps_wa), 20
+# steps of the set estimator at seed 7: batches with several correspondence
+# hypotheses, whose markers are clipped by the hull of their slots' sectors.
+# Taken before the marker phase stopped clipping after each sensor.
+WIDE_BEARING = (
+    "3e140c30ca8b658b8758c2a427083988627f1e7fb270bcc23d6529572b1903bc",
+    "94c18b6886cc39a124fbc9260da9e47328b4bf827c7d17de74da5ecd69ad9861")
+
+
+def test_wide_bearing_outputs_are_pinned():
+    cfg = replace(scenario.apply_parameter(scenario.load_builtin("parking"),
+                                           "eps_wa", 8.0),
+                  seed=7, estimators="set")
+    rec = scenario.simulate_run(cfg, steps=20, record_geometry=True)
+    metrics_digest, geometry_digest = WIDE_BEARING
+    assert sha256("\n".join(rec.geometry) + "\n") == geometry_digest, \
+        "geometry.ndjson moved"
+    assert sha256(rec.to_csv(include_timings=False)) == metrics_digest, \
+        "metrics.csv moved"
+
+
 # the particle filter alone with 1,000 particles, 40 steps at seed 11: the
 # size where the heading cover and the hull of the particles' marker points
 # weigh most in a step.  Taken before the cover stopped scanning every start

@@ -8,19 +8,24 @@ bounds: ``ConvexPolygon.inner_disk`` (or the vertex mean of a set too thin
 for one) and ``geom2d.sector_inner_rectangle``, which must lie inside their
 sets at tol = 0.  Whenever the pass keeps a value, the exact phase must
 return it: the equal interval, without a degenerate angle intersection, or
-the predicted set itself.
+the predicted set itself.  The marker phase clips each marker set once per
+update, by the lines of every sensor that measured it; its sets must be
+those of a clip, hull and simplification after each sensor, to the last
+bit.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from unittest import mock
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from setloc import correspondence, geom2d, scenario, sensing
 from setloc import estimator as est
-from setloc import geom2d, sensing
 from setloc.geom2d import AngleInterval, ConvexPolygon, Interval
 from setloc.sensing import ANGLE_ONLY, ANGLE_RANGE, Measurement, SensorModel
 
@@ -403,3 +408,64 @@ def test_update_is_the_update_without_its_shortcuts(case):
         assert phases == {"_narrow_orientation": 0, "_narrow_position": 0}
     elif isinstance(exact[0], est.EstimatorState):
         assert phases == {"_narrow_orientation": 1, "_narrow_position": 1}
+
+
+# --- the marker phase clips once per update --------------------------------
+
+
+def per_sensor_markers(predicted, batches, models, updated):
+    """The marker phase as a clip after each sensor: in sensor order, each
+    marker set a sensor measured under every hypothesis is clipped by the
+    sensor's set in updated plus the sector, or the hull of the sectors,
+    of the slots that measured it, then hulled and simplified."""
+    markers = list(predicted.markers)
+    for i, batch in enumerate(batches):
+        model, theta = models.sensors[i], predicted.sensor_theta[i]
+        if not batch or est.bearing_cone_too_wide(model, theta):
+            continue
+        cmat = correspondence.build_candidate_matrix(
+            est._sectors(batch, model, theta)[1], predicted.markers,
+            predicted.sensor_xy[i])
+        assigns = correspondence.enumerate_assignments(
+            cmat, models.assignment_cap)
+        sectors = est._sectors(batch, model, updated.sensor_theta[i])[1]
+        for j in correspondence.markers_with_certain_measurement(
+                assigns, len(markers)):
+            slots = sorted({a.index(j) for a in assigns})
+            cone = sectors[slots[0]] if len(slots) == 1 else \
+                geom2d.convex_hull([sectors[q] for q in slots])
+            narrowed = geom2d.sum_boundary(updated.sensor_xy[i],
+                                           cone).clip(markers[j])
+            assert narrowed is not None
+            markers[j] = geom2d.simplify_outer(narrowed)
+    return markers
+
+
+@pytest.mark.parametrize("eps_wa, seeds, steps",
+                         [(None, range(5), 40), (8.0, range(3), 10)],
+                         ids=["parking", "eps_wa-8"])
+def test_one_clip_per_marker_is_the_clip_after_each_sensor(eps_wa, seeds,
+                                                           steps):
+    # on parking, and with 8 degrees of bearing noise (batches with several
+    # hypotheses, markers clipped by the hull of their slots' sectors), the
+    # marker sets of every update are those of the per-sensor clips to the
+    # last bit
+    cfg = scenario.load_builtin("parking")
+    if eps_wa is not None:
+        cfg = scenario.apply_parameter(cfg, "eps_wa", eps_wa)
+    real = est.update
+    compared = []
+
+    def checked(predicted, batches, models):
+        out = real(predicted, batches, models)
+        ref = per_sensor_markers(predicted, batches, models, out)
+        assert repr([m.vertices for m in out.markers]) == \
+            repr([m.vertices for m in ref])
+        compared.append(predicted.k)
+        return out
+
+    with mock.patch.object(est, "update", checked):
+        for seed in seeds:
+            scenario.simulate_run(replace(cfg, seed=seed, estimators="set"),
+                                  steps=steps)
+    assert len(compared) == len(seeds) * steps
