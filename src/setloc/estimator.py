@@ -76,6 +76,17 @@ class RigidBodySpec:
     def n(self) -> int:
         return len(self.distances)
 
+    @cached_property
+    def balls(self) -> tuple[tuple[ConvexPolygon | None, ...], ...]:
+        """[i][j] = ball_outer_polygon(distances[i][j]), None where i == j,
+        built when first read: one polygon per distinct distance."""
+        built = {r: geom2d.ball_outer_polygon(r)
+                 for i, row in enumerate(self.distances)
+                 for j, r in enumerate(row) if i != j}
+        return tuple(tuple(None if i == j else built[r]
+                           for j, r in enumerate(row))
+                     for i, row in enumerate(self.distances))
+
 
 @dataclass(frozen=True)
 class EstimatorModels:
@@ -503,15 +514,9 @@ def refine_rigid_body(state: EstimatorState,
     the other set grown by a circumscribed disk polygon never cuts the truth.
     """
     markers = list(state.markers)
-    n = len(markers)
-    balls: dict[float, ConvexPolygon] = {}
-    for i, j in itertools.permutations(range(n), 2):
-        r = spec.distances[i][j]
-        ball = balls.get(r)
-        if ball is None:
-            ball = geom2d.ball_outer_polygon(r)
-            balls[r] = ball
-        narrowed = geom2d.sum_boundary(markers[j], ball).clip(markers[i])
+    for i, j in itertools.permutations(range(len(markers)), 2):
+        narrowed = geom2d.sum_boundary(markers[j],
+                                       spec.balls[i][j]).clip(markers[i])
         if narrowed is None:
             raise EmptySetFault("rigid-body refinement", marker=i)
         markers[i] = geom2d.simplify_outer(narrowed)

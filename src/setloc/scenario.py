@@ -130,15 +130,19 @@ class Metrics:
     contained_heading: bool
 
 
-def _overlap_ratio(body_est: ConvexPolygon, truth_region: ConvexPolygon) -> float:
-    """Share of the body estimate's area that the true body covers.
+def _overlap_ratio(body_est: ConvexPolygon, truth_region: ConvexPolygon,
+                   holds_truth: bool, est_area: float) -> float:
+    """Share of the body estimate's area (est_area) that the true body
+    covers.
 
-    The overlap is the true body clipped by the estimate: a guaranteed
-    estimate contains the truth, so no line of it cuts and the overlap is
-    the true body itself.
+    The overlap is the true body clipped by the estimate.  Where the
+    estimate holds the true body (holds_truth: contains_polygon at
+    EPS_GEOM) no line of it cuts, and the clip would return the true body
+    itself: contains_polygon and the clip test the same side formula with
+    the same slack.  So the true body is taken as the overlap, unclipped.
     """
-    est_area = geom2d.area(body_est)
-    overlap = geom2d.intersect(truth_region, body_est)
+    overlap = truth_region if holds_truth \
+        else geom2d.intersect(truth_region, body_est)
     if overlap is None or est_area <= 0.0:
         return 0.0
     return geom2d.area(overlap) / est_area
@@ -147,11 +151,12 @@ def _overlap_ratio(body_est: ConvexPolygon, truth_region: ConvexPolygon) -> floa
 def compute_metrics(body_est: ConvexPolygon, heading_est: AngleInterval,
                     truth_region: ConvexPolygon, truth_theta: float) -> Metrics:
     """Body-overlap ratio and heading-interval deviation against the truth."""
-    m1 = _overlap_ratio(body_est, truth_region)
+    contained_body = geom2d.contains_polygon(body_est, truth_region)
+    m1 = _overlap_ratio(body_est, truth_region, contained_body,
+                        geom2d.area(body_est))
     hi_dev = abs(wrap_angle(heading_est.hi - truth_theta))
     lo_dev = abs(wrap_angle(heading_est.lo - truth_theta))
     m2 = hi_dev + lo_dev if not heading_est.is_full else 2.0 * math.pi
-    contained_body = geom2d.contains_polygon(body_est, truth_region)
     contained_heading = heading_est.contains(truth_theta)
     return Metrics(m1, m2, contained_body, contained_heading)
 
@@ -498,7 +503,9 @@ def _measurement_batches(markers: Sequence[tuple[float, float]],
             m = measure(site.pose, site.model, pt, w_a, w_r, sensor_id=i)
             if m is not None:
                 found.append(m)
-        order = rng_shuffle.permutation(len(found))
+        # a batch of 0 or 1 has one order, and numpy draws nothing for it
+        order = rng_shuffle.permutation(len(found)) if len(found) > 1 \
+            else range(len(found))
         batches.append([Measurement(found[q].bearing, found[q].range, i, slot)
                         for slot, q in enumerate(order)])
     return batches
@@ -553,21 +560,24 @@ def _score_set(row: StepRecord, state: est.EstimatorState, truth: Truth,
     if truth.heading is None:
         body = state.markers[0] if body_ball is None \
             else geom2d.minkowski_sum(state.markers[0], body_ball)
+        body_area = geom2d.area(body)
+        holds = geom2d.contains_polygon(body, truth.region)
         row.set_metrics = Metrics(
-            _overlap_ratio(body, truth.region), 0.0,
-            markers_in and geom2d.contains_polygon(body, truth.region), True)
+            _overlap_ratio(body, truth.region, holds, body_area), 0.0,
+            markers_in and holds, True)
         row.set_heading_width = 2.0 * math.pi
     else:
         body = state.body
         row.set_metrics = compute_metrics(body, state.heading, truth.region,
                                           truth.heading)
+        body_area = geom2d.area(body)
         row.set_heading_width = state.heading.width
     row.set_contained_markers = markers_in
     row.set_contained_sensors = all(
         geom2d.contains(state.sensor_xy[i], site.pose.xy)
         and state.sensor_theta[i].contains(site.pose.theta)
         for i, site in enumerate(sensors))
-    row.set_body_area = geom2d.area(body)
+    row.set_body_area = body_area
     return body
 
 

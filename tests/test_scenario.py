@@ -127,6 +127,58 @@ def test_scoring_an_estimate_that_holds_the_truth_cuts_nothing(case,
     assert m.m1 == geom2d.area(truth) / geom2d.area(body)
 
 
+def _clipped_metrics(body_est, heading_est, truth_region, truth_theta):
+    """compute_metrics as it was before it reused its containment test: the
+    overlap is always the clip of the true body by the estimate."""
+    est_area = geom2d.area(body_est)
+    overlap = geom2d.intersect(truth_region, body_est)
+    m1 = 0.0 if overlap is None or est_area <= 0.0 \
+        else geom2d.area(overlap) / est_area
+    hi_dev = abs(geom2d.wrap_angle(heading_est.hi - truth_theta))
+    lo_dev = abs(geom2d.wrap_angle(heading_est.lo - truth_theta))
+    m2 = hi_dev + lo_dev if not heading_est.is_full else 2.0 * math.pi
+    return scenario.Metrics(m1, m2,
+                            geom2d.contains_polygon(body_est, truth_region),
+                            heading_est.contains(truth_theta))
+
+
+@pytest.mark.parametrize("name", ["omni", "parking"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_reused_containment_scores_as_the_clip(name, seed, monkeypatch):
+    # every scored body, the set estimator's and FastSLAM's: the overlap
+    # ratio from the containment test equals the clip's to the last bit,
+    # for bodies that hold the truth and bodies that do not
+    held = {True: 0, False: 0}
+    overlap_ratio = scenario._overlap_ratio
+    metrics = scenario.compute_metrics
+
+    def checked_ratio(body_est, truth_region, holds_truth, est_area):
+        assert holds_truth == geom2d.contains_polygon(body_est, truth_region)
+        assert est_area == geom2d.area(body_est)
+        got = overlap_ratio(body_est, truth_region, holds_truth, est_area)
+        want = _clipped_metrics(body_est, AngleInterval.full(),
+                                truth_region, 0.0).m1
+        assert got.hex() == want.hex()
+        held[holds_truth] += 1
+        return got
+
+    def checked_metrics(*args):
+        got = metrics(*args)
+        assert repr(got) == repr(_clipped_metrics(*args))
+        return got
+
+    monkeypatch.setattr(scenario, "_overlap_ratio", checked_ratio)
+    monkeypatch.setattr(scenario, "compute_metrics", checked_metrics)
+    omni = name == "omni"
+    cfg = replace(load_builtin(name), seed=seed,
+                  estimators="set" if omni else "both")
+    rec = simulate_run(cfg, steps=None if omni else 60)
+    assert held[True] > 0
+    if not omni:
+        assert held[False] > 0
+        assert not all(r.fs_metrics.contained_body for r in rec.rows)
+
+
 # ---------------------------------------------------------------------------
 # runs
 # ---------------------------------------------------------------------------
@@ -508,6 +560,16 @@ def _measurement_batches_loop(markers, sensors, rng_meas, rng_shuffle):
         batch = [replace(found[q], slot=slot) for slot, q in enumerate(order)]
         batches.append(batch)
     return batches
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_a_permutation_of_zero_or_one_draws_nothing(n):
+    # _measurement_batches does not ask numpy to order a batch of 0 or 1;
+    # its outputs equal the shuffled ones only while numpy draws nothing
+    # for those
+    used, fresh = np.random.default_rng(9), np.random.default_rng(9)
+    assert used.permutation(n).tolist() == list(range(n))
+    assert used.random() == fresh.random()
 
 
 def _one_angle_only_sensor(parking):
