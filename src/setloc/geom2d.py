@@ -905,17 +905,40 @@ def ball_outer_polygon(radius: float,
     box about it (_outer_ring).
 
     The apothem equals radius, so the polygon always covers the disk at the
-    cost of a sec(pi/k)**2 area factor.
+    cost of a sec(pi/k)**2 area factor.  Vertex j lies at angle
+    (2j + 1) pi / k.  Only angles in [0, pi / 4] are evaluated; every vertex
+    is one of those cosine and sine pairs, swapped (a mirror in the
+    diagonal) and with its signs set (mirrors in the axes).  So the polygon
+    is exactly symmetric about the x axis for every k, about the y axis for
+    even k and about the diagonal for k a multiple of 8, and its
+    axis-parallel edges are exactly so: summed with a box-grown set, such
+    an edge meets the box's with a cross product of zero in the edge merge,
+    and the sum keeps no collinear vertex for the hull to mend.
     """
     if radius < 0.0:
         raise ValueError("radius must be >= 0")
     if k < 4:
         raise ValueError("ball polygon needs k >= 4")
-    rc = radius / math.cos(math.pi / k)
+    # the circumradius, 4 ulps longer: the rounding of the vertices alone
+    # can move an edge up to 1.5 ulps of radius into the disk
+    rc = radius / math.cos(math.pi / k) * (1.0 + 4.0 * sys.float_info.epsilon)
     pts = []
     for j in range(k):
-        ang = (2 * j + 1) * math.pi / k
-        pts.append((rc * math.cos(ang), rc * math.sin(ang)))
+        # vertex j at a pi / (2k), folded into [0, pi / 4] by mirrors in
+        # the x axis, the y axis and the diagonal
+        a, sx, sy = 4 * j + 2, 1.0, 1.0
+        if a > 2 * k:
+            a, sy = 4 * k - a, -1.0
+        if a > k:
+            a, sx = 2 * k - a, -1.0
+        swap = 2 * a > k
+        if swap:
+            a = k - a
+        ang = a * math.pi / (2 * k)
+        x, y = rc * math.cos(ang), rc * math.sin(ang)
+        if swap:
+            x, y = y, x
+        pts.append((sx * x, sy * y))
     return _outer_ring(pts)
 
 

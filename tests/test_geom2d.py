@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -83,7 +84,25 @@ def test_intersect_sum_clips_by_the_hull_of_a_collinear_merge_ring():
         (18.849810819283732, 15.915976412751743),
         (18.818791291083766, 15.894618954635005),
         (18.780317949871797, 15.801655909987932)])
-    b = geom2d.ball_outer_polygon(1.8, 16)
+    # ball_outer_polygon(1.8, 16) before it was built by mirrors: its top
+    # and left edges are off axis-parallel by rounding
+    b = ConvexPolygon((
+        (-1.8, -0.35804226128338457),
+        (-1.5259663170406328, -1.0196180952309384),
+        (-1.0196180952309386, -1.5259663170406323),
+        (-0.3580422612833851, -1.7999999999999998),
+        (0.3580422612833845, -1.8),
+        (1.0196180952309382, -1.5259663170406328),
+        (1.5259663170406323, -1.0196180952309386),
+        (1.7999999999999998, -0.35804226128338523),
+        (1.8, 0.3580422612833844),
+        (1.5259663170406323, 1.0196180952309386),
+        (1.0196180952309388, 1.5259663170406323),
+        (0.3580422612833845, 1.8),
+        (-0.3580422612833843, 1.8),
+        (-1.0196180952309384, 1.5259663170406328),
+        (-1.5259663170406326, 1.0196180952309386),
+        (-1.8, 0.35804226128338507)))
     assert geom2d._left_turn_lines(
         geom2d._merge_edges(a.vertices, b.vertices)) is None
     assert geom2d.sum_boundary(a, b).clip(s) == intersect(s, minkowski_sum(a, b))
@@ -279,6 +298,91 @@ def test_ball_l2_covers_disk():
     for a, d in zip(ang, rad):
         assert contains(out, (d * math.cos(a), d * math.sin(a)))
     assert area(out) <= math.pi * r * r / math.cos(math.pi / k) ** 2 + 1e-9
+
+
+BALL_KS = [4, 5, 6, 8, 16, 32]
+BALL_RADII = [1e-3, 0.12, 1.7, 1.8, 2.3, 4.1231056256176606, 250.0]
+
+
+@pytest.mark.parametrize("k", BALL_KS)
+def test_ball_is_its_own_mirror_image_to_the_bit(k):
+    # about the x axis for every k, about the y axis for even k
+    for r in BALL_RADII:
+        verts = ball_outer_polygon(r, k).vertices
+        assert len(verts) == k
+        for x, y in verts:
+            assert (x, -y) in verts
+            if k % 2 == 0:
+                assert (-x, y) in verts
+
+
+@pytest.mark.parametrize("k", BALL_KS)
+def test_ball_axis_parallel_edges_are_exact(k):
+    # the edge about the angle 2 pi m / k is horizontal where that angle is
+    # pi / 2 or 3 pi / 2, vertical where it is 0 or pi
+    want = (2 * (k % 4 == 0), 2 if k % 2 == 0 else 1)
+    for r in BALL_RADII:
+        verts = ball_outer_polygon(r, k).vertices
+        horizontal = vertical = 0
+        for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
+            normal = math.atan2(bx - ax, ay - by) / (math.pi / 2)
+            if abs(normal - round(normal)) < 1e-6:
+                if round(normal) % 2:
+                    assert ay == by
+                    horizontal += 1
+                else:
+                    assert ax == bx
+                    vertical += 1
+        assert (horizontal, vertical) == want
+
+
+@pytest.mark.parametrize("k", BALL_KS)
+def test_ball_covers_the_disk_at_tol_0(k):
+    # exactly: every edge line is at least the radius from the centre; and
+    # by the side test at tol 0, for points on the circle, the tangent
+    # points first, and inside it
+    rng = np.random.default_rng(k)
+    for r in BALL_RADII:
+        out = ball_outer_polygon(r, k)
+        verts = [tuple(map(Fraction, v)) for v in out.vertices]
+        for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
+            cross = ax * by - ay * bx
+            assert cross > 0
+            assert cross * cross >= Fraction(r) ** 2 * ((bx - ax) ** 2
+                                                         + (by - ay) ** 2)
+        angles = [2.0 * math.pi * m / k for m in range(k)]
+        angles += list(rng.random(500) * 2.0 * math.pi)
+        for a in angles:
+            assert contains(out, (r * math.cos(a), r * math.sin(a)), 0.0)
+        for a, d in zip(rng.random(500) * 2.0 * math.pi,
+                        r * np.sqrt(rng.random(500))):
+            assert contains(out, (d * math.cos(a), d * math.sin(a)), 0.0)
+
+
+@pytest.mark.parametrize("k", [16, 32])
+def test_ball_sums_of_box_grown_sets_stay_on_the_canonical_walk(k,
+                                                                monkeypatch):
+    # a box-grown set has exact axis-parallel edges, and so has the ball:
+    # the merge advances both walks on them and leaves no collinear vertex
+    # for the sort-and-chain hull to mend
+    rng = np.random.default_rng(25)
+    cases = []
+    for _ in range(40):
+        r, w, h = 0.05 + 2.0 * rng.random(3)
+        grown = minkowski_sum(random_polygon(rng),
+                              ConvexPolygon.box(-w, w, -h, h))
+        cases.append((grown, ball_outer_polygon(r, k)))
+
+    def no_chain_hull(pts):
+        raise AssertionError("a ball sum fell to the chain hull")
+
+    monkeypatch.setattr(geom2d, "_chain_hull", no_chain_hull)
+    for grown, ball in cases:
+        out = minkowski_sum(grown, ball)
+        # one vertex per edge, the four axis-parallel directions shared
+        assert out.n == grown.n + k - 4
+        lines = geom2d.sum_boundary(grown, ball).lines
+        assert lines == geom2d._edge_lines(out.vertices)
 
 
 # ---------------------------------------------------------------------------
