@@ -511,7 +511,8 @@ def refine_rigid_body(state: EstimatorState,
     """One sweep of pairwise distance constraints over the marker sets.
 
     Marker i must lie within distance r_ij of marker j, so intersecting with
-    the other set grown by a circumscribed disk polygon never cuts the truth.
+    the other set grown by a circumscribed disk polygon (spec.balls) never
+    cuts the truth.
     """
     markers = list(state.markers)
     for i, j in itertools.permutations(range(len(markers)), 2):
