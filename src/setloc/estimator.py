@@ -184,7 +184,8 @@ def propagate_omnidirectional(state: EstimatorState, v_max: float,
         raise ValueError("v_max must be >= 0")
     r = v_max * dt
     new_markers = tuple(_grow(p, -r, r, -r, r) for p in state.markers)
-    return replace(state, markers=new_markers)
+    return EstimatorState(new_markers, state.sensor_xy, state.sensor_theta,
+                          state.heading, state.k)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +522,8 @@ def refine_rigid_body(state: EstimatorState,
         if narrowed is None:
             raise EmptySetFault("rigid-body refinement", marker=i)
         markers[i] = geom2d.simplify_outer(narrowed)
-    return replace(state, markers=tuple(markers))
+    return EstimatorState(tuple(markers), state.sensor_xy, state.sensor_theta,
+                          state.heading, state.k)
 
 
 def estimate_heading(state: EstimatorState, spec: RigidBodySpec) -> AngleInterval:
@@ -561,14 +563,18 @@ def step(state: EstimatorState, u: Control | None,
     else:
         predicted = propagate_omnidirectional(state, models.omni_v_max,
                                               models.robot.dt)
-    predicted = replace(predicted, k=state.k + 1)
+    predicted = EstimatorState(predicted.markers, predicted.sensor_xy,
+                               predicted.sensor_theta, predicted.heading,
+                               state.k + 1)
     spec = models.spec
     try:
         updated = update(predicted, batches, models)
         if spec.n < 2:
             return updated
         refined = refine_rigid_body(updated, spec)
-        return replace(refined, heading=estimate_heading(refined, spec))
+        return EstimatorState(refined.markers, refined.sensor_xy,
+                              refined.sensor_theta,
+                              estimate_heading(refined, spec), refined.k)
     except (EmptySetFault, correspondence.InconsistentBatch,
             correspondence.CapExceeded) as exc:
         raise StepFault(exc, predicted) from exc

@@ -501,23 +501,6 @@ class ConvexPolygon:
         the rounding of both.  None when the margin leaves no disk."""
         return _inner_disk(self.vertices, self.bbox)
 
-    def validate(self, v_max: int | None = None) -> None:
-        """Raise if the vertex list is not strictly convex CCW with at least
-        three vertices."""
-        v = self.vertices
-        if len(v) < 3:
-            raise ValueError(f"{len(v)} vertices: a set needs an area")
-        if v_max is not None and len(v) > v_max:
-            raise ValueError(f"{len(v)} vertices exceeds budget {v_max}")
-        for x, y in v:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError("non-finite vertex")
-        n = len(v)
-        for i in range(n):
-            (ax, ay), (bx, by), (cx, cy) = v[i - 1], v[i], v[(i + 1) % n]
-            if _cross(ax, ay, bx, by, cx, cy) <= 0.0:
-                raise ValueError(f"vertices not in strictly convex CCW position at {i}")
-
 
 def area(p: ConvexPolygon) -> float:
     """Shoelace area."""
@@ -942,16 +925,74 @@ def ball_outer_polygon(radius: float,
     return _outer_ring(pts)
 
 
+def _sector_turns_clear(rc: float, r_in: float, w: float, sh: float,
+                        ch: float) -> bool:
+    """True where the canonical walk is sure to accept a sector's ring as
+    built: outer radius rc, inner corners at radius r_in (0: the apex at the
+    sensor), half-width w, and sh, ch the sine and cosine of half the arc
+    step s.
+
+    The walk asks of each vertex b, between a and c, that the cross product
+    (b - a) x (c - a) exceed 2 EPS_GEOM times the l1 length of c - a, at
+    most sqrt(2) |c - a|: 3 EPS_GEOM |c - a| here, with room for rounding.
+    The exact ring gives each kind of vertex its cross product X, and
+    bounds B and L on |b - a| and |c - a|:
+
+    - an inner arc vertex: X = rc^2 sin s (1 - cos s), about rc s^3, with
+      B = 2 rc sin(s / 2) and L = 2 rc sin s;
+    - an arc end: X = (rc - r_in) rc sin s, and B and L at most the sum of
+      the radial side rc - r_in and an arc chord 2 rc sin(s / 2);
+    - an inner corner: X = r_in (rc - r_in) sin 2w, which vanishes as w
+      nears pi / 2, and B and L at most the sum of the radial side and the
+      inner chord 2 r_in sin w;
+    - the apex: X = rc^2 sin 2w, B = rc and L = 2 rc sin w; the apex nears
+      the outer chord as w nears pi / 2.
+
+    Every computed vertex lies within e = 16 ulps of rc of its exact place:
+    its angle is off by at most 8 ulps of 1, and the cosine or the sine and
+    the product by rc add 1.5 more to each coordinate.  Moving the three
+    vertices by e moves the cross product by at most 2e (B + L) + 4e^2, and
+    rounding its evaluation by at most 4 ulps of B L.  A vertex is clear
+    where X exceeds all of that.  Every turn then stays strictly left
+    between the exact ring and the computed one, so the computed ring is
+    convex and winds once: it rises and then falls from its lexicographic
+    minimum, which is the walk's other test.
+    """
+    ulp = sys.float_info.epsilon
+    e = 16.0 * ulp * rc
+    sin_s = 2.0 * sh * ch
+    sin_w, cos_w = math.sin(w), math.cos(w)
+    d = rc - r_in
+    if r_in > 0.0:
+        side = d + 2.0 * r_in * sin_w
+        corner = (r_in * d * 2.0 * sin_w * cos_w, side, side)
+    else:
+        corner = (2.0 * rc * rc * sin_w * cos_w, rc, 2.0 * rc * sin_w)
+    end = d + 2.0 * rc * sh
+    for x, b, l in ((4.0 * rc * rc * sin_s * sh * sh, 2.0 * rc * sh,
+                     2.0 * rc * sin_s),
+                    (d * rc * sin_s, end, end),
+                    corner):
+        b += 2.0 * e
+        l += 2.0 * e
+        if not x > 3.0 * EPS_GEOM * l + 2.0 * e * (b + l) + 4.0 * ulp * b * l:
+            return False
+    return True
+
+
 def sector_outer_polygon(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
     """Convex polygon containing the annular sector spanned by angle and rng.
 
     The outer arc is over-bounded by vertices on the circumscribed arc at
     radius hi / cos(step / 2); the inner arc is bounded by its chord, which
     only adds points of smaller radius.  Requires half_width < pi/2 so the
-    sector has a bounded convex superset.  Where that ring is not canonical
-    as built (a sector within a few EPS_GEOM of the sensor, or one so thin
-    that its corners nearly meet, down to a segment or a point), the box
-    about the ring is returned instead (_outer_ring).
+    sector has a bounded convex superset.  Where a margin shows every turn
+    of that ring clear of the canonical walk's test (_sector_turns_clear),
+    the ring is canonical as built and only its start is chosen; any other
+    ring takes the walk.  Where that ring is not canonical as built (a
+    sector within a few EPS_GEOM of the sensor, or one so thin that its
+    corners nearly meet, down to a segment or a point), the box about the
+    ring is returned instead (_outer_ring).
     """
     if angle.half_width >= math.pi / 2.0:
         raise ValueError(f"sector half-width {angle.half_width:.4f} >= pi/2")
@@ -962,7 +1003,8 @@ def sector_outer_polygon(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
     w = angle.half_width
     m = max(2, math.ceil(2.0 * w / _SECTOR_MAX_STEP))
     step = 2.0 * w / m
-    rc = r_hi / math.cos(0.5 * step)
+    ch = math.cos(0.5 * step)
+    rc = r_hi / ch
     # CCW ring: inner corner, outer arc, the other inner corner
     inner = r_lo > EPS_GEOM
     pts = [(r_lo * math.cos(c - w), r_lo * math.sin(c - w)) if inner
@@ -972,6 +1014,9 @@ def sector_outer_polygon(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
         pts.append((rc * math.cos(a), rc * math.sin(a)))
     if inner:
         pts.append((r_lo * math.cos(c + w), r_lo * math.sin(c + w)))
+    if _sector_turns_clear(rc, r_lo if inner else 0.0, w,
+                           math.sin(0.5 * step), ch):
+        return ConvexPolygon(_canonical(pts))
     return _outer_ring(pts)
 
 

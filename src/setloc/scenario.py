@@ -282,18 +282,24 @@ def batches_from_lines(lines: Sequence[str], n_steps: int, n_sensors: int,
     return out
 
 
-def _geometry_line(step: int, obj_id: str, poly: ConvexPolygon | None = None,
+def _geometry_tail(obj_id: str, poly: ConvexPolygon | None = None,
                    interval: AngleInterval | None = None,
                    pose: tuple[float, ...] | None = None) -> str:
-    parts = [f'"step": {step}', f'"id": "{obj_id}"']
+    """A geometry.ndjson record after its step: '"id": ..., ...}'.  Each
+    vertex is one "%.17g" format, which writes what _fmt writes."""
+    parts = [f'"id": "{obj_id}"']
     if poly is not None:
-        vs = ", ".join(f"[{_fmt(x)}, {_fmt(y)}]" for x, y in poly.vertices)
+        vs = ", ".join(["[%.17g, %.17g]" % v for v in poly.vertices])
         parts.append(f'"vertices": [{vs}]')
     if interval is not None:
         parts.append(f'"interval": [{_fmt(interval.lo)}, {_fmt(interval.hi)}]')
     if pose is not None:
         parts.append(f'"pose": [{", ".join(_fmt(x) for x in pose)}]')
-    return "{" + ", ".join(parts) + "}"
+    return ", ".join(parts) + "}"
+
+
+def _geometry_line(step: int, obj_id: str, **sets) -> str:
+    return f'{{"step": {step}, ' + _geometry_tail(obj_id, **sets)
 
 
 # ---------------------------------------------------------------------------
@@ -483,31 +489,46 @@ def _omni_world(cfg: ScenarioConfig, trajectory: Sequence[tuple[float, float]],
         yield k, None, Truth((center,), region, None, center)
 
 
+def _noise_bounds(sensors: Sequence[SensorSite], n_markers: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The low and high bounds of a step's noise draw (_measurement_batches):
+    per sensor, per marker, bearing then range.  They are the same at every
+    step, so a run builds them once."""
+    high = np.array([eps for site in sensors for _ in range(n_markers)
+                     for eps in (site.model.eps_bearing, site.model.eps_range)],
+                    dtype=float)
+    return np.negative(high), high
+
+
 def _measurement_batches(markers: Sequence[tuple[float, float]],
                          sensors: Sequence[SensorSite],
+                         noise_bounds: tuple[np.ndarray, np.ndarray],
                          rng_meas: np.random.Generator,
                          rng_shuffle: np.random.Generator
                          ) -> list[list[Measurement]]:
-    """Each sensor's shuffled batch.  The step's noise is drawn in one call,
-    per sensor, per marker, bearing then range, which is the order and the
-    stream of one scalar draw each: angle-only sensors and markers out of
-    view consume their draws too."""
-    bounds = [eps for site in sensors for _ in markers
-              for eps in (site.model.eps_bearing, site.model.eps_range)]
-    noise = iter(rng_meas.uniform(np.negative(bounds), bounds).tolist())
+    """Each sensor's shuffled batch.  The step's noise is drawn in one call
+    within noise_bounds (_noise_bounds), which is the order and the stream
+    of one scalar draw each: angle-only sensors and markers out of view
+    consume their draws too.  Each measurement is made with its place in
+    the unshuffled batch as its slot, and made again only where the shuffle
+    moves it."""
+    noise = iter(rng_meas.uniform(*noise_bounds).tolist())
     batches: list[list[Measurement]] = []
     for i, site in enumerate(sensors):
-        found = []
+        pose, model = site.pose, site.model
+        found: list[Measurement] = []
         for pt in markers:
             w_a, w_r = next(noise), next(noise)
-            m = measure(site.pose, site.model, pt, w_a, w_r, sensor_id=i)
+            m = measure(pose, model, pt, w_a, w_r, sensor_id=i, slot=len(found))
             if m is not None:
                 found.append(m)
         # a batch of 0 or 1 has one order, and numpy draws nothing for it
-        order = rng_shuffle.permutation(len(found)) if len(found) > 1 \
-            else range(len(found))
-        batches.append([Measurement(found[q].bearing, found[q].range, i, slot)
-                        for slot, q in enumerate(order)])
+        if len(found) > 1:
+            order = rng_shuffle.permutation(len(found)).tolist()
+            found = [found[q] if q == slot else
+                     Measurement(found[q].bearing, found[q].range, i, slot)
+                     for slot, q in enumerate(order)]
+        batches.append(found)
     return batches
 
 
@@ -550,8 +571,60 @@ def _track(state: est.EstimatorState, u: Control | None,
         return fault.predicted, True
 
 
+@dataclass
+class _SensorEntry:
+    xy: ConvexPolygon
+    theta: AngleInterval
+    held: bool | None = None                # the sets hold the true pose
+    tails: tuple[str, str] | None = None    # the two lines less their step
+
+
+class _SensorRecords:
+    """What a run scores and writes of each stationary sensor's sets: whether
+    they hold its true pose, and its two geometry.ndjson lines less their
+    step.  An update hands a sensor's sets on as the same objects wherever
+    it does not narrow them, so each sensor's entry is kept for as long as
+    its position and orientation sets are the objects it was made from."""
+
+    def __init__(self, sensors: Sequence[SensorSite]):
+        self.sensors = sensors
+        self._entries: list[_SensorEntry | None] = [None] * len(sensors)
+
+    def _entry(self, i: int, state: est.EstimatorState) -> _SensorEntry:
+        xy, theta = state.sensor_xy[i], state.sensor_theta[i]
+        entry = self._entries[i]
+        if entry is None or entry.xy is not xy or entry.theta is not theta:
+            entry = self._entries[i] = _SensorEntry(xy, theta)
+        return entry
+
+    def held(self, state: est.EstimatorState) -> bool:
+        """Whether every sensor's sets hold its true pose, sensor by sensor
+        up to the first that does not."""
+        for i, site in enumerate(self.sensors):
+            entry = self._entry(i, state)
+            if entry.held is None:
+                entry.held = (geom2d.contains(entry.xy, site.pose.xy)
+                              and entry.theta.contains(site.pose.theta))
+            if not entry.held:
+                return False
+        return True
+
+    def lines(self, k: int, state: est.EstimatorState) -> Iterator[str]:
+        """Each sensor's position and orientation lines of step k."""
+        head = f'{{"step": {k}, '
+        for i in range(len(self.sensors)):
+            entry = self._entry(i, state)
+            if entry.tails is None:
+                entry.tails = (
+                    _geometry_tail(f"set/sensor{i + 1}/xy", poly=entry.xy),
+                    _geometry_tail(f"set/sensor{i + 1}/theta",
+                                   interval=entry.theta))
+            yield head + entry.tails[0]
+            yield head + entry.tails[1]
+
+
 def _score_set(row: StepRecord, state: est.EstimatorState, truth: Truth,
-               sensors: Sequence[SensorSite],
+               sensors: _SensorRecords,
                body_ball: ConvexPolygon | None) -> ConvexPolygon:
     """Fill the set estimator's columns of a row; returns the body set scored
     (without a true heading: the marker set grown by the body disk)."""
@@ -573,10 +646,7 @@ def _score_set(row: StepRecord, state: est.EstimatorState, truth: Truth,
         body_area = geom2d.area(body)
         row.set_heading_width = state.heading.width
     row.set_contained_markers = markers_in
-    row.set_contained_sensors = all(
-        geom2d.contains(state.sensor_xy[i], site.pose.xy)
-        and state.sensor_theta[i].contains(site.pose.theta)
-        for i, site in enumerate(sensors))
+    row.set_contained_sensors = sensors.held(state)
     row.set_body_area = body_area
     return body
 
@@ -599,14 +669,17 @@ def simulate_run(cfg: ScenarioConfig, steps: int | None = None,
     omni = cfg.mode == MODE_OMNI
     body_ball = geom2d.ball_outer_polygon(cfg.omni_radius) \
         if omni and cfg.omni_radius > 0.0 else None
+    noise_bounds = _noise_bounds(cfg.sensors, cfg.n_markers)
+    sensors = _SensorRecords(cfg.sensors)
 
     rec = RunRecord(cfg.mode, cfg.seed)
     if record_geometry and not omni:
-        _dump_state(rec, 0, state, _bicycle_truth(cfg.start, cfg), None)
+        _dump_state(rec, 0, state, _bicycle_truth(cfg.start, cfg), None,
+                    sensors)
     world = _omni_world if omni else _bicycle_world
     for k, u, truth in world(cfg, trajectory, rng_proc):
         batches = _measurement_batches(truth.markers, cfg.sensors,
-                                       rng_meas, rng_shuf)
+                                       noise_bounds, rng_meas, rng_shuf)
         if record_measurements:
             rec.measurements.extend(measurement_to_line(k, m)
                                     for b in batches for m in b)
@@ -618,7 +691,7 @@ def simulate_run(cfg: ScenarioConfig, steps: int | None = None,
                                       fallback_predict)
             row.set_wall_ms = 1e3 * (time.perf_counter() - t0)
             rec.set_fallbacks += fell_back
-            body = _score_set(row, state, truth, cfg.sensors, body_ball)
+            body = _score_set(row, state, truth, sensors, body_ball)
 
         fs_dump = None
         if ps is not None:
@@ -643,22 +716,20 @@ def simulate_run(cfg: ScenarioConfig, steps: int | None = None,
                 _geometry_line(k, "set/body", poly=body)]
         elif record_geometry:
             _dump_state(rec, k, state if cfg.wants("set") else None, truth,
-                        fs_dump)
+                        fs_dump, sensors)
     return rec
 
 
 def _dump_state(rec: RunRecord, k: int, state: est.EstimatorState | None,
                 truth: Truth,
-                fs_dump: tuple[ConvexPolygon, AngleInterval] | None) -> None:
+                fs_dump: tuple[ConvexPolygon, AngleInterval] | None,
+                sensors: _SensorRecords) -> None:
     rec.geometry.append(_geometry_line(k, "truth/pose", pose=truth.pose))
     rec.geometry.append(_geometry_line(k, "truth/body", poly=truth.region))
     if state is not None:
         for j, p in enumerate(state.markers):
             rec.geometry.append(_geometry_line(k, f"set/marker{j + 1}", poly=p))
-        for i, p in enumerate(state.sensor_xy):
-            rec.geometry.append(_geometry_line(k, f"set/sensor{i + 1}/xy", poly=p))
-            rec.geometry.append(_geometry_line(k, f"set/sensor{i + 1}/theta",
-                                               interval=state.sensor_theta[i]))
+        rec.geometry.extend(sensors.lines(k, state))
         rec.geometry.append(_geometry_line(k, "set/body", poly=state.body))
         rec.geometry.append(_geometry_line(k, "set/heading",
                                            interval=state.heading))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from geom_checks import validate
 from setloc import geom2d
 from setloc.geom2d import (AngleInterval, ConvexPolygon, Interval, angular_hull,
                            area, ball_outer_polygon, contains, convex_hull,
@@ -50,7 +51,7 @@ def test_minkowski_sliver_keeps_its_tips():
     a = ConvexPolygon.from_points([(0.0, 0.0), (0.0, 1.0)])
     b = ConvexPolygon.from_points([(0.0, 0.0), (1e-101, 1.0)])
     out = minkowski_sum(a, b)
-    out.validate()
+    validate(out)
     for tip in ((0.0, 0.0), (1e-101, 2.0)):
         assert contains(out, tip, tol=0.0)
     assert out.bbox == pytest.approx((-2 * E, 2 * E, 0.0, 2.0), abs=1e-15)
@@ -201,7 +202,7 @@ def test_intersect_degenerate_cases():
     assert intersect(pt_out, box) is None
     seg = ConvexPolygon.from_points([(-1, 1), (3, 1)])
     clipped = intersect(seg, box)
-    clipped.validate()
+    validate(clipped)
     assert clipped.bbox == pytest.approx((0.0, 2.0, 1 - E, 1 + E), abs=2e-9)
     seg2 = ConvexPolygon.from_points([(1, -1), (1, 3)])
     cross = intersect(seg, seg2)
@@ -249,7 +250,7 @@ def test_hull_two_points_is_segment():
     a = ConvexPolygon.from_points([(0, 0)])
     b = ConvexPolygon.from_points([(1, 1)])
     h = convex_hull([a, b])
-    h.validate()
+    validate(h)
     for t in np.linspace(0.0, 1.0, 11):
         assert contains(h, (t, t), tol=0.0)
     assert h.bbox == pytest.approx((-E, 1 + E, -E, 1 + E), abs=1e-15)
@@ -444,7 +445,7 @@ def test_sector_thin_contains_samples():
 def test_sector_degenerate_point():
     # a sector of no width and no depth is the box about its one point
     out = sector_outer_polygon(AngleInterval(0.7, 0.0), Interval(1.0, 1.0))
-    out.validate()
+    validate(out)
     x, y = math.cos(0.7), math.sin(0.7)
     assert contains(out, (x, y), tol=0.0)
     assert out.bbox == pytest.approx((x - E, x + E, y - E, y + E), abs=1e-15)
@@ -584,7 +585,7 @@ def test_outputs_valid_polygons():
         b = random_polygon(rng)
         for out in (minkowski_sum(a, b), convex_hull([a, b]),
                     simplify_outer(minkowski_sum(a, b), geom2d.V_MAX)):
-            out.validate()
+            validate(out)
         inter = intersect(a, b)
         if inter is not None:
-            inter.validate()
+            validate(inter)

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from geom_checks import validate
 from setloc import geom2d
 from setloc.geom2d import (EPS_GEOM, TWO_PI, AngleInterval, ConvexPolygon,
                            Interval)
@@ -216,17 +218,77 @@ def test_hull_vertices_is_the_general_hull(ring):
     assert geom2d._hull_vertices(tuple(ring)) == general_hull(ring)
 
 
+# Sectors on either side of each threshold of sector_outer_polygon's margin
+# (_sector_turns_clear): a sector whose ring takes the canonical walk, then
+# one whose ring skips it, adjacent floats in the argument that crosses.
+MARGIN_EDGES = {
+    # the inner arc vertices' turns, about rc step^3
+    "arc turns": (
+        (AngleInterval(0.3, 7.745980451301741e-05), Interval(0.0, 1.0)),
+        (AngleInterval(0.3, 7.745980451301742e-05), Interval(0.0, 1.0))),
+    # the arc's ends, over a radial side rc - r_lo that the circumscribed
+    # arc keeps above 1e-9
+    "arc ends": (
+        (AngleInterval(0.3, 1.2e-4), Interval(0.999999998799911, 1.0)),
+        (AngleInterval(0.3, 1.2e-4), Interval(0.9999999987999109, 1.0))),
+    # the inner corners, as the half-width nears pi / 2 and as r_lo nears 0
+    "inner corners, wide": (
+        (AngleInterval(0.3, 1.5707963178523565), Interval(0.5, 1.0)),
+        (AngleInterval(0.3, 1.5707963178523563), Interval(0.5, 1.0))),
+    "inner corners, small r_lo": (
+        (AngleInterval(0.3, 0.5), Interval(3.5652033355818336e-09, 1.0)),
+        (AngleInterval(0.3, 0.5), Interval(3.565203335581834e-09, 1.0))),
+    # the apex, which nears the outer chord as the half-width nears pi / 2
+    "apex": (
+        (AngleInterval(0.3, 1.5707933412406503), Interval(0.0, 1e-3)),
+        (AngleInterval(0.3, 1.57079334124065), Interval(0.0, 1e-3))),
+    # at 1e7 m the rounding of the vertices outweighs EPS_GEOM
+    "rounding": (
+        (AngleInterval(0.3, 1.4804149091468687e-07), Interval(0.0, 1e7)),
+        (AngleInterval(0.3, 1.480414909146869e-07), Interval(0.0, 1e7))),
+}
+
+
+def margin_edge_examples(test):
+    for pair in MARGIN_EDGES.values():
+        for args in pair:
+            test = example(args)(test)
+    return test
+
+
 @settings(max_examples=600, deadline=None)
 @given(sector_args())
 @example((AngleInterval(0.3, 0.0), Interval(0.0, 5.0)))
 @example((AngleInterval(0.3, 1e-15), Interval(2.0, 2.0)))
 @example((AngleInterval(-3.0, 0.2), Interval(0.0, 1e-9)))
 @example((AngleInterval(1.0, 1e-12), Interval(1e-9, 2e-9)))
+# an apex 1e-12 from the outer chord, which a margin without the apex's
+# turn took for canonical
+@example((AngleInterval(0.0, 1.5707963257948965), Interval(0.0, 0.001)))
+@margin_edge_examples
 def test_sector_is_the_hull_of_its_ring(args):
     angle, rng = args
     got = geom2d.sector_outer_polygon(angle, rng)
     assert got == general_sector(angle, rng)
     assert same_bits(got, general_sector(angle, rng))
+
+
+@pytest.mark.parametrize("edge", sorted(MARGIN_EDGES))
+def test_the_margin_examples_straddle_its_thresholds(edge, monkeypatch):
+    # a sector the margin clears never calls the walk
+    walks = []
+    walk = geom2d._canonical_ring
+
+    def counted(pts):
+        walks.append(pts)
+        return walk(pts)
+
+    monkeypatch.setattr(geom2d, "_canonical_ring", counted)
+    walked, clear = MARGIN_EDGES[edge]
+    geom2d.sector_outer_polygon(*walked)
+    assert len(walks) == 1
+    geom2d.sector_outer_polygon(*clear)
+    assert len(walks) == 1
 
 
 @settings(max_examples=600, deadline=None)
@@ -280,7 +342,7 @@ def test_intersect_angles_is_the_deduplicated_intersection(a, b):
 @given(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), scales, scales)
 def test_box_keeps_its_corners(x, y, w, h):
     p = ConvexPolygon.box(x, x + w, y, y + h)
-    p.validate()
+    validate(p)
     corners = ((x, y), (x + w, y), (x + w, y + h), (x, y + h))
     if min(x + w - x, y + h - y) >= 2 * EPS_GEOM:
         assert p.vertices == corners

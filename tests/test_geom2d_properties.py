@@ -17,6 +17,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from geom_checks import validate
 from setloc import geom2d
 from setloc.geom2d import (FULL_CIRCLE, TWO_PI, AngleInterval, ConvexPolygon,
                            Interval, wrap_angle)
@@ -84,7 +85,7 @@ def reference_sum(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
 def test_minkowski_sum_matches_hull_of_pairwise_sums(a, b):
     out = geom2d.minkowski_sum(a, b)
     assert out == reference_sum(a, b)
-    out.validate()
+    validate(out)
 
 
 @settings(max_examples=300, deadline=None)
@@ -111,7 +112,7 @@ def test_intersect_matches_hull_of_clip_output(a, b):
         assert out is a
     else:
         assert out == hull_of_cut(a, pts)
-        out.validate()
+        validate(out)
 
 
 def hull_of_cut(s: ConvexPolygon, pts) -> ConvexPolygon:
@@ -297,7 +298,7 @@ def test_intersect_sum_matches_intersect_of_the_sum(s, a, b):
     tol = 2 * geom2d.EPS_GEOM
     assert within(ref, out, tol)
     assert within(out, s, tol) and within(out, total, tol)
-    out.validate()
+    validate(out)
 
 
 @st.composite
@@ -827,7 +828,7 @@ def test_every_set_has_an_area(case):
     its input points with no tolerance at all."""
     out, pts = case
     assert out.n >= 3
-    out.validate()
+    validate(out)
     for q in pts:
         assert geom2d.contains(out, q, tol=0.0), q
 

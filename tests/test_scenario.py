@@ -221,9 +221,11 @@ def assert_holds_the_truth_at_tol_0(cfg, steps):
     rng_proc, rng_meas, rng_shuf, _ = (np.random.default_rng(c)
                                        for c in streams)
     models, state, trajectory = scenario._start_tracker(cfg, steps)
+    noise_bounds = scenario._noise_bounds(cfg.sensors, cfg.n_markers)
     for k, u, truth in scenario._bicycle_world(cfg, trajectory, rng_proc):
         batches = scenario._measurement_batches(truth.markers, cfg.sensors,
-                                                rng_meas, rng_shuf)
+                                                noise_bounds, rng_meas,
+                                                rng_shuf)
         state = est.step(state, u, batches, models)
         for j, (p, t) in enumerate(zip(state.markers, truth.markers)):
             assert geom2d.contains(p, t, tol=0.0), (k, f"marker {j}")
@@ -323,6 +325,78 @@ def test_geometry_dump_lines(parking):
     assert "set/marker1" in ids
     assert "truth/body" in ids
     assert "set/sensor1/theta" in ids
+
+
+def _fresh_geometry_line(step, obj_id, poly=None, interval=None, pose=None):
+    """A geometry.ndjson record formatted afresh, one f-string per number,
+    as every line was written before sensors' lines were reused."""
+    def fmt(v):
+        return f"{v:.17g}"
+    parts = [f'"step": {step}', f'"id": "{obj_id}"']
+    if poly is not None:
+        vs = ", ".join(f"[{fmt(x)}, {fmt(y)}]" for x, y in poly.vertices)
+        parts.append(f'"vertices": [{vs}]')
+    if interval is not None:
+        parts.append(f'"interval": [{fmt(interval.lo)}, {fmt(interval.hi)}]')
+    if pose is not None:
+        parts.append(f'"pose": [{", ".join(fmt(x) for x in pose)}]')
+    return "{" + ", ".join(parts) + "}"
+
+
+def _fresh_geometry(k, state, truth):
+    line = _fresh_geometry_line
+    out = [line(k, "truth/pose", pose=truth.pose),
+           line(k, "truth/body", poly=truth.region)]
+    out += [line(k, f"set/marker{j + 1}", poly=p)
+            for j, p in enumerate(state.markers)]
+    for i, p in enumerate(state.sensor_xy):
+        out += [line(k, f"set/sensor{i + 1}/xy", poly=p),
+                line(k, f"set/sensor{i + 1}/theta",
+                     interval=state.sensor_theta[i])]
+    return out + [line(k, "set/body", poly=state.body),
+                  line(k, "set/heading", interval=state.heading)]
+
+
+def test_reused_sensor_lines_and_checks_are_made_afresh(parking, monkeypatch):
+    # the whole parking episode of world seed 7000: its sensors' sets are
+    # handed on unchanged at most steps, and made anew at others, some of
+    # them equal in value to the sets they replace
+    cfg = replace(parking, seed=7000, estimators="set")
+    states = []
+    step = est.step
+
+    def recording_step(state, *args):
+        if not states:
+            states.append(state)
+        states.append(step(state, *args))
+        return states[-1]
+
+    monkeypatch.setattr(est, "step", recording_step)
+    rec = simulate_run(cfg, record_geometry=True)
+    assert len(states) == len(cfg.trajectory) + 1
+
+    rng_proc = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4)[0])
+    truths = [scenario._bicycle_truth(cfg.start, cfg)] + [
+        truth for _, _, truth in scenario._bicycle_world(cfg, cfg.trajectory,
+                                                         rng_proc)]
+    want = [line for k, (state, truth) in enumerate(zip(states, truths))
+            for line in _fresh_geometry(k, state, truth)]
+    assert len(rec.geometry) == len(want)
+    for k, (got, line) in enumerate(zip(rec.geometry, want)):
+        assert got == line, k
+
+    for row, state in zip(rec.rows, states[1:]):
+        assert row.set_contained_sensors == all(
+            geom2d.contains(state.sensor_xy[i], site.pose.xy)
+            and state.sensor_theta[i].contains(site.pose.theta)
+            for i, site in enumerate(cfg.sensors)), row.k
+    made = [(a, b) for before, after in zip(states, states[1:])
+            for a, b in zip(before.sensor_theta, after.sensor_theta)
+            if a is not b]
+    kept = sum(a is b for before, after in zip(states, states[1:])
+               for a, b in zip(before.sensor_theta, after.sensor_theta))
+    assert kept > len(made)
+    assert any(a == b for a, b in made) and any(a != b for a, b in made)
 
 
 def test_omni_run_containment():
@@ -588,10 +662,12 @@ def test_measurement_batches_are_the_scalar_draws(name, parking):
     world = scenario._omni_world if cfg.mode == scenario.MODE_OMNI \
         else scenario._bicycle_world
     rngs = [[np.random.default_rng(seed) for seed in (5, 6)] for _ in range(2)]
+    noise_bounds = scenario._noise_bounds(cfg.sensors, cfg.n_markers)
     seen = unseen = 0
     for _, _, truth in world(cfg, cfg.trajectory[:60],
                              np.random.default_rng(4)):
-        got = scenario._measurement_batches(truth.markers, cfg.sensors, *rngs[0])
+        got = scenario._measurement_batches(truth.markers, cfg.sensors,
+                                            noise_bounds, *rngs[0])
         want = _measurement_batches_loop(truth.markers, cfg.sensors, *rngs[1])
         assert repr(got) == repr(want)
         assert all(type(m.bearing) is float for b in got for m in b)
