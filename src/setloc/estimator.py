@@ -457,10 +457,12 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
             new_theta = _narrow_orientation(
                 theta, xy, predicted.markers, batch, assigns,
                 model.eps_bearing, i)
-            sensor_theta[i] = new_theta
             # the position and marker phases use the sectors under the new
-            # orientation interval, and so do the position decisions
-            if new_theta != theta:
+            # orientation interval, and so do the position decisions; where
+            # no bit changes (repr tells -0.0 from 0.0, == does not) the
+            # predicted object is kept, so what was made from it is reused
+            if repr(new_theta) != repr(theta):
+                sensor_theta[i] = new_theta
                 cones, sectors = _sectors(batch, model, new_theta)
                 kept = _settle(new_theta, xy, predicted.markers, pairs, batch,
                                cones, model.eps_bearing)[1]

@@ -265,9 +265,9 @@ def estimate_body_particles(ps: ParticleSet) -> ConvexPolygon:
 def heading_interval_particles(ps: ParticleSet,
                                spec: RigidBodySpec) -> AngleInterval:
     """Smallest arc containing every particle's implied heading.  Only the
-    distinct headings are enclosed, in first-occurrence order, which gives
-    the same arc (enclose_spans keeps the first of equally good starts).
-    Each is a zero-width span starting at its wrapped heading, the start
+    distinct headings are enclosed, which gives the same arc (enclose_spans
+    does not depend on the order or repeats of its spans).  Each is a
+    zero-width span starting at its wrapped heading, the start
     AngleInterval(h, 0.0) would give."""
     headings = dict.fromkeys(particle_headings(ps, spec).tolist())
     return geom2d.enclose_spans([geom2d.wrap_angle(h) for h in headings],

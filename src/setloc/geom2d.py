@@ -8,7 +8,6 @@ are immutable; all operations are pure functions.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -209,96 +208,45 @@ def enclose_angles(arcs: Sequence[AngleInterval]) -> AngleInterval:
 def enclose_spans(los: Sequence[float], widths: Sequence[float]
                   ) -> AngleInterval:
     """Smallest arc covering the arcs that start at los (each in (-pi, pi])
-    and span widths (each in [0, 2*pi]); at least one arc.
-
-    The answer is the full scan's to the last bit: each arc's start is tried
-    as the start of the cover, a start's need is its largest reach (the
-    distance d to an arc's start, taken into [0, 2*pi) as
-    d -= 2*pi*floor(d / 2*pi), plus that arc's width), a reach of
-    2*pi - 1e-12 or more leaves no cover from the start, and among starts
-    of the least need the first in input order wins.  Only the starts that
-    _cover_starts picks are scanned (every start of up to four arcs, where
-    that is cheaper than sorting), in input order, and each scan stops at
-    the first reach that gets to the best width so far.  A width of
-    2*pi - 2e-12 or more (a full arc) gives the full circle.
-    """
+    and span widths (each in [0, 2*pi]); at least one arc.  It starts after
+    the largest gap in their union, the first in sorted order (so the input
+    order does not matter), and reaches d + width of each arc, d the
+    distance to the arc's start in [0, 2*pi).  A gap of 1e-12 or less, a
+    reach of 2*pi - 1e-12 or more or a width of 2*pi - 2e-12 or more gives
+    the full circle."""
     if max(widths) >= TWO_PI - 2e-12:
         return FULL_CIRCLE
-    spans = list(zip(los, widths))
-    best_width = math.inf
-    best_start = 0.0
-    limit = TWO_PI - 1e-12
-    for i in range(len(los)) if len(los) <= 4 else _cover_starts(los, widths):
-        start = los[i]
-        need = 0.0
-        for lo_j, width_j in spans:
-            d = lo_j - start
-            d -= TWO_PI * math.floor(d / TWO_PI)  # into [0, 2*pi)
-            reach = d + width_j
-            if reach >= limit:
-                break
-            if reach > need:
-                need = reach
-        else:
-            # every reach, and so the need, fell short of the best width:
-            # a start that ties the best stopped at its own arc
-            best_width = limit = need
-            best_start = start
-    if not math.isfinite(best_width):
+    spans = sorted(zip(los, widths))
+    # the gap in front of each start runs from the farthest end before it,
+    # with every arc taken one turn back for the first start
+    reach = max([lo + w for lo, w in spans]) - TWO_PI
+    best_gap, start = -math.inf, 0.0
+    for lo, w in spans:
+        if lo - reach > best_gap:
+            best_gap, start = lo - reach, lo
+        if lo + w > reach:
+            reach = lo + w
+    if best_gap <= 1e-12:
         return FULL_CIRCLE
-    return AngleInterval(best_start + 0.5 * best_width, 0.5 * best_width)
-
-
-def _cover_starts(los: list[float], widths: list[float]) -> list[int]:
-    """The indices, ascending, of the arc starts (wrapped into (-pi, pi])
-    that can start enclose_spans' cover; one sort, O(S log S) unless many
-    starts tie within 1e-9.
-
-    A start's need is 2*pi less the uncovered gap in front of it, so one
-    sweep over the sorted starts gives every start's gap, and a start whose
-    gap falls short of the largest by more than 1e-9 cannot win: an arc
-    covering it makes a reach of 2*pi or more, and otherwise its need
-    exceeds the best by more than rounding.  Rounding in d can put a start
-    that lies a few ulps past another at that start (across the seam at pi,
-    or where d / 2*pi underflows), so the starts within 1e-12 past a gap
-    that can win are picked too.
-    """
-    n = len(los)
-    order = sorted(range(n), key=los.__getitem__)
-    sorted_los = [los[i] for i in order]
-    ends = [lo + widths[i] for lo, i in zip(sorted_los, order)]
-    # gap in front of each sorted start: up to the farthest end of the arcs
-    # sorted before it, or of the arcs from it on taken one turn back (an
-    # equal start sorted before it leaves no gap, and it cannot win)
-    fronts = itertools.accumulate(ends[:-1], max, initial=-math.inf)
-    backs = reversed(list(itertools.accumulate(reversed(ends), max)))
-    gaps = [lo - max(front, back - TWO_PI)
-            for lo, front, back in zip(sorted_los, fronts, backs)]
-    cut = max(gaps) - 1e-9
-    starts = set()
-    for k, gap in enumerate(gaps):
-        if gap >= cut:
-            m = k
-            while True:
-                starts.add(order[m])
-                m = (m + 1) % n
-                if m == k or (sorted_los[m] - sorted_los[k]) % TWO_PI > 1e-12:
-                    break
-    return sorted(starts)
+    width = 0.0
+    for lo, w in spans:
+        d = lo - start
+        d -= TWO_PI * math.floor(d / TWO_PI)  # into [0, 2*pi)
+        if d + w > width:
+            width = d + w
+    if width >= TWO_PI - 1e-12:
+        return FULL_CIRCLE
+    return AngleInterval(start + 0.5 * width, 0.5 * width)
 
 
 # ---------------------------------------------------------------------------
 # convex polygons
 # ---------------------------------------------------------------------------
 
-def _cross(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> float:
-    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
-
-
 def _hull_chain(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Andrew's monotone chain over distinct points in lexicographic order,
-    such as sorted(set(points)); each turn is _cross(o, a, p), written out
-    in the same order."""
+    such as sorted(set(points)); each turn is the cross product
+    (a - o) x (p - o), written out."""
     lower: list[tuple[float, float]] = []
     for p in pts:
         px, py = p

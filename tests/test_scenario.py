@@ -357,11 +357,9 @@ def _fresh_geometry(k, state, truth):
                   line(k, "set/heading", interval=state.heading)]
 
 
-def test_reused_sensor_lines_and_checks_are_made_afresh(parking, monkeypatch):
-    # the whole parking episode of world seed 7000: its sensors' sets are
-    # handed on unchanged at most steps, and made anew at others, some of
-    # them equal in value to the sets they replace
-    cfg = replace(parking, seed=7000, estimators="set")
+def _recorded_episode(cfg, monkeypatch, **kw):
+    """simulate_run(cfg, **kw) and every estimator state it steps through,
+    the initial one first."""
     states = []
     step = est.step
 
@@ -372,7 +370,14 @@ def test_reused_sensor_lines_and_checks_are_made_afresh(parking, monkeypatch):
         return states[-1]
 
     monkeypatch.setattr(est, "step", recording_step)
-    rec = simulate_run(cfg, record_geometry=True)
+    return simulate_run(cfg, **kw), states
+
+
+def test_reused_sensor_lines_and_checks_are_made_afresh(parking, monkeypatch):
+    # the whole parking episode of world seed 7000: its sensors' sets are
+    # handed on unchanged at most steps, and made anew at others
+    cfg = replace(parking, seed=7000, estimators="set")
+    rec, states = _recorded_episode(cfg, monkeypatch, record_geometry=True)
     assert len(states) == len(cfg.trajectory) + 1
 
     rng_proc = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4)[0])
@@ -396,7 +401,31 @@ def test_reused_sensor_lines_and_checks_are_made_afresh(parking, monkeypatch):
     kept = sum(a is b for before, after in zip(states, states[1:])
                for a, b in zip(before.sensor_theta, after.sensor_theta))
     assert kept > len(made)
-    assert any(a == b for a, b in made) and any(a != b for a, b in made)
+    assert any(a != b for a, b in made)
+
+
+def test_orientation_sets_are_made_anew_only_where_they_narrow(parking,
+                                                               monkeypatch):
+    # the parking episode of world seed 7000 runs 519 exact orientation
+    # phases; 132 of them change the arc, and each of the others hands on
+    # the predicted object, so its sensor's records are reused
+    cfg = replace(parking, seed=7000, estimators="set")
+    phases = []
+    narrow = est._narrow_orientation
+
+    def counting_narrow(*args):
+        phases.append(args)
+        return narrow(*args)
+
+    monkeypatch.setattr(est, "_narrow_orientation", counting_narrow)
+    _, states = _recorded_episode(cfg, monkeypatch)
+    pairs = [(a, b) for before, after in zip(states, states[1:])
+             for a, b in zip(before.sensor_theta, after.sensor_theta)]
+    # a new object where a bit changed (repr tells -0.0 from 0.0), else
+    # the same one
+    assert all((a is b) == (repr(a) == repr(b)) for a, b in pairs)
+    assert len(phases) == 519
+    assert sum(a is not b for a, b in pairs) == 132
 
 
 def test_omni_run_containment():
