@@ -733,11 +733,13 @@ def _left_turn_lines(ring: Sequence[tuple[float, float]]) -> list[Line] | None:
 
 def _sum_lines(a: ConvexPolygon, b: ConvexPolygon) -> list[Line]:
     """Boundary lines of a + b: the edges of the merge ring (de Berg et
-    al., section 13.3), or of its hull where rounding left a duplicate,
-    collinear or reflex vertex.  Those are the edges of minkowski_sum(a,
-    b), so SumBoundary.clip clips by the same lines as intersect with the
-    built sum.  The merge ring winds once by construction, so left turns
-    alone show it convex.
+    al., section 13.3) where it turns strictly left at every vertex, the
+    boundary of a + b up to rounding; else, where rounding left a
+    duplicate, collinear or reflex vertex, the edges of its hull
+    (_hull_vertices).  The merge ring winds once by construction, so left
+    turns alone show it convex.  A ring that turns left throughout but
+    fails the canonical walk's keep test keeps its own lines here, while
+    minkowski_sum(a, b) builds its pruned hull.
     """
     ring = _merge_edges(a.vertices, b.vertices)
     lines = _left_turn_lines(ring)
@@ -754,10 +756,11 @@ class SumBoundary(NamedTuple):
     lines: list[Line]
 
     def clip(self, s: ConvexPolygon) -> ConvexPolygon | None:
-        """s clipped by the support half-planes of a + b, each with the same
-        EPS_GEOM outward slack as intersect: intersect(s, minkowski_sum(a,
-        b)) up to that slack, without building the sum.  s itself when no
-        half-plane cuts it, None when the result is empty."""
+        """s clipped by the support half-planes of a + b (_sum_lines), each
+        with the same EPS_GEOM outward slack as intersect, without building
+        the sum: the merge ring's edges where it turns left throughout, the
+        hull's edges otherwise.  s itself when no half-plane cuts it, None
+        when the result is empty."""
         return clip_by(s, self.lines)
 
     def meets(self, s: ConvexPolygon) -> bool:
@@ -873,74 +876,16 @@ def ball_outer_polygon(radius: float,
     return _outer_ring(pts)
 
 
-def _sector_turns_clear(rc: float, r_in: float, w: float, sh: float,
-                        ch: float) -> bool:
-    """True where the canonical walk is sure to accept a sector's ring as
-    built: outer radius rc, inner corners at radius r_in (0: the apex at the
-    sensor), half-width w, and sh, ch the sine and cosine of half the arc
-    step s.
-
-    The walk asks of each vertex b, between a and c, that the cross product
-    (b - a) x (c - a) exceed 2 EPS_GEOM times the l1 length of c - a, at
-    most sqrt(2) |c - a|: 3 EPS_GEOM |c - a| here, with room for rounding.
-    The exact ring gives each kind of vertex its cross product X, and
-    bounds B and L on |b - a| and |c - a|:
-
-    - an inner arc vertex: X = rc^2 sin s (1 - cos s), about rc s^3, with
-      B = 2 rc sin(s / 2) and L = 2 rc sin s;
-    - an arc end: X = (rc - r_in) rc sin s, and B and L at most the sum of
-      the radial side rc - r_in and an arc chord 2 rc sin(s / 2);
-    - an inner corner: X = r_in (rc - r_in) sin 2w, which vanishes as w
-      nears pi / 2, and B and L at most the sum of the radial side and the
-      inner chord 2 r_in sin w;
-    - the apex: X = rc^2 sin 2w, B = rc and L = 2 rc sin w; the apex nears
-      the outer chord as w nears pi / 2.
-
-    Every computed vertex lies within e = 16 ulps of rc of its exact place:
-    its angle is off by at most 8 ulps of 1, and the cosine or the sine and
-    the product by rc add 1.5 more to each coordinate.  Moving the three
-    vertices by e moves the cross product by at most 2e (B + L) + 4e^2, and
-    rounding its evaluation by at most 4 ulps of B L.  A vertex is clear
-    where X exceeds all of that.  Every turn then stays strictly left
-    between the exact ring and the computed one, so the computed ring is
-    convex and winds once: it rises and then falls from its lexicographic
-    minimum, which is the walk's other test.
-    """
-    ulp = sys.float_info.epsilon
-    e = 16.0 * ulp * rc
-    sin_s = 2.0 * sh * ch
-    sin_w, cos_w = math.sin(w), math.cos(w)
-    d = rc - r_in
-    if r_in > 0.0:
-        side = d + 2.0 * r_in * sin_w
-        corner = (r_in * d * 2.0 * sin_w * cos_w, side, side)
-    else:
-        corner = (2.0 * rc * rc * sin_w * cos_w, rc, 2.0 * rc * sin_w)
-    end = d + 2.0 * rc * sh
-    for x, b, l in ((4.0 * rc * rc * sin_s * sh * sh, 2.0 * rc * sh,
-                     2.0 * rc * sin_s),
-                    (d * rc * sin_s, end, end),
-                    corner):
-        b += 2.0 * e
-        l += 2.0 * e
-        if not x > 3.0 * EPS_GEOM * l + 2.0 * e * (b + l) + 4.0 * ulp * b * l:
-            return False
-    return True
-
-
 def sector_outer_polygon(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
     """Convex polygon containing the annular sector spanned by angle and rng.
 
     The outer arc is over-bounded by vertices on the circumscribed arc at
     radius hi / cos(step / 2); the inner arc is bounded by its chord, which
     only adds points of smaller radius.  Requires half_width < pi/2 so the
-    sector has a bounded convex superset.  Where a margin shows every turn
-    of that ring clear of the canonical walk's test (_sector_turns_clear),
-    the ring is canonical as built and only its start is chosen; any other
-    ring takes the walk.  Where that ring is not canonical as built (a
-    sector within a few EPS_GEOM of the sensor, or one so thin that its
-    corners nearly meet, down to a segment or a point), the box about the
-    ring is returned instead (_outer_ring).
+    sector has a bounded convex superset.  Where that ring is not canonical
+    as built (a sector within a few EPS_GEOM of the sensor, or one so thin
+    that its corners nearly meet, down to a segment or a point), the box
+    about the ring is returned instead (_outer_ring).
     """
     if angle.half_width >= math.pi / 2.0:
         raise ValueError(f"sector half-width {angle.half_width:.4f} >= pi/2")
@@ -951,8 +896,7 @@ def sector_outer_polygon(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
     w = angle.half_width
     m = max(2, math.ceil(2.0 * w / _SECTOR_MAX_STEP))
     step = 2.0 * w / m
-    ch = math.cos(0.5 * step)
-    rc = r_hi / ch
+    rc = r_hi / math.cos(0.5 * step)
     # CCW ring: inner corner, outer arc, the other inner corner
     inner = r_lo > EPS_GEOM
     pts = [(r_lo * math.cos(c - w), r_lo * math.sin(c - w)) if inner
@@ -962,9 +906,6 @@ def sector_outer_polygon(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
         pts.append((rc * math.cos(a), rc * math.sin(a)))
     if inner:
         pts.append((r_lo * math.cos(c + w), r_lo * math.sin(c + w)))
-    if _sector_turns_clear(rc, r_lo if inner else 0.0, w,
-                           math.sin(0.5 * step), ch):
-        return ConvexPolygon(_canonical(pts))
     return _outer_ring(pts)
 
 

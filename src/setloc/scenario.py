@@ -253,9 +253,11 @@ def measurement_from_line(line: str) -> tuple[int, Measurement]:
     import json
     try:
         obj = json.loads(line)
-        m = Measurement(float(obj["bearing"]),
-                        None if obj["range"] is None else float(obj["range"]),
-                        int(obj["sensor"]), int(obj["slot"]))
+        bearing = float(obj["bearing"])
+        rng = None if obj["range"] is None else float(obj["range"])
+        if not (math.isfinite(bearing) and (rng is None or math.isfinite(rng))):
+            raise ValueError("bearing and range must be finite")
+        m = Measurement(bearing, rng, int(obj["sensor"]), int(obj["slot"]))
         return int(obj["step"]), m
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad measurement record {line!r}: {exc}") from exc

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -218,10 +217,10 @@ def test_hull_vertices_is_the_general_hull(ring):
     assert geom2d._hull_vertices(tuple(ring)) == general_hull(ring)
 
 
-# Sectors on either side of each threshold of sector_outer_polygon's margin
-# (_sector_turns_clear): a sector whose ring takes the canonical walk, then
-# one whose ring skips it, adjacent floats in the argument that crosses.
-MARGIN_EDGES = {
+# Pairs of sectors at adjacent floats of one argument, at the thin, wide
+# and near-apex extremes of sector_outer_polygon, where the canonical walk
+# decides whether the ring is kept as built.
+SECTOR_EDGES = {
     # the inner arc vertices' turns, about rc step^3
     "arc turns": (
         (AngleInterval(0.3, 7.745980451301741e-05), Interval(0.0, 1.0)),
@@ -249,8 +248,8 @@ MARGIN_EDGES = {
 }
 
 
-def margin_edge_examples(test):
-    for pair in MARGIN_EDGES.values():
+def sector_edge_examples(test):
+    for pair in SECTOR_EDGES.values():
         for args in pair:
             test = example(args)(test)
     return test
@@ -262,33 +261,14 @@ def margin_edge_examples(test):
 @example((AngleInterval(0.3, 1e-15), Interval(2.0, 2.0)))
 @example((AngleInterval(-3.0, 0.2), Interval(0.0, 1e-9)))
 @example((AngleInterval(1.0, 1e-12), Interval(1e-9, 2e-9)))
-# an apex 1e-12 from the outer chord, which a margin without the apex's
-# turn took for canonical
+# an apex 1e-12 from the outer chord
 @example((AngleInterval(0.0, 1.5707963257948965), Interval(0.0, 0.001)))
-@margin_edge_examples
+@sector_edge_examples
 def test_sector_is_the_hull_of_its_ring(args):
     angle, rng = args
     got = geom2d.sector_outer_polygon(angle, rng)
     assert got == general_sector(angle, rng)
     assert same_bits(got, general_sector(angle, rng))
-
-
-@pytest.mark.parametrize("edge", sorted(MARGIN_EDGES))
-def test_the_margin_examples_straddle_its_thresholds(edge, monkeypatch):
-    # a sector the margin clears never calls the walk
-    walks = []
-    walk = geom2d._canonical_ring
-
-    def counted(pts):
-        walks.append(pts)
-        return walk(pts)
-
-    monkeypatch.setattr(geom2d, "_canonical_ring", counted)
-    walked, clear = MARGIN_EDGES[edge]
-    geom2d.sector_outer_polygon(*walked)
-    assert len(walks) == 1
-    geom2d.sector_outer_polygon(*clear)
-    assert len(walks) == 1
 
 
 @settings(max_examples=600, deadline=None)

@@ -220,6 +220,11 @@ def cuts(lines, p: ConvexPolygon) -> bool:
      ConvexPolygon(((999952.0, -38.000000002), (1000000.0, 1.0),
                     (999974.8, 2.4)))),
     False)
+@example(  # _prune drops a point that lies in both operands
+    (ConvexPolygon(((-1e-09, -9.99e-07), (2e-09, 5e-10), (-2e-10, 2e-10))),
+     ConvexPolygon.from_points([(0.0, 0.0)])),
+    False).xfail(raises=AssertionError,
+                 reason="_prune moves inward; ROADMAP item 11 mends it")
 def test_intersect_does_not_depend_on_the_order_of_its_operands(case, swap):
     """intersect(a, b) clips a by b's lines and intersect(b, a) b by a's;
     both keep EPS_GEOM of slack past each line, so they agree up to it.  A

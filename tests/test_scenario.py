@@ -505,6 +505,16 @@ def test_measurement_serialization_roundtrip():
         scenario.measurement_from_line('{"step": 1}')
 
 
+@pytest.mark.parametrize("field", ["bearing", "range"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", '"nan"'])
+def test_measurement_records_must_be_finite(field, value):
+    fields = {"step": "1", "sensor": "0", "slot": "0", "bearing": "0.5",
+              "range": "3.0", field: value}
+    line = "{%s}" % ", ".join(f'"{k}": {v}' for k, v in fields.items())
+    with pytest.raises(ConfigError, match="bad measurement record .*must be finite"):
+        scenario.measurement_from_line(line)
+
+
 def test_replay_matches_recorded_run(parking):
     cfg = mini_cfg(parking, estimators="set", seed=11)
     rec = simulate_run(cfg, steps=20, record_measurements=True)
