@@ -554,7 +554,8 @@ def _merge_edges(a: Sequence[tuple[float, float]],
     the result, and advance through the edges in angular order (de Berg et
     al., Computational Geometry, section 13.3): at most n + m points.  When
     one walk is back at its start, the other's remaining vertices are
-    shifted by that start.
+    shifted by that start.  A NaN cross product, which would advance
+    neither walk, raises ValueError.
     """
     n, m = len(a), len(b)
     # each walk reads one vertex ahead, and one more past its end
@@ -571,10 +572,17 @@ def _merge_edges(a: Sequence[tuple[float, float]],
             i += 1
             pax, pay = qax, qay
             qax, qay = a[i + 1]
-        if c <= 0.0:
+            if c == 0.0:
+                j += 1
+                pbx, pby = qbx, qby
+                qbx, qby = b[j + 1]
+        elif c < 0.0:
             j += 1
             pbx, pby = qbx, qby
             qbx, qby = b[j + 1]
+        else:
+            raise ValueError("Minkowski sum of a ring with a non-finite "
+                             "vertex")
     out += [(pax + x, pay + y) for x, y in b[j:m]]
     out += [(x + pbx, y + pby) for x, y in a[i:n]]
     return out

@@ -381,12 +381,49 @@ def _weigh_cases(draw):
     return ps, batches, models, budget
 
 
+def _one_sensor_case(markers, readings, budget=64):
+    """Particles with the given (S, n, 2) markers and one sensor at the
+    origin facing along x; one measurement per (bearing, range) reading,
+    with bearing noise 0.01 and range noise 0.1 (gates 0.1 and 1.0)."""
+    markers = np.array(markers, dtype=float)
+    s = markers.shape[0]
+    ps = fs.ParticleSet(np.zeros((s, 1, 2)), np.zeros((s, 1)), markers,
+                        np.full(s, 1.0 / s))
+    batch = [Measurement(b, r, 0, k) for k, (b, r) in enumerate(readings)]
+    return ps, [batch], (SensorModel(ANGLE_RANGE, 0.01, 0.1),), budget
+
+
+# two particles predicting bearing 0 and ranges 10 and 10.5 exactly.
+# Bearings a few ulps either side of the gate, counted in ulps of the gate
+# and of pi (the computed gap is a few ulps of pi off the reading); ranges a
+# few ulps either side of each particle's range plus or minus the gate,
+# where its likelihood is cut off and, at the outer two, the gate drops
+_GATE_A, _GATE_R = TRUNCATION_GATE * 0.01, TRUNCATION_GATE * 0.1
+_AT_THE_GATES = _one_sensor_case(
+    [[[10.0, 0.0]], [[10.5, 0.0]]],
+    [(sign * (_GATE_A + k * ulp), 10.0)
+     for sign in (1.0, -1.0) for k in (-2, -1, 0, 1, 2)
+     for ulp in (math.ulp(_GATE_A), math.ulp(math.pi))]
+    + [(0.0, r + k * math.ulp(r))
+       for r in (10.0 - _GATE_R, 10.5 - _GATE_R, 10.0 + _GATE_R, 10.5 + _GATE_R)
+       for k in (-2, -1, 0, 1, 2)])
+
+
 @settings(max_examples=600, deadline=None)
 @given(_weigh_cases())
 @example((fs.ParticleSet(np.zeros((1, 1, 2)), np.zeros((1, 1)),
                          np.array([[[10.0, 0.0]]]), np.ones(1)),
           [[Measurement(math.pi, None, 0, 0), Measurement(0.0, 10.0, 0, 1)]],
           (SensorModel(ANGLE_RANGE, 0.01, 0.1),), 1))
+@example(_AT_THE_GATES)
+# predicted bearings either side of +-pi: least and greatest are almost a
+# full turn apart, though every particle's is within 0.001 of the turn
+@example(_one_sensor_case([[[-10.0, 0.01]], [[-10.0, -0.01]], [[-10.0, 0.0]]],
+                          [(math.pi, 10.0), (-math.pi + 0.05, 10.0),
+                           (3.0, 10.0), (0.0, 10.0)]))
+# one pair per pass, and a measurement two markers both explain
+@example(_one_sensor_case([[[10.0, 0.0], [10.0, 0.2]], [[10.0, 0.1], [9.0, 0.0]]],
+                          [(0.01, 10.0), (0.0, 9.5), (0.02, None)], budget=1))
 def test_weight_update_is_the_per_measurement_loop(case):
     ps, batches, models, budget = case
     with mock.patch.object(fs, "BUDGET", budget):
@@ -409,3 +446,66 @@ def test_weight_update_resets_a_set_that_all_measurements_kill():
         got = fs.weight_update(ps, [batch], (SENSOR,))
     assert got.degenerate_resets == 1
     assert _weight_update_loop(ps, [batch], (SENSOR,)).degenerate_resets == 1
+
+
+def _every_log_likelihood(pred_bearing, pred_range, table):
+    """(markers, measurements, particles) log-likelihoods of every pair,
+    formed as the weight update formed them before the pair gate."""
+    col = table[:, 0].astype(np.intp)
+    bearing, gate_a, sig_a, rng, gate_r, sig_r, miss_r = \
+        (table[:, k, None] for k in range(1, 8))
+    da = fs._angle_gap(pred_bearing.take(col, axis=1), bearing)
+    ll = np.where(da <= gate_a, -0.5 * (da / sig_a) ** 2, -np.inf)
+    dr = np.abs(pred_range.take(col, axis=1) - rng)
+    ll += np.where(dr <= gate_r, -0.5 * (dr / sig_r) ** 2, miss_r)
+    return ll
+
+
+@settings(max_examples=600, deadline=None)
+@given(_weigh_cases())
+@example(_AT_THE_GATES)
+def test_a_pair_the_gate_drops_is_minus_inf_for_every_particle(case):
+    ps, batches, models, _ = case
+    seen = [i for i, batch in enumerate(batches) if batch]
+    if not seen:
+        return
+    pred_bearing, pred_range = fs._predictions(ps, seen)
+    table = fs._measurement_table(batches, models, seen)
+    live = fs._live_pairs(pred_bearing, pred_range, table)
+    assert live.shape == (len(table), ps.markers.shape[1])
+    ll = _every_log_likelihood(pred_bearing, pred_range, table)
+    assert np.isneginf(ll[~live.T]).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weigh_cases())
+@example(_AT_THE_GATES)
+def test_each_pass_takes_the_most_whole_measurements_within_the_budget(case):
+    ps, batches, models, budget = case
+    passes = []
+    real = fs._max_per_measurement
+
+    def spy(ll, bounds):
+        assert bounds[0] == 0 and len(ll) == bounds[-1]
+        passes.append(np.diff(bounds).tolist())
+        return real(ll, bounds)
+
+    with mock.patch.object(fs, "BUDGET", budget), \
+            mock.patch.object(fs, "_max_per_measurement", spy):
+        fs.weight_update(ps, batches, models)
+    seen = [i for i, batch in enumerate(batches) if batch]
+    counts = []
+    if seen:
+        pred_bearing, pred_range = fs._predictions(ps, seen)
+        live = fs._live_pairs(pred_bearing, pred_range,
+                              fs._measurement_table(batches, models, seen))
+        counts = [c for c in live.sum(axis=1).tolist() if c]
+    # the passes take the measurements with live pairs, in order, each
+    # whole; a pass of several stays within the budget, and each pass but
+    # the last leaves out a next one only where it would not fit
+    assert [c for p in passes for c in p] == counts
+    cap = max(1, budget // ps.size)
+    for p, after in zip(passes, passes[1:] + [None]):
+        assert len(p) == 1 or sum(p) <= cap
+        if after is not None:
+            assert sum(p) + after[0] > cap

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from setloc.geom2d import (AngleInterval, ConvexPolygon, Interval, angular_hull,
 
 RNG = np.random.default_rng(20240811)
 E = geom2d.EPS_GEOM
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def random_polygon(rng, n_max=8, scale=5.0, offset=10.0):
@@ -107,6 +112,35 @@ def test_intersect_sum_clips_by_the_hull_of_a_collinear_merge_ring():
     assert geom2d._left_turn_lines(
         geom2d._merge_edges(a.vertices, b.vertices)) is None
     assert geom2d.sum_boundary(a, b).clip(s) == intersect(s, minkowski_sum(a, b))
+
+
+# the child reports the time the call took, or "looped" if it returned
+_NAN_MERGE = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from setloc.geom2d import _merge_edges
+nan = float("nan")
+t = time.perf_counter()
+try:
+    _merge_edges(((0, 0), (1, 0), (0, 1)), ((nan, 0), (1, 0), (0, 1)))
+except ValueError:
+    print(time.perf_counter() - t)
+else:
+    print("returned")
+"""
+
+
+def test_merge_edges_raises_on_a_nan_vertex():
+    # a NaN cross product advances neither walk; a loop that grows its list
+    # runs in a child capped at 1 GB and a few seconds, so it fails the
+    # test instead of hanging it or exhausting the machine's memory
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", _NAN_MERGE], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1.0
 
 
 def test_minkowski_sampling_containment():
