@@ -133,7 +133,8 @@ else:
 def test_merge_edges_raises_on_a_nan_vertex():
     # a NaN cross product advances neither walk; a loop that grows its list
     # runs in a child capped at 1 GB and a few seconds, so it fails the
-    # test instead of hanging it or exhausting the machine's memory
+    # test instead of hanging it or exhausting the machine's memory; one
+    # BLAS thread keeps numpy's import within the cap on many cores
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
