@@ -57,8 +57,8 @@ def build_candidate_matrix(sectors: Sequence[ConvexPolygon],
     """Feasibility of each (measurement, marker) pair.
 
     ``sectors[q]`` is measurement q's sector of marker positions seen from
-    the sensor (sensing.feasible_marker_region under the predicted
-    orientation).  Entry (q, j) is true iff marker j's predicted set meets
+    the sensor: geom2d.sector_outer_polygon of its cone and radii
+    (sensing.measurement_cone) under the predicted orientation.  Entry (q, j) is true iff marker j's predicted set meets
     the sensor's predicted position plus that sector.  A row with no
     feasible marker means the batch violates the modeling assumptions.
     Each row's boundary of that sum is kept for clipping by it again.

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import correspondence, geom2d, sensing
 from .correspondence import Assignment
@@ -137,17 +137,6 @@ def make_state(markers: Sequence[ConvexPolygon],
 # propagation
 # ---------------------------------------------------------------------------
 
-def _grow(p: ConvexPolygon, x_lo: float, x_hi: float, y_lo: float,
-          y_hi: float) -> ConvexPolygon:
-    """p plus the box [x_lo, x_hi] x [y_lo, y_hi], simplified: a translation
-    where the box is one point, which ConvexPolygon.box would widen, so a
-    set that does not move does not grow."""
-    if x_lo == x_hi and y_lo == y_hi:
-        return geom2d.simplify_outer(geom2d.translate(p, x_lo, y_lo))
-    return geom2d.simplify_outer(geom2d.minkowski_sum(
-        p, ConvexPolygon.box(x_lo, x_hi, y_lo, y_hi)))
-
-
 def propagate(state: EstimatorState, u: Control,
               models: EstimatorModels) -> EstimatorState:
     """Predict all sets one step ahead; sensors are stationary.
@@ -164,16 +153,15 @@ def propagate(state: EstimatorState, u: Control,
     for poly, offset in zip(state.markers, models.offsets):
         dx, dy = displacement_bounds(u, state.heading, offset, robot,
                                      cover_rigid_step=True)
-        new_markers.append(_grow(poly, dx.lo - f, dx.hi + f,
-                                 dy.lo - f, dy.hi + f))
+        new_markers.append(geom2d.grow_by_box(poly, dx.lo - f, dx.hi + f,
+                                              dy.lo - f, dy.hi + f))
     v_lo, v_hi = u.v - robot.eps_v, u.v + robot.eps_v
     rates = [(v * robot.dt / robot.wheelbase) * math.sin(d)
              for v in (v_lo, v_hi)
              for d in (u.delta - robot.eps_delta, u.delta + robot.eps_delta)]
     turn = Interval(min(rates), max(rates))
     heading = state.heading.shift(turn.mid).widen(0.5 * turn.width)
-    return EstimatorState(tuple(new_markers), state.sensor_xy,
-                          state.sensor_theta, heading, state.k)
+    return replace(state, markers=tuple(new_markers), heading=heading)
 
 
 def propagate_omnidirectional(state: EstimatorState, v_max: float,
@@ -183,9 +171,9 @@ def propagate_omnidirectional(state: EstimatorState, v_max: float,
     if v_max < 0.0:
         raise ValueError("v_max must be >= 0")
     r = v_max * dt
-    new_markers = tuple(_grow(p, -r, r, -r, r) for p in state.markers)
-    return EstimatorState(new_markers, state.sensor_xy, state.sensor_theta,
-                          state.heading, state.k)
+    new_markers = tuple(geom2d.grow_by_box(p, -r, r, -r, r)
+                        for p in state.markers)
+    return replace(state, markers=new_markers)
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +187,9 @@ def bearing_cone_too_wide(model: SensorModel, theta: AngleInterval) -> bool:
     return model.eps_bearing + theta.half_width >= math.pi / 2.0
 
 
-# a measurement's cone and radii, as sensing.measurement_cone gives them
-Cone = tuple[AngleInterval, Interval]
-
-
 def _sectors(batch: Sequence[Measurement], model: SensorModel,
              theta: AngleInterval
-             ) -> tuple[tuple[Cone, ...], tuple[ConvexPolygon, ...]]:
+             ) -> tuple[tuple[geom2d.Cone, ...], tuple[ConvexPolygon, ...]]:
     """Each measurement's cone and radii (sensing.measurement_cone) and its
     sector of marker positions seen from the sensor, built from that cone,
     under the sensor orientation interval theta."""
@@ -213,120 +197,6 @@ def _sectors(batch: Sequence[Measurement], model: SensorModel,
         m.bearing, m.range, model, theta.center, theta.half_width)
         for m in batch)
     return cones, tuple(geom2d.sector_outer_polygon(*c) for c in cones)
-
-
-def _centre(p: ConvexPolygon) -> tuple[float, float, float]:
-    """(x, y, rho): a disk of radius rho about (x, y) inside p.  Its inner
-    disk where it has one, else the vertex mean with radius 0: a point of
-    p up to the rounding of the mean."""
-    disk = p.inner_disk
-    if disk is None:
-        v = p.vertices
-        disk = (sum(x for x, _ in v) / len(v), sum(y for _, y in v) / len(v),
-                0.0)
-    return disk
-
-
-def _outer_radius(p: ConvexPolygon, cx: float, cy: float) -> float:
-    """A radius about (cx, cy) that holds p: the farthest corner of its
-    bounding box."""
-    x0, x1, y0, y1 = p.bbox
-    return math.hypot(max(cx - x0, x1 - cx), max(cy - y0, y1 - cy))
-
-
-def _within_reach(cone: AngleInterval, radii: Interval,
-                  points: Sequence[tuple[float, float]], slack: float,
-                  reach: float) -> bool:
-    """Whether every point (u, v), and every point within slack of one,
-    lies within reach of the sector's inner rectangle
-    (geom2d.sector_inner_rectangle) in the sector's frame.  The
-    rectangle's inner radius is radii.lo, or where that is 0 (an
-    angle-only sensor) the least u less slack."""
-    reach -= slack
-    if reach <= 0.0:
-        return False
-    rect = geom2d.sector_inner_rectangle(
-        cone, radii, radii.lo or min(u for u, _ in points) - slack)
-    if rect is None:
-        return False
-    u_lo, u_hi, h = rect
-    for u, v in points:
-        du = max(u_lo - u, u - u_hi, 0.0)
-        dv = max(abs(v) - h, 0.0)
-        if du * du + dv * dv > reach * reach:
-            return False
-    return True
-
-
-def _settle(theta: AngleInterval, sensor_xy: ConvexPolygon,
-            markers: Sequence[ConvexPolygon],
-            pairs: Iterable[tuple[int, int]], batch: Sequence[Measurement],
-            cones: Sequence[Cone], eps_bearing: float
-            ) -> tuple[bool, set[tuple[int, int]]]:
-    """One pass over the (slot, marker) pairs of a batch's hypotheses, by
-    inner bounds (set inversion's inner test): whether the orientation
-    phase is sure to return theta itself, to the last bit, and the pairs
-    whose position clip, sum_boundary(marker, -sector).clip(sensor_xy), is
-    sure to return sensor_xy itself, for the sectors of cones.
-
-    Each set is a disk about its centre (_centre), inside it, and a radius
-    about that centre that holds it (_outer_radius).  Per pair the offset
-    m0 - s0 between the centres and the coordinate scale serve both bounds.
-
-    Orientation: the two disks give an arc of directions inside the pair's
-    bearing span, atan2(m0 - s0) +- asin((rho_M + rho_S) / |m0 - s0|).
-    When that arc, less the slot's bearing and widened by eps_bearing,
-    holds theta for every pair, every candidate interval holds theta, and
-    so do their intersections, their enclosing arc and its intersection
-    with theta.  A guard from the outer radii keeps every candidate
-    half-width below pi/2, so no intersection splits in two (which would
-    count a degenerate intersection).
-
-    Position: when every point of the sensor set lies in the marker's
-    inner disk plus the reflected inner rectangle of the sector, a subset
-    of marker - sector, no support line of that sum cuts the set.  This
-    is tried for the sensor set's outer disk, and where that declines for
-    its vertices.
-
-    Each bound keeps a margin above the rounding of the exact phase, which
-    grows as the sets near each other.
-    """
-    sx, sy, rho_s = _centre(sensor_xy)
-    out_s = _outer_radius(sensor_xy, sx, sy)
-    scale_s = max(map(abs, sensor_xy.bbox))
-    keeps_theta = True
-    kept = set()
-    for q, j in pairs:
-        marker = markers[j]
-        mx, my, rho_m = _centre(marker)
-        dx, dy = mx - sx, my - sy
-        scale = max(scale_s, *map(abs, marker.bbox))
-        if keeps_theta:
-            d = math.hypot(dx, dy)
-            gap = d - out_s - _outer_radius(marker, mx, my)
-            if gap > 0.0:
-                margin = geom2d.INNER_MARGIN * (1.0 + scale / gap)
-                off = abs(geom2d.wrap_angle(math.atan2(dy, dx)
-                                            - batch[q].bearing - theta.center))
-                keeps_theta = (
-                    math.asin(1.0 - gap / d) + eps_bearing
-                    < 0.5 * math.pi - 2.0 * margin
-                    and off + theta.half_width + margin
-                    <= math.asin((rho_s + rho_m) / d) + eps_bearing)
-            else:
-                keeps_theta = False
-        cone, radii = cones[q]
-        c, s = math.cos(cone.center), math.sin(cone.center)
-        reach = rho_m - geom2d.INNER_MARGIN * (scale + radii.hi)
-        # the marker centre's offset to the sensor centre, and then to each
-        # vertex, in the sector's frame
-        if _within_reach(cone, radii, [(dx * c + dy * s, dy * c - dx * s)],
-                         out_s, reach) or _within_reach(
-                cone, radii, [((mx - x) * c + (my - y) * s,
-                               (my - y) * c - (mx - x) * s)
-                              for x, y in sensor_xy.vertices], 0.0, reach):
-            kept.add((q, j))
-    return keeps_theta, kept
 
 
 def _narrow_orientation(theta: AngleInterval, sensor_xy: ConvexPolygon,
@@ -374,10 +244,9 @@ def _narrow_position(sensor_xy: ConvexPolygon, markers: Sequence[ConvexPolygon],
     matched marker set plus the reflected sector (the sensor positions that
     see the marker there), then hull the union over hypotheses.  While a
     hypothesis's region is still the sensor set, a pair in kept (settled by
-    _settle) is not clipped, and its sector not reflected.  Each
-    (slot, marker) pair's sum boundary is built once, for the first
-    hypothesis that clips by it."""
-    backs: dict[int, ConvexPolygon] = {}
+    geom2d.settle_by_inner_bounds) is not clipped, and its sector not
+    reflected.  Each (slot, marker) pair's sum boundary is built once, for
+    the first hypothesis that clips by it."""
     bounds: dict[tuple[int, int], geom2d.SumBoundary] = {}
     xy_options = []
     for a in assigns:
@@ -387,10 +256,8 @@ def _narrow_position(sensor_xy: ConvexPolygon, markers: Sequence[ConvexPolygon],
                 continue
             bound = bounds.get((q, j))
             if bound is None:
-                if q not in backs:
-                    backs[q] = geom2d.negate(sectors[q])
-                bound = geom2d.sum_boundary(markers[j], backs[q])
-                bounds[q, j] = bound
+                bound = bounds[q, j] = geom2d.sum_boundary(
+                    markers[j], sectors[q].reflection)
             region = bound.clip(region)
             if region is None:
                 break
@@ -413,27 +280,27 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
     hypotheses, then narrow the orientation interval and the position set
     (unions across hypotheses are over-approximated by enclosing arcs /
     convex hulls, which keeps every update a superset of the exact one),
-    and gather the lines that each marker it measured under every
+    and gather the sum boundary that each marker it measured under every
     hypothesis is clipped by.  Every phase reads the predicted marker sets.
     A sensor whose bearing cone is too wide (bearing_cone_too_wide) is
     skipped.  After the pass each measured marker set is clipped once, by
-    the lines of all its sensors in sensor order, then hulled and
+    the boundaries of all its sensors in sensor order, then hulled and
     simplified once: the same half-planes the sensors would clip by in
     turn, without the hulls and simplifications between them, which mend
     rounding or grow a set but clip by no half-plane.
 
     Before a phase builds any sum, one pass of inner bounds over the
-    batch's (slot, marker) pairs (_settle) may show that it would return
-    the predicted orientation, or that a pair's clip would return the
-    predicted position set; the phase, or the clip, is then skipped, so
-    the result is the same to the last bit.
+    batch's (slot, marker) pairs (geom2d.settle_by_inner_bounds) may show
+    that it would return the predicted orientation, or that a pair's clip
+    would return the predicted position set; the phase, or the clip, is
+    then skipped, so the result is the same to the last bit.
     """
     n_markers = len(predicted.markers)
     sensor_theta = list(predicted.sensor_theta)
     sensor_xy = list(predicted.sensor_xy)
-    # per marker: the lines of every sum it is clipped by, in sensor order,
-    # and (sensor, end of that sensor's lines)
-    cuts: dict[int, tuple[list[geom2d.Line], list[tuple[int, int]]]] = {}
+    # per marker: (sensor, boundary) of every sum it is clipped by, in
+    # sensor order
+    cuts: dict[int, list[tuple[int, geom2d.SumBoundary]]] = {}
 
     for i, batch in enumerate(batches):
         if not batch:
@@ -450,8 +317,10 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
         if not assigns:
             raise EmptySetFault("no consistent correspondence", sensor=i)
         pairs = {(q, j) for a in assigns for q, j in enumerate(a)}
-        theta_kept, kept = _settle(theta, xy, predicted.markers, pairs, batch,
-                                   cones, model.eps_bearing)
+        bearings = [m.bearing for m in batch]
+        theta_kept, kept = geom2d.settle_by_inner_bounds(
+            theta, xy, predicted.markers, pairs, bearings, cones,
+            model.eps_bearing)
 
         if not theta_kept:
             new_theta = _narrow_orientation(
@@ -464,13 +333,14 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
             if repr(new_theta) != repr(theta):
                 sensor_theta[i] = new_theta
                 cones, sectors = _sectors(batch, model, new_theta)
-                kept = _settle(new_theta, xy, predicted.markers, pairs, batch,
-                               cones, model.eps_bearing)[1]
+                kept = geom2d.settle_by_inner_bounds(
+                    new_theta, xy, predicted.markers, pairs, bearings, cones,
+                    model.eps_bearing)[1]
         # with every pair kept the phase would return simplify_outer(xy),
-        # which is xy itself because a predicted sensor set (an initial set
-        # or the output of an earlier update) has at most V_MAX vertices;
-        # a larger one still goes through the phase
-        if len(kept) < len(pairs) or xy.n > geom2d.V_MAX:
+        # which is xy itself: in a run, a predicted sensor set is a box or
+        # an earlier update's simplify_outer output (a larger set passed in
+        # directly stays as every clip returns it)
+        if len(kept) < len(pairs):
             sensor_xy[i] = _narrow_position(xy, predicted.markers, sectors,
                                             assigns, kept, i)
 
@@ -487,18 +357,18 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
             boundary = cmat.boundaries[slots[0]]
             if boundary.a is not sensor_xy[i] or boundary.b is not cone:
                 boundary = geom2d.sum_boundary(sensor_xy[i], cone)
-            lines, ends = cuts.setdefault(j, ([], []))
-            lines.extend(boundary.lines)
-            ends.append((i, len(lines)))
+            cuts.setdefault(j, []).append((i, boundary))
 
     markers = list(predicted.markers)
-    for j, (lines, ends) in cuts.items():
-        narrowed = geom2d.clip_by(markers[j], lines)
+    for j, sums in cuts.items():
+        bounds = [b for _, b in sums]
+        narrowed = geom2d.clip_by_sums(markers[j], bounds)
         if narrowed is None:
-            # the clip reads its lines in order: the fault names the first
-            # sensor whose lines, after those before them, empty the set
-            i = next(i for i, end in ends
-                     if geom2d.clip_by(markers[j], lines[:end]) is None)
+            # the clip reads its boundaries in order: the fault names the
+            # first sensor whose boundary, after those before it, empties
+            # the set
+            i = next(i for k, (i, _) in enumerate(sums, 1)
+                     if geom2d.clip_by_sums(markers[j], bounds[:k]) is None)
             raise EmptySetFault("marker update", sensor=i, marker=j)
         markers[j] = geom2d.simplify_outer(narrowed)
     return EstimatorState(tuple(markers), tuple(sensor_xy), tuple(sensor_theta),
@@ -524,8 +394,7 @@ def refine_rigid_body(state: EstimatorState,
         if narrowed is None:
             raise EmptySetFault("rigid-body refinement", marker=i)
         markers[i] = geom2d.simplify_outer(narrowed)
-    return EstimatorState(tuple(markers), state.sensor_xy, state.sensor_theta,
-                          state.heading, state.k)
+    return replace(state, markers=tuple(markers))
 
 
 def estimate_heading(state: EstimatorState, spec: RigidBodySpec) -> AngleInterval:
@@ -565,18 +434,14 @@ def step(state: EstimatorState, u: Control | None,
     else:
         predicted = propagate_omnidirectional(state, models.omni_v_max,
                                               models.robot.dt)
-    predicted = EstimatorState(predicted.markers, predicted.sensor_xy,
-                               predicted.sensor_theta, predicted.heading,
-                               state.k + 1)
+    predicted = replace(predicted, k=state.k + 1)
     spec = models.spec
     try:
         updated = update(predicted, batches, models)
         if spec.n < 2:
             return updated
         refined = refine_rigid_body(updated, spec)
-        return EstimatorState(refined.markers, refined.sensor_xy,
-                              refined.sensor_theta,
-                              estimate_heading(refined, spec), refined.k)
+        return replace(refined, heading=estimate_heading(refined, spec))
     except (EmptySetFault, correspondence.InconsistentBatch,
             correspondence.CapExceeded) as exc:
         raise StepFault(exc, predicted) from exc

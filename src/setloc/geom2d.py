@@ -24,9 +24,6 @@ INNER_MARGIN = 1e-12
 V_MAX = 32               # default vertex budget after simplification
 DEFAULT_BALL_SEGMENTS = 16
 _SECTOR_MAX_STEP = math.pi / 16.0
-# vertices of a sector's ring: its half-width is below pi/2, so it has at
-# most pi / _SECTOR_MAX_STEP + 1 on the outer arc, and two inner corners
-_SECTOR_MAX_VERTICES = round(math.pi / _SECTOR_MAX_STEP) + 3
 
 TWO_PI = 2.0 * math.pi
 
@@ -788,6 +785,13 @@ def sum_boundary(a: ConvexPolygon, b: ConvexPolygon) -> SumBoundary:
     return SumBoundary(a, b, _sum_lines(a, b))
 
 
+def clip_by_sums(s: ConvexPolygon, boundaries: Sequence[SumBoundary]
+                 ) -> ConvexPolygon | None:
+    """s clipped by the lines of every boundary in their order, in one
+    clip_by: each boundary's clip in turn, without the hulls between."""
+    return clip_by(s, [line for b in boundaries for line in b.lines])
+
+
 def _leaves_box(box: tuple[float, float, float, float],
                 lines: Sequence[Line]) -> bool:
     """Whether a line longer than EPS_GEOM has the whole box beyond its
@@ -925,22 +929,141 @@ def sector_inner_rectangle(angle: AngleInterval, rng: Interval, inner: float
 
     With h = inner * tan(half_width), u from inner to sqrt(r_hi^2 - h^2)
     and |v| <= h, every point's direction is in the cone and its distance
-    in rng: the rectangle lies in the annular sector.  Each side then moves
-    inwards by INNER_MARGIN * r_hi, for rounding, and by EPS_GEOM for each
-    vertex of the sector's ring: _prune may drop all but one of them, and
-    each drop or merge cuts only points within EPS_GEOM of what is left.
+    in rng: the rectangle lies in the annular sector, and so in its ring
+    and in the box about that ring (_outer_ring), whichever the polygon is.
+    Each side then moves inwards by INNER_MARGIN * r_hi, for rounding.
     None when nothing is left.
     """
     r_hi = rng.hi
     h = inner * math.tan(angle.half_width)
     if not 0.0 < h < r_hi:
         return None
-    margin = INNER_MARGIN * r_hi + _SECTOR_MAX_VERTICES * EPS_GEOM
+    margin = INNER_MARGIN * r_hi
     u_lo, u_hi = inner + margin, math.sqrt(r_hi * r_hi - h * h) - margin
     h -= margin
     if h <= 0.0 or u_hi <= u_lo:
         return None
     return u_lo, u_hi, h
+
+
+# a measurement's cone and radii, as sensing.measurement_cone gives them
+Cone = tuple[AngleInterval, Interval]
+
+
+def _centre(p: ConvexPolygon) -> tuple[float, float, float]:
+    """(x, y, rho): a disk of radius rho about (x, y) inside p.  Its inner
+    disk where it has one, else the vertex mean with radius 0: a point of
+    p up to the rounding of the mean."""
+    disk = p.inner_disk
+    if disk is None:
+        v = p.vertices
+        disk = (sum(x for x, _ in v) / len(v), sum(y for _, y in v) / len(v),
+                0.0)
+    return disk
+
+
+def _outer_radius(p: ConvexPolygon, cx: float, cy: float) -> float:
+    """A radius about (cx, cy) that holds p: the farthest corner of its
+    bounding box."""
+    x0, x1, y0, y1 = p.bbox
+    return math.hypot(max(cx - x0, x1 - cx), max(cy - y0, y1 - cy))
+
+
+def _within_reach(cone: AngleInterval, radii: Interval,
+                  points: Sequence[tuple[float, float]], slack: float,
+                  reach: float) -> bool:
+    """Whether every point (u, v), and every point within slack of one,
+    lies within reach of the sector's inner rectangle
+    (sector_inner_rectangle) in the sector's frame.  The rectangle's inner
+    radius is radii.lo, or where that is 0 (an angle-only sensor) the
+    least u less slack."""
+    reach -= slack
+    if reach <= 0.0:
+        return False
+    rect = sector_inner_rectangle(
+        cone, radii, radii.lo or min(u for u, _ in points) - slack)
+    if rect is None:
+        return False
+    u_lo, u_hi, h = rect
+    for u, v in points:
+        du = max(u_lo - u, u - u_hi, 0.0)
+        dv = max(abs(v) - h, 0.0)
+        if du * du + dv * dv > reach * reach:
+            return False
+    return True
+
+
+def settle_by_inner_bounds(theta: AngleInterval, sensor_xy: ConvexPolygon,
+                           markers: Sequence[ConvexPolygon],
+                           pairs: Iterable[tuple[int, int]],
+                           bearings: Sequence[float], cones: Sequence[Cone],
+                           eps_bearing: float
+                           ) -> tuple[bool, set[tuple[int, int]]]:
+    """One pass over the (slot, marker) pairs of a batch's hypotheses, by
+    inner bounds (set inversion's inner test): whether estimator.update's
+    orientation phase is sure to return theta itself, to the last bit, and
+    the pairs whose position clip, sum_boundary(marker, -sector).clip(
+    sensor_xy), is sure to return sensor_xy itself, for the slots'
+    bearings and the sectors of their cones.
+
+    Each set is a disk about its centre (_centre), inside it, and a radius
+    about that centre that holds it (_outer_radius).  Per pair the offset
+    m0 - s0 between the centres and the coordinate scale serve both bounds.
+
+    Orientation: the two disks give an arc of directions inside the pair's
+    bearing span, atan2(m0 - s0) +- asin((rho_M + rho_S) / |m0 - s0|).
+    When that arc, less the slot's bearing and widened by eps_bearing,
+    holds theta for every pair, every candidate interval holds theta, and
+    so do their intersections, their enclosing arc and its intersection
+    with theta.  A guard from the outer radii keeps every candidate
+    half-width below pi/2, so no intersection splits in two (which would
+    count a degenerate intersection).
+
+    Position: when every point of the sensor set lies in the marker's
+    inner disk plus the reflected inner rectangle of the sector, a subset
+    of marker - sector, no support line of that sum cuts the set.  This
+    is tried for the sensor set's outer disk, and where that declines for
+    its vertices.
+
+    Each bound keeps a margin above the rounding of the exact phase, which
+    grows as the sets near each other.
+    """
+    sx, sy, rho_s = _centre(sensor_xy)
+    out_s = _outer_radius(sensor_xy, sx, sy)
+    scale_s = max(map(abs, sensor_xy.bbox))
+    keeps_theta = True
+    kept = set()
+    for q, j in pairs:
+        marker = markers[j]
+        mx, my, rho_m = _centre(marker)
+        dx, dy = mx - sx, my - sy
+        scale = max(scale_s, *map(abs, marker.bbox))
+        if keeps_theta:
+            d = math.hypot(dx, dy)
+            gap = d - out_s - _outer_radius(marker, mx, my)
+            if gap > 0.0:
+                margin = INNER_MARGIN * (1.0 + scale / gap)
+                off = abs(wrap_angle(math.atan2(dy, dx)
+                                     - bearings[q] - theta.center))
+                keeps_theta = (
+                    math.asin(1.0 - gap / d) + eps_bearing
+                    < 0.5 * math.pi - 2.0 * margin
+                    and off + theta.half_width + margin
+                    <= math.asin((rho_s + rho_m) / d) + eps_bearing)
+            else:
+                keeps_theta = False
+        cone, radii = cones[q]
+        c, s = math.cos(cone.center), math.sin(cone.center)
+        reach = rho_m - INNER_MARGIN * (scale + radii.hi)
+        # the marker centre's offset to the sensor centre, and then to each
+        # vertex, in the sector's frame
+        if _within_reach(cone, radii, [(dx * c + dy * s, dy * c - dx * s)],
+                         out_s, reach) or _within_reach(
+                cone, radii, [((mx - x) * c + (my - y) * s,
+                               (my - y) * c - (mx - x) * s)
+                              for x, y in sensor_xy.vertices], 0.0, reach):
+            kept.add((q, j))
+    return keeps_theta, kept
 
 
 def angular_hull(p: ConvexPolygon) -> AngleInterval:
@@ -1042,6 +1165,17 @@ def simplify_outer(p: ConvexPolygon, v_max: int = V_MAX) -> ConvexPolygon:
                     * max(abs(w[0]), abs(w[1])))
         verts.pop(j)
     return ConvexPolygon.from_points(verts)
+
+
+def grow_by_box(p: ConvexPolygon, x_lo: float, x_hi: float, y_lo: float,
+                y_hi: float) -> ConvexPolygon:
+    """p plus the box [x_lo, x_hi] x [y_lo, y_hi], simplified: a translation
+    where the box is one point, which ConvexPolygon.box would widen, so a
+    set that does not move does not grow."""
+    if x_lo == x_hi and y_lo == y_hi:
+        return simplify_outer(translate(p, x_lo, y_lo))
+    return simplify_outer(minkowski_sum(
+        p, ConvexPolygon.box(x_lo, x_hi, y_lo, y_hi)))
 
 
 def _enclosing_triangle(ring: Sequence[tuple[float, float]],

@@ -253,12 +253,17 @@ def measurement_from_line(line: str) -> tuple[int, Measurement]:
     import json
     try:
         obj = json.loads(line)
+        step, sensor, slot = obj["step"], obj["sensor"], obj["slot"]
+        # a JSON integer, not a bool, a float or a string
+        if not all(type(v) is int for v in (step, sensor, slot)):
+            raise ValueError("step, sensor and slot must be integers")
+        if isinstance(obj["bearing"], bool) or isinstance(obj["range"], bool):
+            raise ValueError("bearing and range must be numbers")
         bearing = float(obj["bearing"])
         rng = None if obj["range"] is None else float(obj["range"])
         if not (math.isfinite(bearing) and (rng is None or math.isfinite(rng))):
             raise ValueError("bearing and range must be finite")
-        m = Measurement(bearing, rng, int(obj["sensor"]), int(obj["slot"]))
-        return int(obj["step"]), m
+        return step, Measurement(bearing, rng, sensor, slot)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad measurement record {line!r}: {exc}") from exc
 

@@ -568,3 +568,28 @@ def test_feasibility_and_bearing_spans_build_no_polygon(monkeypatch):
     for span, built in zip(spans, built_spans):
         assert span.center == built.center
         assert span.half_width == built.half_width
+
+
+def test_estimator_calls_geom2d_only_through_its_public_operations():
+    # the estimator states its phases in geom2d's public calls; how a set
+    # is stored, and the kernel's own constants and fast paths, stay behind
+    # them, so another set representation is a change to geom2d alone
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse(Path(est.__file__).read_text())
+    internals = {"vertices", "bbox", "inner_disk", "lines"}
+    hidden = {"V_MAX", "INNER_MARGIN", "Line", "sector_inner_rectangle",
+              "translate", "minkowski_sum"}
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in internals, (node.lineno, node.attr)
+            owner = getattr(node.value, "id", getattr(node.value, "attr", ""))
+            if isinstance(node.value, ast.Name) and owner == "geom2d":
+                named.add(node.attr)
+            assert (owner, node.attr) != ("ConvexPolygon", "box"), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "geom2d":
+            named.update(alias.name for alias in node.names)
+    assert named, "the estimator names no geom2d operation"
+    assert not {n for n in named if n.startswith("_") or n in hidden}

@@ -515,6 +515,20 @@ def test_measurement_records_must_be_finite(field, value):
         scenario.measurement_from_line(line)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("step", "1e999"), ("step", "1.0"), ("step", '"1"'), ("step", "true"),
+    ("sensor", "0.7"), ("sensor", '"0"'), ("slot", "true"), ("slot", "false"),
+    ("bearing", "true"), ("range", "false")])
+def test_measurement_records_take_integers_and_numbers(field, value):
+    # step, sensor and slot are JSON integers; bearing and range are numbers
+    fields = {"step": "1", "sensor": "0", "slot": "0", "bearing": "0.5",
+              "range": "3.0", field: value}
+    line = "{%s}" % ", ".join(f'"{k}": {v}' for k, v in fields.items())
+    with pytest.raises(ConfigError, match="bad measurement record") as err:
+        scenario.measurement_from_line(line)
+    assert repr(line) in str(err.value)
+
+
 def test_replay_matches_recorded_run(parking):
     cfg = mini_cfg(parking, estimators="set", seed=11)
     rec = simulate_run(cfg, steps=20, record_measurements=True)

@@ -1,9 +1,9 @@
 """Property tests: the inner-bound pass that settles update's phases.
 
 ``estimator.update`` makes one pass over each batch's (slot, marker) pairs,
-``_settle``; it skips the orientation phase when the pass shows that the
-phase would return the predicted interval, and a position clip when it
-shows that the clip would return the predicted set.  Both rest on inner
+``geom2d.settle_by_inner_bounds``; it skips the orientation phase when the
+pass shows that the phase would return the predicted interval, and a
+position clip when it shows that the clip would return the predicted set.  Both rest on inner
 bounds: ``ConvexPolygon.inner_disk`` (or the vertex mean of a set too thin
 for one) and ``geom2d.sector_inner_rectangle``, which must lie inside their
 sets at tol = 0.  Whenever the pass keeps a value, the exact phase must
@@ -139,11 +139,17 @@ def test_sector_rectangle_lies_in_the_sector_polygon(case):
 def test_sector_rectangle_needs_room():
     cone, wide = AngleInterval(0.0, 0.1), AngleInterval(0.0, 1.5)
     rect = geom2d.sector_inner_rectangle
-    # a ring of zero width, a sector within a few EPS_GEOM and a rectangle
-    # too wide for the ring
+    # a ring of zero width and a rectangle too wide for the ring
     assert rect(cone, Interval(5.0, 5.0), 5.0) is None
-    assert rect(cone, Interval(0.0, 1e-8), 0.5e-8) is None
     assert rect(wide, Interval(1.0, 2.0), 1.0) is None
+    # a sector within a few EPS_GEOM is the box about its ring, which holds
+    # the rectangle
+    tiny = Interval(0.0, 1e-8)
+    u_lo, u_hi, h = rect(cone, tiny, 0.5e-8)
+    sector = geom2d.sector_outer_polygon(cone, tiny)
+    for u in (u_lo, u_hi):
+        for v in (-h, h):
+            assert geom2d.contains(sector, (u, v), tol=0.0), (u, v)
     u_lo, u_hi, h = rect(cone, Interval(4.0, 6.0), 4.0)
     assert 4.0 < u_lo < 4.0 + 1e-7
     assert 4.0 * math.tan(0.1) - 1e-7 < h < 4.0 * math.tan(0.1)
@@ -204,8 +210,9 @@ def settle(theta, sensor, markers, batch, hypotheses, model):
     orientation decision, the kept pairs and the sectors."""
     cones, sectors = est._sectors(batch, model, theta)
     pairs = {(q, j) for a in hypotheses for q, j in enumerate(a)}
-    keeps, kept = est._settle(theta, sensor, markers, pairs, batch, cones,
-                              model.eps_bearing)
+    keeps, kept = geom2d.settle_by_inner_bounds(
+        theta, sensor, markers, pairs, [m.bearing for m in batch], cones,
+        model.eps_bearing)
     return keeps, kept, sectors
 
 
@@ -331,8 +338,9 @@ def position_cases(draw):
 @given(position_cases())
 def test_kept_position_is_what_the_exact_clip_returns(case):
     sensor, marker, m, model, theta, cone, radii = case
-    _, kept = est._settle(theta, sensor, [marker], [(0, 0)], [m],
-                          [(cone, radii)], model.eps_bearing)
+    _, kept = geom2d.settle_by_inner_bounds(
+        theta, sensor, [marker], [(0, 0)], [m.bearing], [(cone, radii)],
+        model.eps_bearing)
     if not kept:
         return
     sector = sensing.feasible_marker_region(m.bearing, m.range, model,
@@ -400,7 +408,8 @@ def test_update_is_the_update_without_its_shortcuts(case):
 
     fast = run()
     # without the pass nothing is kept, and both phases run for the batch
-    with mock.patch.object(est, "_settle", lambda *a, **k: (False, set())), \
+    with mock.patch.object(geom2d, "settle_by_inner_bounds",
+                           lambda *a, **k: (False, set())), \
             counted("_narrow_orientation"), counted("_narrow_position"):
         exact = run()
     assert fast == exact
