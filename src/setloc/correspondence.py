@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import geom2d
-from .geom2d import ConvexPolygon
+from .geom2d import ConvexPolygon, SumBoundary
 
 DEFAULT_ASSIGNMENT_CAP = 1000
 
@@ -37,9 +36,6 @@ class CapExceeded(Exception):
 @dataclass(frozen=True)
 class CandidateMatrix:
     rows: tuple[tuple[bool, ...], ...]   # |measurements| x n_markers
-    # per row, the boundary of the sensor set plus that row's sector, as the
-    # feasibility test built it
-    boundaries: tuple[geom2d.SumBoundary, ...] = ()
 
     @property
     def n_rows(self) -> int:
@@ -50,31 +46,26 @@ class CandidateMatrix:
         return len(self.rows[0]) if self.rows else 0
 
 
-def build_candidate_matrix(sectors: Sequence[ConvexPolygon],
+def build_candidate_matrix(boundaries: Sequence[SumBoundary],
                            predicted_markers: Sequence[ConvexPolygon],
-                           predicted_sensor_xy: ConvexPolygon,
                            sensor_id: int = -1) -> CandidateMatrix:
     """Feasibility of each (measurement, marker) pair.
 
-    ``sectors[q]`` is measurement q's sector of marker positions seen from
-    the sensor: geom2d.sector_outer_polygon of its cone and radii
-    (sensing.measurement_cone) under the predicted orientation.  Entry (q, j) is true iff marker j's predicted set meets
-    the sensor's predicted position plus that sector.  A row with no
+    ``boundaries[q]`` is the boundary of the sensor's predicted position
+    set plus measurement q's sector of marker positions seen from the
+    sensor (geom2d.sum_boundary of the set and the sector).  Entry (q, j)
+    is true iff marker j's predicted set meets that sum.  A row with no
     feasible marker means the batch violates the modeling assumptions.
-    Each row's boundary of that sum is kept for clipping by it again.
     """
-    if len(sectors) > len(predicted_markers):
+    if len(boundaries) > len(predicted_markers):
         raise ValueError("more measurements than markers in one batch")
     rows = []
-    boundaries = []
-    for q, sector in enumerate(sectors):
-        boundary = geom2d.sum_boundary(predicted_sensor_xy, sector)
+    for q, boundary in enumerate(boundaries):
         row = tuple(boundary.meets(m) for m in predicted_markers)
         if not any(row):
             raise InconsistentBatch(sensor_id, q)
         rows.append(row)
-        boundaries.append(boundary)
-    return CandidateMatrix(tuple(rows), tuple(boundaries))
+    return CandidateMatrix(tuple(rows))
 
 
 def enumerate_assignments(c: CandidateMatrix,

@@ -311,8 +311,9 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
             continue
         xy = predicted.sensor_xy[i]
         cones, sectors = _sectors(batch, model, theta)
+        boundaries = [geom2d.sum_boundary(xy, s) for s in sectors]
         cmat = correspondence.build_candidate_matrix(
-            sectors, predicted.markers, xy, sensor_id=i)
+            boundaries, predicted.markers, sensor_id=i)
         assigns = correspondence.enumerate_assignments(cmat, models.assignment_cap)
         if not assigns:
             raise EmptySetFault("no consistent correspondence", sensor=i)
@@ -346,16 +347,19 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
 
         # markers: only a sensor certain to have measured marker j narrows
         # it, to the sensor set plus the sector (or the hull of the sectors)
-        # of the slots that measured it under the hypotheses.  Where the
-        # phases above kept the very sensor set and sector the candidate
-        # matrix summed, its boundary of that sum is the one to clip by.
+        # of the slots that measured it under the hypotheses.  A marker of
+        # one slot, where the phases above kept the predicted sensor set and
+        # orientation (and so the sectors), is clipped by the boundary built
+        # for that slot's candidate row.
+        unchanged = sensor_xy[i] is xy and sensor_theta[i] is theta
         for j in correspondence.markers_with_certain_measurement(assigns,
                                                                  n_markers):
             slots = sorted({a.index(j) for a in assigns})
-            cone = sectors[slots[0]] if len(slots) == 1 else \
-                geom2d.convex_hull([sectors[q] for q in slots])
-            boundary = cmat.boundaries[slots[0]]
-            if boundary.a is not sensor_xy[i] or boundary.b is not cone:
+            if len(slots) == 1 and unchanged:
+                boundary = boundaries[slots[0]]
+            else:
+                cone = sectors[slots[0]] if len(slots) == 1 else \
+                    geom2d.convex_hull([sectors[q] for q in slots])
                 boundary = geom2d.sum_boundary(sensor_xy[i], cone)
             cuts.setdefault(j, []).append((i, boundary))
 

@@ -101,15 +101,6 @@ class AngleInterval:
                            half_width if half_width < math.pi else math.pi)
 
     @classmethod
-    def from_endpoints(cls, lo: float, hi: float) -> "AngleInterval":
-        """Arc running counter-clockwise from lo to hi."""
-        span = hi - lo
-        if span < 0.0:
-            raise ValueError("endpoints must satisfy lo <= hi before wrapping")
-        span = min(span, TWO_PI)
-        return cls(lo + 0.5 * span, 0.5 * span)
-
-    @classmethod
     def full(cls) -> "AngleInterval":
         return cls(0.0, math.pi)
 
@@ -753,11 +744,9 @@ def _sum_lines(a: ConvexPolygon, b: ConvexPolygon) -> list[Line]:
 
 class SumBoundary(NamedTuple):
     """The boundary of a + b without the sum, built once to clip several
-    sets by: the operands and the support lines of their sum (_sum_lines).
+    sets by: the support lines of the sum (_sum_lines).
     """
 
-    a: ConvexPolygon
-    b: ConvexPolygon
     lines: list[Line]
 
     def clip(self, s: ConvexPolygon) -> ConvexPolygon | None:
@@ -782,7 +771,7 @@ class SumBoundary(NamedTuple):
 
 
 def sum_boundary(a: ConvexPolygon, b: ConvexPolygon) -> SumBoundary:
-    return SumBoundary(a, b, _sum_lines(a, b))
+    return SumBoundary(_sum_lines(a, b))
 
 
 def clip_by_sums(s: ConvexPolygon, boundaries: Sequence[SumBoundary]

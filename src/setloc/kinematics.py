@@ -109,17 +109,6 @@ def marker_displacement(u_noisy: Control, heading: float, offset: MarkerOffset,
     return d, wrap_angle(theta_i)
 
 
-def marker_step(p: Point, u: Control, noise: tuple[float, float, Point],
-                heading: float, offset: MarkerOffset,
-                model: RobotModel) -> Point:
-    """Advance a marker position by one noisy step plus disturbance w_f."""
-    w_v, w_delta, w_f = noise
-    d, theta_i = marker_displacement(Control(u.v + w_v, u.delta + w_delta),
-                                     heading, offset, model)
-    return (p[0] + d * math.cos(theta_i) + w_f[0],
-            p[1] + d * math.sin(theta_i) + w_f[1])
-
-
 # ---------------------------------------------------------------------------
 # interval arithmetic for displacement bounds
 # ---------------------------------------------------------------------------

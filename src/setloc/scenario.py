@@ -205,9 +205,6 @@ class RunRecord:
                 and r.set_contained_markers and r.set_contained_sensors
                 for r in self.rows if r.set_metrics]
 
-    def set_containment_ok(self) -> bool:
-        return all(self._set_contained())
-
     def containment_rate(self) -> float:
         held = self._set_contained()
         return sum(held) / len(held) if held else math.nan
@@ -257,21 +254,23 @@ def measurement_from_line(line: str) -> tuple[int, Measurement]:
         # a JSON integer, not a bool, a float or a string
         if not all(type(v) is int for v in (step, sensor, slot)):
             raise ValueError("step, sensor and slot must be integers")
-        if isinstance(obj["bearing"], bool) or isinstance(obj["range"], bool):
-            raise ValueError("bearing and range must be numbers")
-        bearing = float(obj["bearing"])
-        rng = None if obj["range"] is None else float(obj["range"])
-        if not (math.isfinite(bearing) and (rng is None or math.isfinite(rng))):
-            raise ValueError("bearing and range must be finite")
-        return step, Measurement(bearing, rng, sensor, slot)
-    except (KeyError, TypeError, ValueError) as exc:
+        # finite JSON numbers (range may be null), not a bool or a string
+        bearing, rng = obj["bearing"], obj["range"]
+        if not all(type(v) in (int, float) and math.isfinite(v)
+                   for v in ((bearing,) if rng is None else (bearing, rng))):
+            raise ValueError("bearing and range must be finite numbers")
+        return step, Measurement(float(bearing),
+                                 None if rng is None else float(rng),
+                                 sensor, slot)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad measurement record {line!r}: {exc}") from exc
 
 
 def batches_from_lines(lines: Sequence[str], n_steps: int, n_sensors: int,
                        n_markers: int) -> list[list[list[Measurement]]]:
-    """Group serialized measurement records into per-step, per-sensor batches."""
-    out: list[list[list[Measurement]]] = \
+    """Group serialized measurement records into per-step, per-sensor
+    batches sorted by slot, each slot a distinct marker."""
+    records: list[list[list[tuple[Measurement, str]]]] = \
         [[[] for _ in range(n_sensors)] for _ in range(n_steps)]
     for line in lines:
         if not line.strip():
@@ -279,14 +278,20 @@ def batches_from_lines(lines: Sequence[str], n_steps: int, n_sensors: int,
         step, m = measurement_from_line(line)
         if not (1 <= step <= n_steps and 0 <= m.sensor_id < n_sensors):
             raise ConfigError(f"measurement record out of range: {line!r}")
-        out[step - 1][m.sensor_id].append(m)
-    for step, step_batches in enumerate(out, start=1):
-        for sensor, batch in enumerate(step_batches):
+        records[step - 1][m.sensor_id].append((m, line))
+    for step, step_records in enumerate(records, start=1):
+        for sensor, batch in enumerate(step_records):
             if len(batch) > n_markers:
                 raise ConfigError(f"step {step}, sensor {sensor}: {len(batch)} "
                                   f"measurement records for {n_markers} markers")
-            batch.sort(key=lambda m: m.slot)
-    return out
+            batch.sort(key=lambda r: r[0].slot)
+            for k, (m, line) in enumerate(batch):
+                if not 0 <= m.slot < n_markers or \
+                        (k and batch[k - 1][0].slot == m.slot):
+                    raise ConfigError(f"step {step}, sensor {sensor}: slot of "
+                                      f"{line!r} repeats or is no marker's")
+    return [[[m for m, _ in batch] for batch in step_records]
+            for step_records in records]
 
 
 def _geometry_tail(obj_id: str, poly: ConvexPolygon | None = None,
@@ -872,23 +877,6 @@ def sweep_to_csv(rows: Sequence[SweepRow]) -> str:
     return "\n".join(out) + "\n"
 
 
-def pooled_stats(rows: Sequence[SweepRow], value: float,
-                 estimator: str) -> tuple[float, float, float]:
-    """Pooled (mean_m1, std_m1, mean_m2) across seeds via total variance."""
-    sel = [r for r in rows if r.estimator == estimator
-           and math.isclose(r.value, value) and r.steps > 0]
-    if not sel:
-        return math.nan, math.nan, math.nan
-    weights = np.array([r.steps for r in sel], dtype=float)
-    means = np.array([r.mean_m1 for r in sel])
-    stds = np.array([r.std_m1 for r in sel])
-    w = weights / weights.sum()
-    mean = float((w * means).sum())
-    var = float((w * (stds ** 2)).sum() + (w * (means - mean) ** 2).sum())
-    mean_m2 = float((w * np.array([r.mean_m2 for r in sel])).sum())
-    return mean, math.sqrt(max(var, 0.0)), mean_m2
-
-
 # ---------------------------------------------------------------------------
 # config files
 # ---------------------------------------------------------------------------
@@ -1053,27 +1041,3 @@ def builtin_config_text(name: str) -> str:
 
 def load_builtin(name: str) -> ScenarioConfig:
     return parse_config(builtin_config_text(name))
-
-
-def shrink_demo_config(seed: int = 0) -> ScenarioConfig:
-    """Sensor-calibration demonstration: poorly known sensors, well-known robot.
-
-    Eight wide-angle sensors ring a short straight drive at close range; their
-    position sets start at 25 m^2 and orientation intervals at 20 degrees
-    while the marker sets start tiny, so every measurement batch pays down
-    sensor uncertainty.
-    """
-    base = load_builtin("parking")
-    model = SensorModel(ANGLE_RANGE, math.radians(0.5), 0.05,
-                        math.radians(140.0), 20.0)
-    ring = []
-    for i in range(8):
-        ang = 2.0 * math.pi * i / 8.0
-        x = 10.0 + 4.2 * math.cos(ang)
-        y = 6.0 + 4.2 * math.sin(ang)
-        ring.append(SensorSite(SensorPose(x, y, math.atan2(6.0 - y, 10.0 - x)),
-                               model))
-    return replace(base, sensors=tuple(ring), initial_sensor_area=25.0,
-                   initial_sensor_theta=math.radians(20.0),
-                   initial_marker_area=0.0025, estimators="set", seed=seed,
-                   trajectory=tuple([(0.4, 0.0)] * 15))

@@ -1,10 +1,20 @@
-"""Checks on geom2d's sets shared by the geometry tests."""
+"""Checks on geom2d's sets, and a way to write an arc, shared by the
+tests."""
 
 from __future__ import annotations
 
 import math
 
-from setloc.geom2d import ConvexPolygon
+from setloc.geom2d import TWO_PI, AngleInterval, ConvexPolygon
+
+
+def arc_from_endpoints(lo: float, hi: float) -> AngleInterval:
+    """Arc running counter-clockwise from lo to hi."""
+    span = hi - lo
+    if span < 0.0:
+        raise ValueError("endpoints must satisfy lo <= hi before wrapping")
+    span = min(span, TWO_PI)
+    return AngleInterval(lo + 0.5 * span, 0.5 * span)
 
 
 def validate(p: ConvexPolygon) -> None:

@@ -20,6 +20,7 @@ from setloc.geom2d import AngleInterval, ConvexPolygon, Interval
 from setloc.kinematics import (Control, MarkerOffset, RobotModel,
                                displacement_bounds, marker_displacement)
 from setloc.scenario import load_builtin, sensitivity_sweep, simulate_run
+from test_scenario import pooled_stats, shrink_demo_config
 
 N_RUNS = 20
 SWEEP_STEPS = 30   # comparison window (straight leg plus the first corner)
@@ -125,8 +126,8 @@ def test_c3_sensitivity_claims(sweeps):
     failures = []
     for param, rows in sweeps.items():
         for value in sorted({r.value for r in rows}):
-            _, set_std, set_m2 = scenario.pooled_stats(rows, value, "set")
-            _, fs_std, fs_m2 = scenario.pooled_stats(rows, value, "fastslam")
+            _, set_std, set_m2 = pooled_stats(rows, value, "set")
+            _, fs_std, fs_m2 = pooled_stats(rows, value, "fastslam")
             if not set_std <= fs_std:
                 failures.append(f"{param}={value}: std {set_std:.4f} > {fs_std:.4f}")
             if not set_m2 >= fs_m2:
@@ -267,11 +268,12 @@ def test_c5_kinematics_oracle():
 # ---------------------------------------------------------------------------
 
 def test_c6_correspondence_enumeration():
-    from test_correspondence import sectors_of, worked_example_setup
+    from test_correspondence import boundaries_of, worked_example_setup
     from setloc.correspondence import (build_candidate_matrix,
                                        markers_with_certain_measurement)
     batch, markers, sxy, sth, model = worked_example_setup()
-    cmat = build_candidate_matrix(sectors_of(batch, model, sth), markers, sxy)
+    cmat = build_candidate_matrix(boundaries_of(batch, model, sth, sxy),
+                                  markers)
     example_ok = (cmat.rows == ((False, False, True, False),
                                 (True, False, True, True))
                   and enumerate_assignments(cmat) == [(2, 0), (2, 3)]
@@ -323,7 +325,7 @@ def test_c7_omnidirectional():
 # ---------------------------------------------------------------------------
 
 def test_c8_sensor_shrinking():
-    cfg = scenario.shrink_demo_config(seed=0)
+    cfg = shrink_demo_config(seed=0)
     # the run's sets at every step, replayed from its recorded measurements
     rec = simulate_run(cfg, record_measurements=True)
     states = scenario.replay_run(cfg, rec.measurements)

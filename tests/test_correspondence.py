@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from setloc import correspondence
+from setloc import correspondence, geom2d
 from setloc.correspondence import (CandidateMatrix, CapExceeded,
                                    InconsistentBatch, build_candidate_matrix,
                                    enumerate_assignments,
@@ -30,11 +30,13 @@ def tiny_box(x, y, h=0.005):
     return ConvexPolygon.box(x - h, x + h, y - h, y + h)
 
 
-def sectors_of(batch, model, theta):
-    """Each measurement's sector under the orientation interval theta, as
-    the estimator's update builds them for the candidate matrix."""
-    return [feasible_marker_region(m.bearing, m.range, model, theta.center,
-                                   theta.half_width) for m in batch]
+def boundaries_of(batch, model, theta, sensor_xy):
+    """Each measurement's sector under the orientation interval theta, summed
+    with the sensor set, as the estimator's update builds them for the
+    candidate matrix."""
+    return [geom2d.sum_boundary(sensor_xy, feasible_marker_region(
+        m.bearing, m.range, model, theta.center, theta.half_width))
+        for m in batch]
 
 
 def worked_example_setup():
@@ -58,14 +60,14 @@ def worked_example_setup():
 
 def test_candidate_matrix_worked_example():
     batch, markers, sxy, sth, model = worked_example_setup()
-    cmat = build_candidate_matrix(sectors_of(batch, model, sth), markers, sxy)
+    cmat = build_candidate_matrix(boundaries_of(batch, model, sth, sxy), markers)
     assert cmat.rows == ((False, False, True, False),
                          (True, False, True, True))
 
 
 def test_assignments_worked_example():
     batch, markers, sxy, sth, model = worked_example_setup()
-    cmat = build_candidate_matrix(sectors_of(batch, model, sth), markers, sxy)
+    cmat = build_candidate_matrix(boundaries_of(batch, model, sth, sxy), markers)
     assigns = enumerate_assignments(cmat)
     assert assigns == [(2, 0), (2, 3)]
     assert markers_with_certain_measurement(assigns, 4) == frozenset({2})
@@ -75,9 +77,10 @@ def test_single_feasible_entry_from_separated_geometry():
     model = SensorModel(ANGLE_ONLY, math.radians(0.5), 0.0, 2 * math.pi, 50.0)
     markers = [tiny_box(10.0, 0.0), tiny_box(-10.0, 0.0), tiny_box(0.0, 10.0)]
     cmat = build_candidate_matrix(
-        sectors_of([Measurement(0.0, None, 0, 0)], model,
-                   AngleInterval(0.0, math.radians(0.5))),
-        markers, ConvexPolygon.from_points([(0, 0)]))
+        boundaries_of([Measurement(0.0, None, 0, 0)], model,
+                      AngleInterval(0.0, math.radians(0.5)),
+                      ConvexPolygon.from_points([(0, 0)])),
+        markers)
     assert cmat.rows == ((True, False, False),)
 
 
@@ -87,8 +90,9 @@ def test_aligned_batch_diagonal():
     markers = [tiny_box(8 * math.cos(a), 8 * math.sin(a)) for a in angs]
     batch = [Measurement(a, None, 0, i) for i, a in enumerate(angs)]
     cmat = build_candidate_matrix(
-        sectors_of(batch, model, AngleInterval(0.0, math.radians(0.1))),
-        markers, ConvexPolygon.from_points([(0, 0)]))
+        boundaries_of(batch, model, AngleInterval(0.0, math.radians(0.1)),
+                      ConvexPolygon.from_points([(0, 0)])),
+        markers)
     assert cmat.rows == ((True, False, False),
                          (False, True, False),
                          (False, False, True))
@@ -100,10 +104,34 @@ def test_inconsistent_batch_raises():
     markers = [tiny_box(10.0, 0.0)]
     with pytest.raises(InconsistentBatch) as err:
         build_candidate_matrix(
-            sectors_of([Measurement(math.pi / 2, None, 3, 0)], model,
-                       AngleInterval(0.0, 0.01)),
-            markers, ConvexPolygon.from_points([(0, 0)]), sensor_id=3)
+            boundaries_of([Measurement(math.pi / 2, None, 3, 0)], model,
+                          AngleInterval(0.0, 0.01),
+                          ConvexPolygon.from_points([(0, 0)])),
+            markers, sensor_id=3)
     assert err.value.sensor_id == 3
+
+
+def test_correspondence_calls_no_geom2d_function():
+    # update builds the sum boundaries and keeps them; the candidate matrix
+    # only asks which marker sets meet them, and keeps its rows alone
+    import ast
+    import dataclasses
+    from pathlib import Path
+
+    tree = ast.parse(Path(correspondence.__file__).read_text())
+    from_geom2d = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and node.module == "geom2d" for alias in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            assert not (isinstance(f, ast.Attribute)
+                        and getattr(f.value, "id", None) == "geom2d"), \
+                node.lineno
+            assert not (isinstance(f, ast.Name) and f.id in from_geom2d), \
+                node.lineno
+    assert [f.name for f in dataclasses.fields(CandidateMatrix)] == ["rows"]
+    assert geom2d.SumBoundary._fields == ("lines",)
 
 
 def test_enumerate_identity():

@@ -558,7 +558,8 @@ def test_feasibility_and_bearing_spans_build_no_polygon(monkeypatch):
     monkeypatch.setattr(ConvexPolygon, "from_points",
                         classmethod(counted_from_points))
     rows = [correspondence.build_candidate_matrix(
-        row, state.markers, sxy, sensor_id=i).rows
+        [geom2d.sum_boundary(sxy, s) for s in row], state.markers,
+        sensor_id=i).rows
         for i, (row, sxy) in enumerate(zip(sectors, state.sensor_xy))]
     spans = [geom2d.angular_hull_sum(m, geom2d.negate(sxy))
              for sxy in state.sensor_xy for m in state.markers]

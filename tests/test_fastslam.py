@@ -94,7 +94,7 @@ def test_resample_preserves_count_and_mass():
 def test_single_particle_tracks_truth_exactly():
     # zero noise bounds: the lone particle's markers must follow the
     # closed-form marker step bit for bit
-    from setloc.kinematics import marker_step
+    from test_kinematics import marker_step
     pose = RobotPose(0.0, 0.0, 0.0)
     sensors = [SensorPose(15.0, 0.0, math.pi), SensorPose(0.0, 15.0, -1.0)]
     robot = RobotModel(wheelbase=2.1, dt=0.5, body_length=4.0, body_width=1.8)

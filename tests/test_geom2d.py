@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geom_checks import validate
+from geom_checks import arc_from_endpoints, validate
 from setloc import geom2d
 from setloc.geom2d import (AngleInterval, ConvexPolygon, Interval, angular_hull,
                            area, ball_outer_polygon, contains, convex_hull,
@@ -543,22 +543,22 @@ def test_area_unit_square():
 
 
 def test_intersect_angles_basic():
-    a = AngleInterval.from_endpoints(math.radians(-10), math.radians(10))
-    b = AngleInterval.from_endpoints(math.radians(5), math.radians(20))
+    a = arc_from_endpoints(math.radians(-10), math.radians(10))
+    b = arc_from_endpoints(math.radians(5), math.radians(20))
     out = intersect_angles(a, b)
     assert out.lo == pytest.approx(math.radians(5))
     assert out.hi == pytest.approx(math.radians(10))
 
 
 def test_intersect_angles_disjoint():
-    a = AngleInterval.from_endpoints(0.0, 0.1)
-    b = AngleInterval.from_endpoints(1.0, 1.1)
+    a = arc_from_endpoints(0.0, 0.1)
+    b = arc_from_endpoints(1.0, 1.1)
     assert intersect_angles(a, b) is None
 
 
 def test_intersect_angles_across_seam():
-    a = AngleInterval.from_endpoints(math.radians(170), math.radians(190))
-    b = AngleInterval.from_endpoints(math.radians(175), math.radians(185))
+    a = arc_from_endpoints(math.radians(170), math.radians(190))
+    b = arc_from_endpoints(math.radians(175), math.radians(185))
     out = intersect_angles(a, b)
     # wrap-aware brute force on a fine grid
     grid = np.radians(np.arange(-180.0, 180.0, 1.0))
@@ -583,8 +583,8 @@ def test_intersect_angles_two_arc_enclosure_counts():
 
 
 def test_enclose_angles():
-    arcs = [AngleInterval.from_endpoints(math.radians(170), math.radians(175)),
-            AngleInterval.from_endpoints(math.radians(-179), math.radians(-170))]
+    arcs = [arc_from_endpoints(math.radians(170), math.radians(175)),
+            arc_from_endpoints(math.radians(-179), math.radians(-170))]
     out = enclose_angles(arcs)
     assert out.width < math.radians(45)
     for arc in arcs:

@@ -6,10 +6,20 @@ import pytest
 from setloc.geom2d import AngleInterval, wrap_angle
 from setloc.kinematics import (Control, MarkerOffset, RobotModel, RobotPose,
                                bicycle_step, displacement_bounds,
-                               marker_displacement, marker_step, place_marker)
+                               marker_displacement, place_marker)
 
 ROBOT = RobotModel(wheelbase=2.1, dt=0.5, body_length=4.0, body_width=1.8,
                    eps_v=0.1, eps_delta=math.radians(0.5))
+
+
+def marker_step(p, u, noise, heading, offset, model):
+    """Advance a marker position by one noisy step plus disturbance w_f,
+    noise = (w_v, w_delta, w_f), along the closed form."""
+    w_v, w_delta, w_f = noise
+    d, theta_i = marker_displacement(Control(u.v + w_v, u.delta + w_delta),
+                                     heading, offset, model)
+    return (p[0] + d * math.cos(theta_i) + w_f[0],
+            p[1] + d * math.sin(theta_i) + w_f[1])
 
 
 def rigid_velocity_oracle(u, heading, offset, model):

@@ -8,14 +8,15 @@ import pytest
 
 from setloc import estimator as est
 from setloc import geom2d, scenario
+from geom_checks import arc_from_endpoints
 from setloc.geom2d import AngleInterval, ConvexPolygon
 from setloc.kinematics import RobotModel, RobotPose
 from setloc.scenario import (ConfigError, ScenarioFault, SensorSite,
                              body_polygon, compute_metrics,
                              corner_marker_offsets, load_builtin, parse_config,
                              sensitivity_sweep, simulate_run, validate_config)
-from setloc.sensing import (ANGLE_ONLY, Measurement, SensorModel,
-                            measure)
+from setloc.sensing import (ANGLE_ONLY, ANGLE_RANGE, Measurement,
+                            SensorModel, SensorPose, measure)
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +28,47 @@ def mini_cfg(parking, **kw):
     """Trimmed parking config for quick runs."""
     cfg = replace(parking, trajectory=parking.trajectory[:25], **kw)
     return cfg
+
+
+def shrink_demo_config(seed=0):
+    """Sensor-calibration demonstration: poorly known sensors, well-known robot.
+
+    Eight wide-angle sensors ring a short straight drive at close range; their
+    position sets start at 25 m^2 and orientation intervals at 20 degrees
+    while the marker sets start tiny, so every measurement batch pays down
+    sensor uncertainty.
+    """
+    base = load_builtin("parking")
+    model = SensorModel(ANGLE_RANGE, math.radians(0.5), 0.05,
+                        math.radians(140.0), 20.0)
+    ring = []
+    for i in range(8):
+        ang = 2.0 * math.pi * i / 8.0
+        x = 10.0 + 4.2 * math.cos(ang)
+        y = 6.0 + 4.2 * math.sin(ang)
+        ring.append(SensorSite(SensorPose(x, y, math.atan2(6.0 - y, 10.0 - x)),
+                               model))
+    return replace(base, sensors=tuple(ring), initial_sensor_area=25.0,
+                   initial_sensor_theta=math.radians(20.0),
+                   initial_marker_area=0.0025, estimators="set", seed=seed,
+                   trajectory=tuple([(0.4, 0.0)] * 15))
+
+
+def pooled_stats(rows, value, estimator):
+    """Pooled (mean_m1, std_m1, mean_m2) of a sweep's rows across seeds via
+    total variance."""
+    sel = [r for r in rows if r.estimator == estimator
+           and math.isclose(r.value, value) and r.steps > 0]
+    if not sel:
+        return math.nan, math.nan, math.nan
+    weights = np.array([r.steps for r in sel], dtype=float)
+    means = np.array([r.mean_m1 for r in sel])
+    stds = np.array([r.std_m1 for r in sel])
+    w = weights / weights.sum()
+    mean = float((w * means).sum())
+    var = float((w * (stds ** 2)).sum() + (w * (means - mean) ** 2).sum())
+    mean_m2 = float((w * np.array([r.mean_m2 for r in sel])).sum())
+    return mean, math.sqrt(max(var, 0.0)), mean_m2
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +132,7 @@ def test_metrics_disjoint_zero():
 
 def test_metrics_interval_deviation():
     truth = ConvexPolygon.box(0, 1, 0, 1)
-    est = AngleInterval.from_endpoints(0.5 - 0.2, 0.5 + 0.3)
+    est = arc_from_endpoints(0.5 - 0.2, 0.5 + 0.3)
     m = compute_metrics(truth, est, truth, 0.5)
     assert m.m2 == pytest.approx(0.5)
 
@@ -196,7 +238,7 @@ def test_zero_noise_run_perfect_metrics(parking):
     for r in rec.rows:
         assert r.set_metrics.m1 == pytest.approx(1.0, abs=1e-6)
         assert r.set_metrics.m2 == pytest.approx(0.0, abs=1e-6)
-    assert rec.set_containment_ok()
+    assert rec.containment_rate() == 1.0
 
 
 def scaled_noise(cfg, s):
@@ -283,7 +325,7 @@ def test_omni_without_a_body_radius_scores_m1_0(seed):
 
 def test_parking_defaults_containment(parking):
     rec = simulate_run(replace(parking, seed=123))
-    assert rec.set_containment_ok()
+    assert rec.containment_rate() == 1.0
     assert rec.containment_rate() == 1.0
     assert all(r.set_metrics.m1 > 0.0 for r in rec.rows)
 
@@ -436,7 +478,7 @@ def test_omni_run_containment():
 
 
 def test_shrink_demo_tracks_sensor_sets():
-    cfg = scenario.shrink_demo_config(seed=0)
+    cfg = shrink_demo_config(seed=0)
     rec = simulate_run(cfg, record_measurements=True)
     states = scenario.replay_run(cfg, rec.measurements)
     assert len(states) == 15
@@ -529,6 +571,30 @@ def test_measurement_records_take_integers_and_numbers(field, value):
     assert repr(line) in str(err.value)
 
 
+def record(step=1, sensor=0, slot=0, bearing="0.5", rng="3.0"):
+    return (f'{{"step": {step}, "sensor": {sensor}, "slot": {slot}, '
+            f'"bearing": {bearing}, "range": {rng}}}')
+
+
+@pytest.mark.parametrize("records, bad", [
+    ([record(bearing='"0.5"')], 0),
+    ([record(rng='" 3e0 "')], 0),
+    ([record(bearing="1" + "0" * 400)], 0),
+    ([record(slot=-5)], 0),
+    ([record(slot=4)], 0),
+    ([record(slot=7), record(slot=7, bearing="0.6")], 0),
+    ([record(slot=1), record(slot=2), record(slot=1, bearing="0.6")], 2),
+], ids=["string bearing", "string range", "huge bearing", "negative slot",
+        "slot past the markers", "slot 7 twice", "slot 1 twice"])
+def test_replay_records_are_strict(records, bad):
+    # bearing and range are finite JSON numbers; the slots of one batch are
+    # distinct markers of the run.  The error names the record at fault.
+    with pytest.raises(ConfigError) as err:
+        scenario.batches_from_lines(records, n_steps=2, n_sensors=2,
+                                    n_markers=4)
+    assert repr(records[bad]) in str(err.value)
+
+
 def test_replay_matches_recorded_run(parking):
     cfg = mini_cfg(parking, estimators="set", seed=11)
     rec = simulate_run(cfg, steps=20, record_measurements=True)
@@ -570,7 +636,7 @@ def test_fault_policy_is_the_same_in_both_modes(name, monkeypatch):
     rec = simulate_run(cfg, steps=5, fallback_predict=True)
     assert [r.k for r in rec.rows] == [1, 2, 3, 4, 5]
     assert rec.set_fallbacks == 1
-    assert rec.set_containment_ok()
+    assert rec.containment_rate() == 1.0
 
 
 def test_replay_of_corrupted_stream_faults_at_its_step(parking):
@@ -602,8 +668,8 @@ def test_sweep_initial_uncertainty_claim(parking):
     # estimator keeps a higher mean overlap at every initial-set size
     rows = sensitivity_sweep(parking, "V_Pi0", [1.0, 4.0], 2, steps=100)
     for v in (1.0, 4.0):
-        set_m1, _, _ = scenario.pooled_stats(rows, v, "set")
-        fs_m1, _, _ = scenario.pooled_stats(rows, v, "fastslam")
+        set_m1, _, _ = pooled_stats(rows, v, "set")
+        fs_m1, _, _ = pooled_stats(rows, v, "fastslam")
         assert set_m1 >= fs_m1
 
 
