@@ -639,27 +639,21 @@ def _score_set(row: StepRecord, state: est.EstimatorState, truth: Truth,
                sensors: _SensorRecords,
                body_ball: ConvexPolygon | None) -> ConvexPolygon:
     """Fill the set estimator's columns of a row; returns the body set scored
-    (without a true heading: the marker set grown by the body disk)."""
-    markers_in = all(geom2d.contains(p, t)
-                     for p, t in zip(state.markers, truth.markers))
+    (without a true heading: the marker set grown by the body disk, and a
+    full-circle heading estimate that any true heading is scored against)."""
     if truth.heading is None:
         body = state.markers[0] if body_ball is None \
             else geom2d.minkowski_sum(state.markers[0], body_ball)
-        body_area = geom2d.area(body)
-        holds = geom2d.contains_polygon(body, truth.region)
-        row.set_metrics = Metrics(
-            _overlap_ratio(body, truth.region, holds, body_area), 0.0,
-            markers_in and holds, True)
-        row.set_heading_width = 2.0 * math.pi
     else:
         body = state.body
-        row.set_metrics = compute_metrics(body, state.heading, truth.region,
-                                          truth.heading)
-        body_area = geom2d.area(body)
-        row.set_heading_width = state.heading.width
-    row.set_contained_markers = markers_in
+    row.set_metrics = compute_metrics(
+        body, state.heading, truth.region,
+        0.0 if truth.heading is None else truth.heading)
+    row.set_contained_markers = all(
+        geom2d.contains(p, t) for p, t in zip(state.markers, truth.markers))
     row.set_contained_sensors = sensors.held(state)
-    row.set_body_area = body_area
+    row.set_body_area = geom2d.area(body)
+    row.set_heading_width = state.heading.width
     return body
 
 

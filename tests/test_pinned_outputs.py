@@ -31,12 +31,18 @@ from setloc import scenario
 # vertices moved at most 7.7e-14 m, m1 4.7e-15 and m2 1.1e-15, its particle
 # filter columns not at all; omni-3 vertices at most 4.4e-16 m and m1
 # 9.9e-15.  No vertex count and no containment changed.
+#
+# The omni-3 metrics digest was taken again when omni rows began to be
+# scored by compute_metrics, as the bicycle's are: the omni estimator keeps
+# a full-circle heading, which scores m2 = 2*pi, where the old omni branch
+# wrote 0.0.  Only set_m2 moved; geometry.ndjson and every other column
+# are unchanged.
 PINNED = {
     ("parking", 7, 30, "both"): (
         "a0ec72b6d13eeab179da35bfc9e58a124ab0a8b04b2fa0b7b4967396399c6a11",
         "99eb6a41584eee8ede5ce586268f45db141af9361cdc26000b1955041204982a"),
     ("omni", 3, 100, "set"): (
-        "bf8599ad49ea0325129f31a07b03e6eb4b807bd076fb75e8d322efeb3846f854",
+        "9d25abacab4809be9f8f097bab6473967f2e5f5178a611e9b25ab6c6e543ee00",
         "b8027ba21a421d2fe59f32f55adbb2efa0ee79964d2150f385f75e29d99f1617"),
     ("parking", 11, 150, "fastslam"): (
         "ef6a95b1ec3e84ee4c233d7b04936a0d715bdfb6aabde3903589d9381a1a9603",
