@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import estimator, scenario
+from . import estimator, scenario, sensing
 from .scenario import ConfigError, ScenarioFault
 
 EXIT_OK = 0
@@ -54,7 +54,8 @@ def _check(cfg: scenario.ScenarioConfig, where: str = "") -> bool:
         return False
     _, _, sensor_theta = scenario.initial_sets(cfg)
     for i, (site, theta) in enumerate(zip(cfg.sensors, sensor_theta)):
-        if estimator.bearing_cone_too_wide(site.model, theta):
+        cone = sensing.measurement_cone(0.0, None, site.model, theta)
+        if estimator.bearing_cone_too_wide([cone]):
             log.warning("%s[sensor.%d]: eps_bearing plus half the initial "
                         "orientation interval reaches 90 degrees; every "
                         "measurement of this sensor will be skipped",

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import correspondence, geom2d, sensing
 from .correspondence import Assignment
-from .geom2d import AngleInterval, ConvexPolygon, Interval
+from .geom2d import FULL_CIRCLE, AngleInterval, ConvexPolygon, Interval
 from .kinematics import Control, MarkerOffset, RobotModel, displacement_bounds
 from .sensing import Measurement, SensorModel
 
@@ -127,7 +127,7 @@ def make_state(markers: Sequence[ConvexPolygon],
                k: int = 0) -> EstimatorState:
     """Assemble a state, deriving the heading if possible."""
     state = EstimatorState(tuple(markers), tuple(sensor_xy),
-                           tuple(sensor_theta), AngleInterval.full(), k)
+                           tuple(sensor_theta), FULL_CIRCLE, k)
     if spec is not None and len(markers) >= 2:
         state = replace(state, heading=estimate_heading(state, spec))
     return state
@@ -180,23 +180,19 @@ def propagate_omnidirectional(state: EstimatorState, v_max: float,
 # measurement update
 # ---------------------------------------------------------------------------
 
-def bearing_cone_too_wide(model: SensorModel, theta: AngleInterval) -> bool:
-    """Whether a sensor's bearing cone is at least pi/2 wide and so has no
-    bounded convex superset.  update skips such a sensor's batches; that never
-    cuts the truth, and the orientation interval only narrows."""
-    return model.eps_bearing + theta.half_width >= math.pi / 2.0
+def bearing_cone_too_wide(cones: Sequence[geom2d.Cone]) -> bool:
+    """Whether a bearing cone, as built, is pi/2 wide or more, and so has no
+    bounded convex superset.  update skips a batch with such a cone; that
+    never cuts the truth, and the orientation interval only narrows."""
+    return any(cone.half_width >= 0.5 * math.pi for cone, _ in cones)
 
 
-def _sectors(batch: Sequence[Measurement], model: SensorModel,
-             theta: AngleInterval
-             ) -> tuple[tuple[geom2d.Cone, ...], tuple[ConvexPolygon, ...]]:
-    """Each measurement's cone and radii (sensing.measurement_cone) and its
-    sector of marker positions seen from the sensor, built from that cone,
-    under the sensor orientation interval theta."""
-    cones = tuple(sensing.measurement_cone(
-        m.bearing, m.range, model, theta.center, theta.half_width)
-        for m in batch)
-    return cones, tuple(geom2d.sector_outer_polygon(*c) for c in cones)
+def _cones(batch: Sequence[Measurement], model: SensorModel,
+           theta: AngleInterval) -> tuple[geom2d.Cone, ...]:
+    """Each measurement's cone and radii (sensing.measurement_cone) under
+    the orientation interval theta; sector_outer_polygon builds its sector."""
+    return tuple(sensing.measurement_cone(m.bearing, m.range, model, theta)
+                 for m in batch)
 
 
 def _narrow_orientation(theta: AngleInterval, sensor_xy: ConvexPolygon,
@@ -220,13 +216,12 @@ def _narrow_orientation(theta: AngleInterval, sensor_xy: ConvexPolygon,
             span = spans[j]
             if span.is_full:
                 continue
-            cand = AngleInterval(span.center - batch[q].bearing,
-                                 min(math.pi, span.half_width + eps_bearing))
+            cand = span.shift(-batch[q].bearing).widen(eps_bearing)
             itv = cand if itv is None else geom2d.intersect_angles(itv, cand)
             if itv is None:
                 break
         else:
-            theta_options.append(itv if itv is not None else AngleInterval.full())
+            theta_options.append(itv if itv is not None else FULL_CIRCLE)
     if not theta_options:
         raise EmptySetFault("orientation update", sensor=sensor)
     new_theta = geom2d.intersect_angles(theta,
@@ -282,7 +277,7 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
     convex hulls, which keeps every update a superset of the exact one),
     and gather the sum boundary that each marker it measured under every
     hypothesis is clipped by.  Every phase reads the predicted marker sets.
-    A sensor whose bearing cone is too wide (bearing_cone_too_wide) is
+    A batch with a bearing cone too wide (bearing_cone_too_wide) is
     skipped.  After the pass each measured marker set is clipped once, by
     the boundaries of all its sensors in sensor order, then hulled and
     simplified once: the same half-planes the sensors would clip by in
@@ -307,10 +302,11 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
             continue
         model = models.sensors[i]
         theta = predicted.sensor_theta[i]
-        if bearing_cone_too_wide(model, theta):
+        cones = _cones(batch, model, theta)
+        if bearing_cone_too_wide(cones):
             continue
         xy = predicted.sensor_xy[i]
-        cones, sectors = _sectors(batch, model, theta)
+        sectors = [geom2d.sector_outer_polygon(*c) for c in cones]
         boundaries = [geom2d.sum_boundary(xy, s) for s in sectors]
         cmat = correspondence.build_candidate_matrix(
             boundaries, predicted.markers, sensor_id=i)
@@ -329,11 +325,12 @@ def update(predicted: EstimatorState, batches: Sequence[Sequence[Measurement]],
                 model.eps_bearing, i)
             # the position and marker phases use the sectors under the new
             # orientation interval, and so do the position decisions; where
-            # no bit changes (repr tells -0.0 from 0.0, == does not) the
-            # predicted object is kept, so what was made from it is reused
-            if repr(new_theta) != repr(theta):
+            # it does not narrow, the phase returns the predicted object, so
+            # what was made from it is reused
+            if new_theta is not theta:
                 sensor_theta[i] = new_theta
-                cones, sectors = _sectors(batch, model, new_theta)
+                cones = _cones(batch, model, new_theta)
+                sectors = [geom2d.sector_outer_polygon(*c) for c in cones]
                 kept = geom2d.settle_by_inner_bounds(
                     new_theta, xy, predicted.markers, pairs, bearings, cones,
                     model.eps_bearing)[1]
@@ -408,7 +405,7 @@ def estimate_heading(state: EstimatorState, spec: RigidBodySpec) -> AngleInterva
     so each unordered pair constrains the heading; reversed pairs give the
     same constraint shifted by pi and are skipped.
     """
-    acc = AngleInterval.full()
+    acc = FULL_CIRCLE
     n = len(state.markers)
     for i in range(n - 1):
         back = geom2d.negate(state.markers[i])

@@ -68,8 +68,7 @@ def init_particles(marker_sets: Sequence[ConvexPolygon],
     for i, poly in enumerate(sensor_xy_sets):
         sensor_xy[:, i, :] = geom2d.sample_uniform(poly, rng, count)
     for i, itv in enumerate(sensor_theta_sets):
-        lo = itv.center - itv.half_width
-        sensor_theta[:, i] = lo + rng.random(count) * itv.width
+        sensor_theta[:, i] = itv.lo + rng.random(count) * itv.width
     weights = np.full(count, 1.0 / count)
     return ParticleSet(sensor_xy, sensor_theta, markers, weights)
 
@@ -340,8 +339,8 @@ def heading_interval_particles(ps: ParticleSet,
     """Smallest arc containing every particle's implied heading.  Only the
     distinct headings are enclosed, which gives the same arc (enclose_spans
     does not depend on the order or repeats of its spans).  Each is a
-    zero-width span starting at its wrapped heading, the start
+    zero-width span at its heading taken into [-pi, pi), the ends
     AngleInterval(h, 0.0) would give."""
     headings = dict.fromkeys(particle_headings(ps, spec).tolist())
-    return geom2d.enclose_spans([geom2d.wrap_angle(h) for h in headings],
-                                [0.0] * len(headings))
+    return geom2d.enclose_spans([(s, s) for s in (
+        0.0 - geom2d.wrap_angle(-h) for h in headings)])

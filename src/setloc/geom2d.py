@@ -81,150 +81,143 @@ def reset_degenerate_intersection_count() -> None:
     _degenerate_intersections = 0
 
 
+def _down(x: float) -> float:
+    return math.nextafter(x, -math.inf)
+
+
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+def _ends(lo: float, hi: float) -> tuple[float, float]:
+    """Stored ends of the arc from lo up to hi: (-pi, pi) from 2*pi on; else
+    lo put in [-pi, pi) exactly, hi moved as far and rounded up; zeros +0.0."""
+    if hi - lo >= TWO_PI:
+        return -math.pi, math.pi
+    if lo < -math.pi or lo >= math.pi:          # not for a NaN
+        start = 0.0 - wrap_angle(-lo)
+        return _ends(start, _up(start + _up(hi - lo)))
+    return lo + 0.0, hi + 0.0
+
+
 @dataclass(frozen=True, init=False)
 class AngleInterval:
-    """Arc {center - half_width .. center + half_width} on the circle.
+    """Arc from lo counter-clockwise to hi on the circle of wrap_angle's
+    period TWO_PI: lo in [-pi, pi), hi in [lo, lo + 2*pi); full: (-pi, pi).
+    The operations round outward (interval analysis): an end taken from an
+    operand is kept bit for bit, and an end an operation computes is moved
+    one float outward, so each result holds the exact one."""
 
-    half_width == pi represents the full circle.  Membership and all algebra
-    wrap modulo 2*pi.
-    """
-
-    center: float
-    half_width: float
+    lo: float
+    hi: float
 
     def __init__(self, center: float, half_width: float):
-        # each field is set once, already wrapped and capped
-        if not (0.0 <= half_width <= math.pi + 1e-12):
+        """center +- half_width: the full circle from half_width pi on, the
+        point center itself at half_width 0."""
+        if not half_width >= 0.0:
             raise ValueError(f"bad half width {half_width}")
-        object.__setattr__(self, "center", wrap_angle(center))
-        object.__setattr__(self, "half_width",
-                           half_width if half_width < math.pi else math.pi)
-
-    @classmethod
-    def full(cls) -> "AngleInterval":
-        return cls(0.0, math.pi)
-
-    @property
-    def lo(self) -> float:
-        return self.center - self.half_width
-
-    @property
-    def hi(self) -> float:
-        return self.center + self.half_width
+        c = 0.0 - wrap_angle(-center)          # into [-pi, pi)
+        ends = (c, c) if half_width == 0.0 else _ends(
+            _down(c - half_width), _up(c + half_width))
+        self.__dict__["lo"], self.__dict__["hi"] = ends
 
     @property
     def width(self) -> float:
-        return 2.0 * self.half_width
+        return self.hi - self.lo
+
+    @property
+    def half_width(self) -> float:
+        return 0.5 * (self.hi - self.lo)
+
+    @property
+    def center(self) -> float:
+        return wrap_angle(self.lo + 0.5 * (self.hi - self.lo))
 
     @property
     def is_full(self) -> bool:
-        return self.half_width >= math.pi - 1e-12
+        return self.hi - self.lo >= TWO_PI
 
     def contains(self, angle: float, tol: float = EPS_GEOM) -> bool:
-        if self.is_full:
-            return True
-        return abs(wrap_angle(angle - self.center)) <= self.half_width + tol
+        """Whether angle is on the arc, within tol; exact at tol 0."""
+        a, lo, hi = wrap_angle(angle), self.lo, self.hi
+        return (hi - lo >= TWO_PI or lo - tol <= a <= hi + tol
+                or a <= hi - TWO_PI + tol or lo + TWO_PI - tol <= a)
 
     def shift(self, delta: float) -> "AngleInterval":
-        return AngleInterval(self.center + delta, self.half_width)
+        delta = wrap_angle(delta)          # exact: one result for all turns
+        return _arc(_down(self.lo + delta), _up(self.hi + delta))
 
     def widen(self, delta: float) -> "AngleInterval":
-        return AngleInterval(self.center, min(math.pi, self.half_width + delta))
+        return _arc(_down(self.lo - delta), _up(self.hi + delta))
 
     def sum(self, other: "AngleInterval") -> "AngleInterval":
-        """Interval of a + b over both arcs (widths add, capped at full)."""
-        return AngleInterval(self.center + other.center,
-                             min(math.pi, self.half_width + other.half_width))
+        return _arc(_down(self.lo + other.lo), _up(self.hi + other.hi))
 
 
-FULL_CIRCLE = AngleInterval.full()
-_TURNS = (-TWO_PI, 0.0, TWO_PI)   # k * TWO_PI for k = -1, 0, 1
+def _arc(lo: float, hi: float) -> AngleInterval:
+    """The arc from lo up to hi, ends that hold the exact arc."""
+    arc = object.__new__(AngleInterval)
+    arc.__dict__["lo"], arc.__dict__["hi"] = _ends(lo, hi)
+    return arc
+
+
+FULL_CIRCLE = AngleInterval(0.0, math.pi)
 
 
 def intersect_angles(a: AngleInterval, b: AngleInterval) -> AngleInterval | None:
-    """Intersection of two arcs, or None when disjoint.
-
-    When the exact intersection is two disconnected arcs the smallest arc
-    enclosing both is returned (a sound over-approximation); the module-level
-    degenerate counter is incremented so callers can audit how often.
-    """
+    """Intersection of two arcs, or None when disjoint: ends of a and b,
+    and a itself where it has a's ends.  Two disconnected arcs are enclosed
+    in one, and the module's degenerate counter counts it."""
     global _degenerate_intersections
-    if a.is_full:
-        return b
     if b.is_full:
         return a
-    # work in a's frame: a spans [-ha, ha], b spans [s-hb, s+hb] + 2*pi*k
-    ha, hb = a.half_width, b.half_width
-    s = wrap_angle(b.center - a.center)
-    lo_b, hi_b = s - hb, s + hb
-    pieces: list[tuple[float, float]] = []
-    for shift in _TURNS:
-        lo = max(-ha, lo_b + shift)
-        hi = min(ha, hi_b + shift)
-        if hi >= lo - 1e-15:
-            pieces.append((lo, hi))
-    if len(pieces) == 1:
-        (lo, hi), = pieces
-        return AngleInterval(a.center + 0.5 * (lo + hi), max(0.0, 0.5 * (hi - lo)))
-    # dedupe pieces identical modulo 2*pi
-    uniq: list[tuple[float, float]] = []
-    for p in pieces:
-        if not any(abs(math.remainder(p[0] - q[0], TWO_PI)) < 1e-12
-                   and abs((p[1] - p[0]) - (q[1] - q[0])) < 1e-12 for q in uniq):
-            uniq.append(p)
-    if not uniq:
-        return None
-    if len(uniq) == 1:
-        lo, hi = uniq[0]
-        return AngleInterval(a.center + 0.5 * (lo + hi), max(0.0, 0.5 * (hi - lo)))
-    _degenerate_intersections += 1
-    arcs = [AngleInterval(a.center + 0.5 * (lo + hi), max(0.0, 0.5 * (hi - lo)))
-            for lo, hi in uniq]
-    return enclose_angles(arcs)
+    if a.is_full:
+        return b
+    # a with b, b a turn on and b a turn back; hi - 2*pi is exact for hi >= pi
+    # (Sterbenz), below -pi for any other hi: no decision or end rounds
+    pieces = []
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    if lo <= hi:
+        pieces.append((lo, hi))
+    if a.hi - TWO_PI >= b.lo:
+        pieces.append((b.lo, min(a.hi - TWO_PI, b.hi)))
+    if b.hi - TWO_PI >= a.lo:
+        pieces.append((a.lo, min(b.hi - TWO_PI, a.hi)))
+    if len(pieces) != 1:
+        if not pieces:
+            return None
+        _degenerate_intersections += 1
+        return enclose_spans(pieces)
+    (lo, hi), = pieces
+    return a if lo == a.lo and hi == a.hi else _arc(lo, hi)
 
 
 def enclose_angles(arcs: Sequence[AngleInterval]) -> AngleInterval:
-    """Smallest arc covering the union of the given arcs: enclose_spans of
-    their starts (a.lo) and widths, written out."""
+    """Smallest arc covering the union of the given arcs."""
     if not arcs:
         raise ValueError("enclose_angles needs at least one interval")
-    halves = [a.half_width for a in arcs]
-    return enclose_spans([wrap_angle(a.center - h) for a, h in zip(arcs, halves)],
-                         [2.0 * h for h in halves])
+    return enclose_spans([(a.lo, a.hi) for a in arcs])
 
 
-def enclose_spans(los: Sequence[float], widths: Sequence[float]
-                  ) -> AngleInterval:
-    """Smallest arc covering the arcs that start at los (each in (-pi, pi])
-    and span widths (each in [0, 2*pi]); at least one arc.  It starts after
-    the largest gap in their union, the first in sorted order (so the input
-    order does not matter), and reaches d + width of each arc, d the
-    distance to the arc's start in [0, 2*pi).  A gap of 1e-12 or less, a
-    reach of 2*pi - 1e-12 or more or a width of 2*pi - 2e-12 or more gives
-    the full circle."""
-    if max(widths) >= TWO_PI - 2e-12:
-        return FULL_CIRCLE
-    spans = sorted(zip(los, widths))
-    # the gap in front of each start runs from the farthest end before it,
-    # with every arc taken one turn back for the first start
-    reach = max([lo + w for lo, w in spans]) - TWO_PI
-    best_gap, start = -math.inf, 0.0
-    for lo, w in spans:
+def enclose_spans(spans: Iterable[tuple[float, float]]) -> AngleInterval:
+    """Smallest arc covering the arcs (lo, hi) of spans (at least one; lo in
+    [-pi, pi), hi in [lo, lo + 2*pi]).  It starts after the largest gap in
+    sorted order, the first of equal ones, so spans' order does not matter,
+    and ends at the farthest end before that gap, plus 2*pi rounded up
+    where that end is a turn back.  Without a gap it is the full circle."""
+    spans = sorted(spans)
+    top = max(hi for _, hi in spans)
+    reach, best_gap, end = top - TWO_PI, -math.inf, None   # None: top's end
+    for lo, hi in spans:
+        if hi - lo >= TWO_PI:
+            return FULL_CIRCLE
         if lo - reach > best_gap:
-            best_gap, start = lo - reach, lo
-        if lo + w > reach:
-            reach = lo + w
-    if best_gap <= 1e-12:
+            best_gap, start, last = lo - reach, lo, end
+        if hi > reach:
+            reach = end = hi
+    if best_gap <= 0.0:
         return FULL_CIRCLE
-    width = 0.0
-    for lo, w in spans:
-        d = lo - start
-        d -= TWO_PI * math.floor(d / TWO_PI)  # into [0, 2*pi)
-        if d + w > width:
-            width = d + w
-    if width >= TWO_PI - 1e-12:
-        return FULL_CIRCLE
-    return AngleInterval(start + 0.5 * width, 0.5 * width)
+    return _arc(start, top if last is None else _up(last + TWO_PI))
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +433,14 @@ class ConvexPolygon:
 
 def area(p: ConvexPolygon) -> float:
     """Shoelace area."""
-    v = p.vertices
+    return _shoelace(p.vertices, 0.0, 0.0)
+
+
+def _shoelace(v: Sequence[tuple[float, float]], ox: float, oy: float) -> float:
+    """Shoelace area of ring v about (ox, oy), where a far set's terms keep."""
     s = 0.0
     for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1]):
-        s += ax * by - bx * ay
+        s += (ax - ox) * (by - oy) - (bx - ox) * (ay - oy)
     return 0.5 * s
 
 
@@ -686,7 +683,8 @@ def clip_by(s: ConvexPolygon, lines: Sequence[Line]) -> ConvexPolygon | None:
     the duplicate, collinear or reflex vertices that rounding can leave.  A
     ring that collapses, with fewer than three vertices left by _prune, has
     no hull; the box about it and s both hold the exact clip, and the one
-    with the smaller area is returned (the box can be larger than s).
+    with the smaller area about a point of the clip is returned (the box
+    can be larger than s).
     """
     pts = _clip_ring(s.vertices, s.bbox, lines)
     if pts is s.vertices:
@@ -698,7 +696,8 @@ def clip_by(s: ConvexPolygon, lines: Sequence[Line]) -> ConvexPolygon | None:
         hull = _prune(_hull_chain(sorted(set(pts))))
         if len(hull) < 3:
             box = ConvexPolygon.box(*_bbox(pts))
-            return box if area(box) < area(s) else s
+            return box if _shoelace(box.vertices, *pts[0]) < _shoelace(
+                s.vertices, *pts[0]) else s
         ring = _canonical(hull)
     return ConvexPolygon(ring)
 
@@ -1079,9 +1078,15 @@ def angular_hull_sum(a: ConvexPolygon, b: ConvexPolygon) -> AngleInterval:
     return _vertex_arc(ring)
 
 
+# atan2's ulp (2 eps below 4), a merge sum's turn of its point (eps) and the
+# rounding of the turn added to a wrapped end (2 eps), in radians
+_DIRECTION_SLACK = 8.0 * sys.float_info.epsilon
+
+
 def _vertex_arc(pts: Sequence[tuple[float, float]]) -> AngleInterval:
     """Smallest arc containing the directions of pts, the vertices or merge
-    ring of a convex set that leaves the origin outside."""
+    ring of a convex set that leaves the origin outside, with each end
+    moved out by _DIRECTION_SLACK and then one float."""
     angles = [math.atan2(y, x) for x, y in pts if math.hypot(x, y) > EPS_GEOM]
     if not angles:
         return FULL_CIRCLE
@@ -1099,7 +1104,7 @@ def _vertex_arc(pts: Sequence[tuple[float, float]]) -> AngleInterval:
         lo, hi = angles[0], angles[-1]
     else:
         lo, hi = angles[gap_at + 1], angles[gap_at] + TWO_PI
-    return AngleInterval(0.5 * (lo + hi), 0.5 * (hi - lo))
+    return _arc(_down(lo - _DIRECTION_SLACK), _up(hi + _DIRECTION_SLACK))
 
 
 def simplify_outer(p: ConvexPolygon, v_max: int = V_MAX) -> ConvexPolygon:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geom2d import AngleInterval, Interval, wrap_angle
+from .geom2d import FULL_CIRCLE, AngleInterval, Interval, wrap_angle
 
 Point = tuple[float, float]
 
@@ -159,11 +159,11 @@ def _isin_range(lo: float, hi: float) -> Interval:
 
 
 def _icos_angle(a: AngleInterval) -> Interval:
-    return _icos_range(a.center - a.half_width, a.center + a.half_width)
+    return _icos_range(a.lo, a.hi)
 
 
 def _isin_angle(a: AngleInterval) -> Interval:
-    return _isin_range(a.center - a.half_width, a.center + a.half_width)
+    return _isin_range(a.lo, a.hi)
 
 
 def _direction_offset(delta_lo: float, delta_hi: float,
@@ -175,7 +175,7 @@ def _direction_offset(delta_lo: float, delta_hi: float,
     n_hi = offset.delta_l * math.tan(delta_hi) - ell * math.sin(dth)
     if abs(den) <= 1e-12 * ell:
         if n_lo <= 0.0 <= n_hi:
-            return AngleInterval.full()
+            return FULL_CIRCLE
         return AngleInterval(math.copysign(math.pi / 2.0, n_lo), 0.0)
     # both boundary vectors share x-coordinate den != 0, so the image is the
     # minor arc between their directions
@@ -230,8 +230,7 @@ def displacement_bounds(u: Control, heading_set: AngleInterval,
         gam_half = _iscale(_imul(v_itv, sin_d), 0.5 * dt / ell)
         q = _iscale(_isin_range(gam_half.lo, gam_half.hi), 2.0 * dl)
         # a rotation interval 2 pi or wider leaves every phase possible
-        phase = arm.sum(AngleInterval(gam_half.mid,
-                                      min(math.pi, 0.5 * gam_half.width)))
+        phase = arm.sum(AngleInterval(gam_half.mid, 0.5 * gam_half.width))
         axial = _imul(_iscale(_imul(v_itv, cos_d), dt), _icos_angle(heading_set))
         axial_y = _imul(_iscale(_imul(v_itv, cos_d), dt), _isin_angle(heading_set))
         dx2 = _iadd(axial, _iscale(_imul(q, _isin_angle(phase)), -1.0))

@@ -128,6 +128,7 @@ class Metrics:
     m2: float
     contained_body: bool
     contained_heading: bool
+    area: float                # the body estimate's, as geom2d.area gives it
 
 
 def _overlap_ratio(body_est: ConvexPolygon, truth_region: ConvexPolygon,
@@ -152,13 +153,13 @@ def compute_metrics(body_est: ConvexPolygon, heading_est: AngleInterval,
                     truth_region: ConvexPolygon, truth_theta: float) -> Metrics:
     """Body-overlap ratio and heading-interval deviation against the truth."""
     contained_body = geom2d.contains_polygon(body_est, truth_region)
-    m1 = _overlap_ratio(body_est, truth_region, contained_body,
-                        geom2d.area(body_est))
+    est_area = geom2d.area(body_est)
+    m1 = _overlap_ratio(body_est, truth_region, contained_body, est_area)
     hi_dev = abs(wrap_angle(heading_est.hi - truth_theta))
     lo_dev = abs(wrap_angle(heading_est.lo - truth_theta))
     m2 = hi_dev + lo_dev if not heading_est.is_full else 2.0 * math.pi
     contained_heading = heading_est.contains(truth_theta)
-    return Metrics(m1, m2, contained_body, contained_heading)
+    return Metrics(m1, m2, contained_body, contained_heading, est_area)
 
 
 @dataclass
@@ -652,7 +653,7 @@ def _score_set(row: StepRecord, state: est.EstimatorState, truth: Truth,
     row.set_contained_markers = all(
         geom2d.contains(p, t) for p, t in zip(state.markers, truth.markers))
     row.set_contained_sensors = sensors.held(state)
-    row.set_body_area = geom2d.area(body)
+    row.set_body_area = row.set_metrics.area
     row.set_heading_width = state.heading.width
     return body
 
@@ -710,7 +711,7 @@ def simulate_run(cfg: ScenarioConfig, steps: int | None = None,
             row.fs_wall_ms = 1e3 * (time.perf_counter() - t0)
             row.fs_metrics = compute_metrics(*fs_dump, truth.region,
                                              truth.heading)
-            row.fs_body_area = geom2d.area(fs_dump[0])
+            row.fs_body_area = row.fs_metrics.area
             row.fs_heading_width = fs_dump[1].width
             rec.fs_degenerate_resets = ps.degenerate_resets
 

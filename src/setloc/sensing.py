@@ -89,14 +89,12 @@ def measure(sensor: SensorPose, model: SensorModel, marker: tuple[float, float],
 
 
 def measurement_cone(alpha: float, r: float | None, model: SensorModel,
-                     theta_c: float, d_theta_c: float
-                     ) -> tuple[AngleInterval, Interval]:
+                     theta: AngleInterval) -> tuple[AngleInterval, Interval]:
     """The directions and the distances, seen from the sensor, of marker
     positions consistent with one measurement, given sensor orientation in
-    theta_c +- d_theta_c: the cone and the radii of its sector."""
-    if d_theta_c < 0.0:
-        raise ValueError("orientation half-width must be >= 0")
-    cone = AngleInterval(alpha + theta_c, model.eps_bearing + d_theta_c)
+    theta: the cone, theta shifted by the bearing and widened by
+    eps_bearing, and the radii of its sector."""
+    cone = theta.shift(alpha).widen(model.eps_bearing)
     if r is None or model.kind == ANGLE_ONLY:
         return cone, Interval(0.0, model.max_range)
     return cone, Interval(max(0.0, r - model.eps_range), r + model.eps_range)
@@ -106,8 +104,8 @@ def feasible_marker_region(alpha: float, r: float | None, model: SensorModel,
                            theta_c: float, d_theta_c: float) -> ConvexPolygon:
     """Sensor-centered polygon covering marker positions consistent with
     one measurement, given sensor orientation in theta_c +- d_theta_c."""
-    return geom2d.sector_outer_polygon(
-        *measurement_cone(alpha, r, model, theta_c, d_theta_c))
+    return geom2d.sector_outer_polygon(*measurement_cone(
+        alpha, r, model, AngleInterval(theta_c, d_theta_c)))
 
 
 def feasible_sensor_region(alpha: float, r: float | None, model: SensorModel,

@@ -532,7 +532,8 @@ def test_feasibility_and_bearing_spans_build_no_polygon(monkeypatch):
     sensors = [SensorPose(0.0, 0.0, 0.2), SensorPose(12.0, -1.0, 2.0)]
     state = boxed_state(rng, pose, sensors, 0.3, 0.05, 0.0)
     batches = world_measurements(rng, pose, sensors, (PANORAMIC, PANORAMIC))
-    sectors = [est._sectors(batch, PANORAMIC, theta)[1]
+    sectors = [[geom2d.sector_outer_polygon(*c)
+                for c in est._cones(batch, PANORAMIC, theta)]
                for batch, theta in zip(batches, state.sensor_theta)]
     assert all(p.n >= 3 for p in (*state.markers, *state.sensor_xy,
                                   *sectors[0], *sectors[1]))

@@ -602,7 +602,7 @@ def test_enclose_angles():
 
 
 def test_full_circle_behaviour():
-    full = AngleInterval.full()
+    full = geom2d.FULL_CIRCLE
     assert full.is_full
     narrow = AngleInterval(1.0, 0.1)
     assert intersect_angles(full, narrow) == narrow

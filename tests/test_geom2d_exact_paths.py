@@ -4,15 +4,14 @@ The shortcuts must not move a single output bit, so every test compares
 exactly (``==`` on float tuples).  The general paths are kept here as they
 were before the shortcuts: the sort-and-chain hull (``_hull_chain`` and
 ``_prune``), the sector through that hull where its ring is canonical,
-the edge merge with modular indices and the angle intersection that
-deduplicates every list of pieces.
+and the edge merge with modular indices.
 """
 
 from __future__ import annotations
 
 import math
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geom_checks import validate
@@ -83,31 +82,6 @@ def general_merge(a, b):
     return out
 
 
-def general_intersect_angles(a: AngleInterval, b: AngleInterval):
-    """intersect_angles deduplicating every list of pieces."""
-    if a.is_full:
-        return b
-    if b.is_full:
-        return a
-    s = geom2d.wrap_angle(b.center - a.center)
-    pieces = []
-    for k in (-1, 0, 1):
-        lo = max(-a.half_width, s - b.half_width + k * TWO_PI)
-        hi = min(a.half_width, s + b.half_width + k * TWO_PI)
-        if hi >= lo - 1e-15:
-            pieces.append((lo, hi))
-    uniq = []
-    for p in pieces:
-        if not any(abs(math.remainder(p[0] - q[0], TWO_PI)) < 1e-12
-                   and abs((p[1] - p[0]) - (q[1] - q[0])) < 1e-12 for q in uniq):
-            uniq.append(p)
-    if not uniq:
-        return None
-    arcs = [AngleInterval(a.center + 0.5 * (lo + hi), max(0.0, 0.5 * (hi - lo)))
-            for lo, hi in uniq]
-    return arcs[0] if len(arcs) == 1 else geom2d.enclose_angles(arcs)
-
-
 def same_bits(p, q) -> bool:
     return repr(p) == repr(q)
 
@@ -153,6 +127,8 @@ radii = st.one_of(st.sampled_from([0.0, 1e-9, 2e-9, 1e-3, 1.0, 1e3]),
 @st.composite
 def sector_args(draw):
     angle = AngleInterval(draw(st.floats(-4.0, 4.0)), draw(half_widths))
+    # the arc's ends round outward, which can take it to pi / 2
+    assume(angle.half_width < math.pi / 2.0)    # else the sector is refused
     r_hi = draw(radii)
     r_lo = draw(st.one_of(st.just(0.0), st.just(r_hi),
                           st.floats(0.0, 1.0).map(lambda t: t * r_hi)))
@@ -304,18 +280,6 @@ def test_intersects_sum_is_the_clip_it_skips(case):
     assert boundary.meets(s) == (geom2d._keeps_a_vertex(s.vertices, lines)
                                  or clipped is not None)
     assert boundary.clip(s) == clipped
-
-
-arcs = st.builds(AngleInterval, st.floats(-7.0, 7.0),
-                 st.one_of(st.floats(0.0, math.pi),
-                           st.sampled_from([0.0, math.pi / 2, math.pi])))
-
-
-@settings(max_examples=600, deadline=None)
-@given(arcs, arcs)
-def test_intersect_angles_is_the_deduplicated_intersection(a, b):
-    assert same_bits(geom2d.intersect_angles(a, b),
-                     general_intersect_angles(a, b))
 
 
 @settings(max_examples=300, deadline=None)

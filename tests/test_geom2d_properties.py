@@ -17,6 +17,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import exact
 from geom_checks import validate
 from setloc import geom2d
 from setloc.geom2d import (FULL_CIRCLE, TWO_PI, AngleInterval, ConvexPolygon,
@@ -118,10 +119,11 @@ def test_intersect_matches_hull_of_clip_output(a, b):
 def hull_of_cut(s: ConvexPolygon, pts) -> ConvexPolygon:
     """The hull of a cut ring, where the ring collapses (fewer than three
     vertices left by _prune) the box about it or s, whichever has the
-    smaller area."""
+    smaller area, both taken about the ring's first point."""
     hull = ConvexPolygon.from_points(pts)
     if len(geom2d._prune(geom2d._hull_chain(sorted(set(pts))))) < 3 and \
-            geom2d.area(s) <= geom2d.area(hull):
+            geom2d._shoelace(s.vertices, *pts[0]) <= geom2d._shoelace(
+                hull.vertices, *pts[0]):
         return s
     return hull
 
@@ -291,13 +293,10 @@ def test_intersect_does_not_depend_on_the_order_of_its_operands(case, swap):
     ConvexPolygon.from_points([(0.0, 0.0)]),
     ConvexPolygon.from_points([(0.0, 0.0), (1.0, 0.0)]))
 @example(  # the clip collapses to a sliver; at 1e6 the shoelace areas of
-    # its box and of s both come out 0.0, so clip_by keeps s whole
+    # its box and of s about the origin both come out 0.0
     ConvexPolygon.from_points([(-1e6, 1e6), (-1e6, 1e6 + 1.0)]),
     ConvexPolygon.from_points([(-1e6, 1e6), (-1e6, 1e6 + 1.0)]),
-    ConvexPolygon.from_points([(0.0, 1.0)])).xfail(
-        raises=AssertionError,
-        reason="clip_by compares collapsed areas that cancel to 0.0 at "
-               "large coordinates; ROADMAP item 3")
+    ConvexPolygon.from_points([(0.0, 1.0)]))
 def test_intersect_sum_matches_intersect_of_the_sum(s, a, b):
     """Equal up to the clips' slack: both keep EPS_GEOM past every line, and
     where s crosses a line at a shallow angle that slack stretches along s,
@@ -530,35 +529,108 @@ def test_operations_return_float_pairs_and_their_bounding_box(
 
 # --- arcs ------------------------------------------------------------------
 
-ARC_TOL = 1e-12
+# Every arc property runs at tol 0: each operation's result is checked to
+# hold its exact result, computed in rational arithmetic on the circle of
+# the float TWO_PI (tests/exact.py).  A fixed profile keeps them under
+# about 20 s together.
+ARC_PROFILE = settings(max_examples=400, deadline=None, derandomize=True)
 # multiples of pi/4 make ties between starts, where the input order must
 # not choose among them
 quarters = st.sampled_from([k * math.pi / 4.0 for k in range(-4, 5)])
-arcs = st.builds(
-    AngleInterval,
-    st.one_of(quarters,
-              st.floats(min_value=-10.0, max_value=10.0,
-                        allow_subnormal=False)),
-    st.one_of(st.just(0.0), st.just(math.pi), quarters.map(abs),
-              st.floats(min_value=0.0, max_value=math.pi,
-                        allow_subnormal=False)))
+# centres on the wrap seam, and offsets that put starts within 1e-9 of each
+# other and ends within a few 1e-12 of the full circle
+SEAM = [math.pi, -math.pi, math.nextafter(-math.pi, 0.0),
+        math.nextafter(math.pi, 0.0)]
+NEAR = [0.0, 1e-13, -1e-13, 1e-12, -1e-12, 3e-12, -3e-12, 1e-9, -1e-9]
+NEAR_FULL = [math.pi - 1.5e-12, math.pi - 3e-12, 0.5 * math.pi - 1e-12,
+             0.5 * math.pi + 1e-12, math.nextafter(math.pi, 0.0)]
+centres = st.one_of(quarters, st.sampled_from(SEAM),
+                    st.floats(min_value=-10.0, max_value=10.0,
+                              allow_subnormal=False))
+halves = st.one_of(st.just(0.0), st.just(math.pi), quarters.map(abs),
+                   st.sampled_from(NEAR_FULL),
+                   st.floats(min_value=0.0, max_value=math.pi,
+                             allow_subnormal=False))
+arcs = st.builds(AngleInterval, centres, halves)
 
 
-def covers(outer: AngleInterval, inner: AngleInterval, tol: float) -> bool:
-    """Whether outer contains the whole arc inner, up to tol radians."""
-    if outer.is_full:
-        return True
-    d = (inner.lo - outer.lo) % geom2d.TWO_PI
-    if d > geom2d.TWO_PI - tol:
-        d -= geom2d.TWO_PI
-    return d >= -tol and d + inner.width <= outer.width + tol
+@st.composite
+def arc_pairs(draw):
+    """Two arcs, the second often sharing an end with the first, a turn on
+    or back, or holding it: where the decisions of intersect_angles tie."""
+    a = draw(arcs)
+    kind = draw(st.sampled_from(["free", "after", "before", "around"]))
+    if kind == "free":
+        return a, draw(arcs)
+    end = draw(st.sampled_from([a.lo, a.hi, a.lo + TWO_PI, a.hi - TWO_PI]))
+    w = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0 * math.pi)))
+    if kind == "after":
+        return a, geom2d._arc(end, end + w)
+    if kind == "before":
+        return a, geom2d._arc(end - w, end)
+    return a, geom2d._arc(a.lo - w, a.hi + draw(st.sampled_from([0.0, w])))
 
 
-@settings(max_examples=400, deadline=None)
+@ARC_PROFILE
+@given(centres, halves)
+def test_arc_constructor_holds_its_exact_arc(c, h):
+    a = AngleInterval(c, h)
+    assert exact.holds(exact.arc(a), exact.make(c, h))
+    assert a.is_full or h < math.pi
+    if h == 0.0:                # the point itself, not rounded
+        assert a.lo == a.hi and exact.contains(exact.arc(a), c)
+    assert -math.pi <= a.lo < math.pi and a.lo <= a.hi
+    assert a.is_full or a.hi - a.lo < TWO_PI
+
+
+@ARC_PROFILE
+@given(arcs, arcs, st.one_of(centres, st.sampled_from(NEAR)),
+       st.one_of(st.sampled_from(NEAR), st.floats(0.0, 2.0)))
+def test_shift_widen_and_sum_hold_their_exact_results(a, b, delta, eps):
+    x = exact.arc(a)
+    assert exact.holds(exact.arc(a.shift(delta)), exact.shift(x, delta))
+    assert exact.holds(exact.arc(a.widen(eps)), exact.widen(x, eps))
+    assert exact.holds(exact.arc(a.sum(b)), exact.add(x, exact.arc(b)))
+
+
+@ARC_PROFILE
+@given(arcs, st.one_of(centres, st.sampled_from(SEAM)))
+def test_contains_at_tol_0_is_exact(a, angle):
+    x = exact.arc(a)
+    for t in (angle, a.lo, a.hi, math.nextafter(a.lo, -math.inf),
+              math.nextafter(a.hi, math.inf)):
+        assert a.contains(t, tol=0.0) == exact.contains(x, t), t
+
+
+@ARC_PROFILE
+@given(arc_pairs())
+@example((AngleInterval(3.0, 0.5), AngleInterval(-3.0, 0.5)))
+@example((AngleInterval(0.0, 3.0), AngleInterval(math.pi, 0.5)))
+def test_intersect_angles_holds_its_exact_intersection(case):
+    # the result holds every exact piece; one piece it returns exactly, and
+    # where that piece is a, it returns a itself
+    a, b = case
+    pieces = exact.intersect(exact.arc(a), exact.arc(b))
+    before = geom2d.degenerate_intersection_count()
+    got = geom2d.intersect_angles(a, b)
+    assert (got is None) == (not pieces)
+    if got is None:
+        return
+    x = exact.arc(got)
+    assert all(exact.holds(x, p) for p in pieces)
+    assert geom2d.degenerate_intersection_count() - before == (
+        len(pieces) == 2)
+    if len(pieces) == 1:
+        assert x == pieces[0]
+        if exact.holds(exact.arc(b), exact.arc(a)):
+            assert got is a
+
+
+@ARC_PROFILE
 @given(st.lists(arcs, min_size=1, max_size=8))
 def test_enclose_angles_covers_every_arc(items):
-    out = geom2d.enclose_angles(items)
-    assert all(covers(out, a, ARC_TOL) for a in items)
+    out = exact.arc(geom2d.enclose_angles(items))
+    assert all(exact.holds(out, exact.arc(a)) for a in items)
 
 
 @settings(max_examples=400, deadline=None)
@@ -575,111 +647,46 @@ def test_enclose_angles_ignores_duplicates(counted, tail):
     assert geom2d.enclose_angles(repeated) == geom2d.enclose_angles(distinct)
 
 
-def enclose_angles_reference(arcs):
-    """enclose_angles as it was before its scans stopped early: every start
-    is scanned against every arc."""
-    if not arcs:
-        raise ValueError("enclose_angles needs at least one interval")
-    if any(a.is_full for a in arcs):
-        return FULL_CIRCLE
-    los = [wrap_angle(a.lo) for a in arcs]
-    widths = [a.width for a in arcs]
-    best_width = math.inf
-    best_start = 0.0
-    for i, start in enumerate(los):
-        need = 0.0
-        ok = True
-        for j, lo_j in enumerate(los):
-            d = lo_j - start
-            d -= TWO_PI * math.floor(d / TWO_PI)  # into [0, 2*pi)
-            reach = d + widths[j]
-            if reach >= TWO_PI - 1e-12:
-                ok = False
-                break
-            need = max(need, reach)
-        if ok and need < best_width:
-            best_width = need
-            best_start = start
-    if not math.isfinite(best_width):
-        return FULL_CIRCLE
-    return AngleInterval(best_start + 0.5 * best_width, 0.5 * best_width)
-
-
-def scan_needs(arcs):
-    """The need of each start in enclose_angles_reference's scan, ascending:
-    its largest reach, or inf where an arc reaches 2*pi - 1e-12 from it."""
-    los = [wrap_angle(a.lo) for a in arcs]
-    needs = []
-    for start in set(los):
-        need = 0.0
-        for lo_j, a in zip(los, arcs):
-            d = lo_j - start
-            d -= TWO_PI * math.floor(d / TWO_PI)  # into [0, 2*pi)
-            need = max(need, d + a.width)
-        needs.append(need if need < TWO_PI - 1e-12 else math.inf)
-    return sorted(needs)
-
-
-# centres on the wrap seam, and offsets that put starts within 1e-9 of each
-# other and reaches within a few 1e-12 of the full circle's cut-off
-SEAM = [math.pi, -math.pi, math.nextafter(-math.pi, 0.0)]
-NEAR = [0.0, 1e-13, -1e-13, 1e-12, -1e-12, 3e-12, -3e-12, 1e-9, -1e-9]
-NEAR_FULL = [math.pi - 1.5e-12, math.pi - 3e-12, 0.5 * math.pi - 1e-12,
-             0.5 * math.pi + 1e-12]
-
-
 @st.composite
-def crowded_arcs(draw):
-    """Up to 100 arcs, most of them near a few shared anchors."""
-    anchors = draw(st.lists(
-        st.one_of(quarters, st.sampled_from(SEAM),
-                  st.floats(min_value=-10.0, max_value=10.0,
-                            allow_subnormal=False)),
-        min_size=1, max_size=4))
-    halves = st.one_of(st.just(0.0), quarters.map(abs),
-                       st.sampled_from(NEAR_FULL),
-                       st.floats(min_value=0.0, max_value=math.pi,
-                                 allow_subnormal=False))
-    n = draw(st.integers(1, 100))
+def crowded_arcs(draw, max_size=100):
+    """Up to max_size arcs, most of them near a few shared anchors."""
+    anchors = draw(st.lists(centres, min_size=1, max_size=4))
+    n = draw(st.integers(1, max_size))
     return [AngleInterval(draw(st.sampled_from(anchors))
                           + draw(st.sampled_from(NEAR)), draw(halves))
             for _ in range(n)]
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.one_of(crowded_arcs(), st.lists(arcs, min_size=1, max_size=100)))
+# the float TWO_PI's ulp: the cover may be a few wider than the smallest
+# one, for the rounding of a gap's size and of a turn added to its end
+ULP_2PI = math.ulp(TWO_PI)
+
+
+@ARC_PROFILE
+@given(st.one_of(crowded_arcs(30), st.lists(arcs, min_size=1, max_size=30)))
 @example([AngleInterval(0.0, 0.0), AngleInterval(math.pi, 0.0)])
 @example([AngleInterval(1.0, 0.0)] * 3)
-@example(  # both gaps are 0.7e-12 wide: no start covers short of the cut-off
+@example(  # both gaps are 0.7e-12 wide
     [AngleInterval(0.0, math.pi - 1.2e-12), AngleInterval(math.pi, 0.5e-12)])
-# about 100 headings across the seam, with pi and -pi (one start) repeated
+# about 100 headings across the seam, with pi and -pi (one point) repeated
 @example([AngleInterval(h, 0.0) for h in
           [math.pi - 0.02 * k for k in range(45)]
           + [-math.pi + 0.02 * k for k in range(1, 45)]
           + [math.pi, -math.pi] * 5])
-# two gaps tie: the scan starts after the first in input order (centre
-# -1.3208), the sweep after the first in sorted order (centre +1.3208)
 @example([AngleInterval(h, 0.0) for h in
           [math.pi, -math.pi, math.nextafter(math.pi, 0.0),
            math.nextafter(-math.pi, 0.0), 0.5, -0.5] * 16])
-# a start a few ulps past another, where d / 2*pi underflows to -0.0: the
-# scan puts both starts at one point and returns (5e-324, 0), which misses
-# -1e-323 at tol 0; the sweep returns (0.0, 1e-323), which holds both
 @example([AngleInterval(5e-324, 0.0), AngleInterval(-1e-323, 0.0)] * 4)
-def test_enclose_angles_is_the_full_scan(items):
-    # where one start needs less than every other by more than 1e-9, the
-    # answer is the scan's to the last bit (repr tells -0.0 from 0.0); where
-    # starts tie, the sweep may start after another of the tied gaps, and
-    # its cover holds every arc and is no wider than the scan's but for
-    # rounding
-    got = geom2d.enclose_angles(items)
-    want = enclose_angles_reference(items)
-    needs = scan_needs(items)
-    if len(needs) == 1 or not needs[1] - needs[0] <= 1e-9:
-        assert repr(got) == repr(want)
-    else:
-        assert all(covers(got, a, ARC_TOL) for a in items)
-        assert got.width <= want.width + 1e-15
+# the cover ends a turn past -1.4999999999999998, where adding 2*pi rounds
+# down
+@example([geom2d._arc(-2.5, -1.4999999999999998), geom2d._arc(1.5, 2.5)])
+def test_enclose_angles_is_the_smallest_cover(items):
+    # it holds every arc, and it is no wider than the exact smallest cover
+    # but for rounding
+    got = exact.arc(geom2d.enclose_angles(items))
+    want = exact.enclose([exact.arc(a) for a in items])
+    assert all(exact.holds(got, exact.arc(a)) for a in items)
+    assert got.width <= want.width + 4 * ULP_2PI
 
 
 @settings(max_examples=400, deadline=None)
@@ -705,10 +712,10 @@ def test_enclose_angles_does_not_depend_on_the_input_order(items, rand):
                      math.nextafter(-math.pi, 0.0), 0.0, -0.0])),
     min_size=1, max_size=120))
 def test_zero_width_spans_are_enclosed_as_their_arcs(headings):
-    # the particle filter passes its wrapped headings as the starts of
+    # the particle filter passes its headings, taken into [-pi, pi), as
     # zero-width spans: the answer is that of their arcs to the last bit
-    got = geom2d.enclose_spans([geom2d.wrap_angle(h) for h in headings],
-                               [0.0] * len(headings))
+    starts = [0.0 - wrap_angle(-h) for h in headings]
+    got = geom2d.enclose_spans([(s, s) for s in starts])
     want = geom2d.enclose_angles([AngleInterval(h, 0.0) for h in headings])
     assert repr(got) == repr(want)
 
@@ -912,7 +919,7 @@ def near_origin(draw):
 def direction_tol(p: ConvexPolygon, q) -> float:
     """Angle error of q's direction from rounding at p's coordinate scale."""
     scale = max(max(abs(x), abs(y)) for x, y in p.vertices)
-    return ARC_TOL + 1e-14 * scale / math.hypot(*q)
+    return 1e-14 * scale / math.hypot(*q)
 
 
 @settings(max_examples=400, deadline=None)
@@ -944,8 +951,8 @@ def test_angular_hull_is_full_exactly_when_the_origin_is_in_the_set(p):
 def test_angular_hull_sum_contains_the_arc_of_the_built_sum(m, sensor):
     back = geom2d.negate(sensor)
     out = geom2d.angular_hull_sum(m, back)
-    assert covers(out, geom2d.angular_hull(geom2d.minkowski_sum(m, back)),
-                  ARC_TOL)
+    assert exact.holds(exact.arc(out), exact.arc(
+        geom2d.angular_hull(geom2d.minkowski_sum(m, back))))
 
 
 # --- outer simplification ----------------------------------------------------

@@ -181,7 +181,7 @@ def _clipped_metrics(body_est, heading_est, truth_region, truth_theta):
     m2 = hi_dev + lo_dev if not heading_est.is_full else 2.0 * math.pi
     return scenario.Metrics(m1, m2,
                             geom2d.contains_polygon(body_est, truth_region),
-                            heading_est.contains(truth_theta))
+                            heading_est.contains(truth_theta), est_area)
 
 
 @pytest.mark.parametrize("name", ["omni", "parking"])
@@ -198,7 +198,7 @@ def test_reused_containment_scores_as_the_clip(name, seed, monkeypatch):
         assert holds_truth == geom2d.contains_polygon(body_est, truth_region)
         assert est_area == geom2d.area(body_est)
         got = overlap_ratio(body_est, truth_region, holds_truth, est_area)
-        want = _clipped_metrics(body_est, AngleInterval.full(),
+        want = _clipped_metrics(body_est, geom2d.FULL_CIRCLE,
                                 truth_region, 0.0).m1
         assert got.hex() == want.hex()
         held[holds_truth] += 1

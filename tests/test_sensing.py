@@ -146,9 +146,11 @@ def test_forward_backward_consistency():
 
 
 def test_region_wrap_invariance():
-    a = feasible_marker_region(3.0, 4.0, STEREO, 2.9, math.radians(2))
+    # the same bearing and orientation a turn apart, with turns that add
+    # exactly (2.9 + 2*pi would round to another angle)
+    a = feasible_marker_region(3.0, 4.0, STEREO, -3.2, math.radians(2))
     b = feasible_marker_region(3.0 - 2 * math.pi, 4.0, STEREO,
-                               2.9 + 2 * math.pi, math.radians(2))
+                               -3.2 + 2 * math.pi, math.radians(2))
     assert a == b
 
 

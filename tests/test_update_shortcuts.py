@@ -108,7 +108,7 @@ def sector_cases(draw):
                     r if kind == ANGLE_RANGE else None)
     theta_c = draw(st.floats(-math.pi, math.pi))
     cone, radii = sensing.measurement_cone(m.bearing, m.range, model,
-                                           theta_c, d_theta)
+                                           AngleInterval(theta_c, d_theta))
     assume(cone.half_width < 0.5 * math.pi)    # else the sector is refused
     share = draw(st.floats(0.0, 1.0, exclude_min=True))
     inner = radii.lo or share * radii.hi
@@ -186,7 +186,6 @@ def orientation_cases(draw):
     model = SensorModel(kind, draw(st.floats(0.0, 1.2)),
                         s * draw(st.floats(0.0, 0.5)),
                         max_range=s * draw(st.floats(0.5, 4.0)))
-    assume(not est.bearing_cone_too_wide(model, theta))
     sx, sy = sensor.vertices[0]
     for _ in range(n):
         d = s * draw(st.floats(0.05, 3.0))
@@ -199,6 +198,7 @@ def orientation_cases(draw):
         r = max(0.0, d + model.eps_range * draw(st.floats(-1.3, 1.3)))
         batch.append(Measurement(geom2d.wrap_angle(a - orientation + noise),
                                  r if kind == ANGLE_RANGE else None))
+    assume(not est.bearing_cone_too_wide(est._cones(batch, model, theta)))
     hypotheses = [tuple(range(n))]
     if n >= 2 and draw(st.booleans()):
         hypotheses.append((1, 0) + tuple(range(2, n)))
@@ -208,7 +208,8 @@ def orientation_cases(draw):
 def settle(theta, sensor, markers, batch, hypotheses, model):
     """The pass over the hypotheses' pairs, under the cones of theta: the
     orientation decision, the kept pairs and the sectors."""
-    cones, sectors = est._sectors(batch, model, theta)
+    cones = est._cones(batch, model, theta)
+    sectors = [geom2d.sector_outer_polygon(*c) for c in cones]
     pairs = {(q, j) for a in hypotheses for q, j in enumerate(a)}
     keeps, kept = geom2d.settle_by_inner_bounds(
         theta, sensor, markers, pairs, [m.bearing for m in batch], cones,
@@ -329,8 +330,7 @@ def position_cases(draw):
     noise = model.eps_bearing * draw(unit)
     r = d * draw(st.floats(0.5, 1.5)) if kind == ANGLE_RANGE else None
     m = Measurement(geom2d.wrap_angle(a - orientation + noise), r)
-    cone, radii = sensing.measurement_cone(m.bearing, m.range, model,
-                                           theta.center, theta.half_width)
+    cone, radii = sensing.measurement_cone(m.bearing, m.range, model, theta)
     return sensor, marker, m, model, theta, cone, radii
 
 
@@ -343,8 +343,7 @@ def test_kept_position_is_what_the_exact_clip_returns(case):
         model.eps_bearing)
     if not kept:
         return
-    sector = sensing.feasible_marker_region(m.bearing, m.range, model,
-                                            theta.center, theta.half_width)
+    sector = geom2d.sector_outer_polygon(cone, radii)
     assert geom2d.sum_boundary(marker, geom2d.negate(sector)).clip(sensor) \
         is sensor
 
@@ -387,7 +386,7 @@ def test_update_is_the_update_without_its_shortcuts(case):
     markers, sensor, theta, model, batch = case
     models = est.EstimatorModels(est.RobotModel(2.0, 0.1), (), (model,))
     state = est.EstimatorState(tuple(markers), (sensor,), (theta,),
-                               AngleInterval.full())
+                               geom2d.FULL_CIRCLE)
     phases = {"_narrow_orientation": 0, "_narrow_position": 0}
 
     def counted(name):
@@ -413,7 +412,7 @@ def test_update_is_the_update_without_its_shortcuts(case):
             counted("_narrow_orientation"), counted("_narrow_position"):
         exact = run()
     assert fast == exact
-    if est.bearing_cone_too_wide(model, theta):
+    if est.bearing_cone_too_wide(est._cones(batch, model, theta)):
         assert phases == {"_narrow_orientation": 0, "_narrow_position": 0}
     elif isinstance(exact[0], est.EstimatorState):
         assert phases == {"_narrow_orientation": 1, "_narrow_position": 1}
@@ -430,15 +429,19 @@ def per_sensor_markers(predicted, batches, models, updated):
     markers = list(predicted.markers)
     for i, batch in enumerate(batches):
         model, theta = models.sensors[i], predicted.sensor_theta[i]
-        if not batch or est.bearing_cone_too_wide(model, theta):
+        if not batch:
+            continue
+        cones = est._cones(batch, model, theta)
+        if est.bearing_cone_too_wide(cones):
             continue
         cmat = correspondence.build_candidate_matrix(
             [geom2d.sum_boundary(predicted.sensor_xy[i], s)
-             for s in est._sectors(batch, model, theta)[1]],
+             for s in [geom2d.sector_outer_polygon(*c) for c in cones]],
             predicted.markers)
         assigns = correspondence.enumerate_assignments(
             cmat, models.assignment_cap)
-        sectors = est._sectors(batch, model, updated.sensor_theta[i])[1]
+        sectors = [geom2d.sector_outer_polygon(*c) for c in
+                   est._cones(batch, model, updated.sensor_theta[i])]
         for j in correspondence.markers_with_certain_measurement(
                 assigns, len(markers)):
             slots = sorted({a.index(j) for a in assigns})
