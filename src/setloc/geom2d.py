@@ -89,17 +89,6 @@ def _up(x: float) -> float:
     return math.nextafter(x, math.inf)
 
 
-def _ends(lo: float, hi: float) -> tuple[float, float]:
-    """Stored ends of the arc from lo up to hi: (-pi, pi) from 2*pi on; else
-    lo put in [-pi, pi) exactly, hi moved as far and rounded up; zeros +0.0."""
-    if hi - lo >= TWO_PI:
-        return -math.pi, math.pi
-    if lo < -math.pi or lo >= math.pi:          # not for a NaN
-        start = 0.0 - wrap_angle(-lo)
-        return _ends(start, _up(start + _up(hi - lo)))
-    return lo + 0.0, hi + 0.0
-
-
 @dataclass(frozen=True, init=False)
 class AngleInterval:
     """Arc from lo counter-clockwise to hi on the circle of wrap_angle's
@@ -117,9 +106,9 @@ class AngleInterval:
         if not half_width >= 0.0:
             raise ValueError(f"bad half width {half_width}")
         c = 0.0 - wrap_angle(-center)          # into [-pi, pi)
-        ends = (c, c) if half_width == 0.0 else _ends(
+        arc = _arc(c, c) if half_width == 0.0 else _arc(
             _down(c - half_width), _up(c + half_width))
-        self.__dict__["lo"], self.__dict__["hi"] = ends
+        self.__dict__.update(lo=arc.lo, hi=arc.hi)
 
     @property
     def width(self) -> float:
@@ -131,7 +120,8 @@ class AngleInterval:
 
     @property
     def center(self) -> float:
-        return wrap_angle(self.lo + 0.5 * (self.hi - self.lo))
+        c = self.lo + 0.5 * (self.hi - self.lo)
+        return c - TWO_PI if c > math.pi else c
 
     @property
     def is_full(self) -> bool:
@@ -155,9 +145,16 @@ class AngleInterval:
 
 
 def _arc(lo: float, hi: float) -> AngleInterval:
-    """The arc from lo up to hi, ends that hold the exact arc."""
+    """The arc from lo up to hi, ends that hold the exact arc: lo put in
+    [-pi, pi) exactly and hi moved as far, rounded up; (-pi, pi) from 2*pi
+    on; zeros stored as +0.0."""
+    if lo < -math.pi or lo >= math.pi:          # not for a NaN
+        start = 0.0 - wrap_angle(-lo)
+        lo, hi = start, _up(start + _up(hi - lo))
+    if hi - lo >= TWO_PI:
+        lo, hi = -math.pi, math.pi
     arc = object.__new__(AngleInterval)
-    arc.__dict__["lo"], arc.__dict__["hi"] = _ends(lo, hi)
+    arc.__dict__.update(lo=lo + 0.0, hi=hi + 0.0)
     return arc
 
 
@@ -169,10 +166,8 @@ def intersect_angles(a: AngleInterval, b: AngleInterval) -> AngleInterval | None
     and a itself where it has a's ends.  Two disconnected arcs are enclosed
     in one, and the module's degenerate counter counts it."""
     global _degenerate_intersections
-    if b.is_full:
-        return a
-    if a.is_full:
-        return b
+    if a.is_full or b.is_full:
+        return a if b.is_full else b
     # a with b, b a turn on and b a turn back; hi - 2*pi is exact for hi >= pi
     # (Sterbenz), below -pi for any other hi: no decision or end rounds
     pieces = []
@@ -433,14 +428,10 @@ class ConvexPolygon:
 
 def area(p: ConvexPolygon) -> float:
     """Shoelace area."""
-    return _shoelace(p.vertices, 0.0, 0.0)
-
-
-def _shoelace(v: Sequence[tuple[float, float]], ox: float, oy: float) -> float:
-    """Shoelace area of ring v about (ox, oy), where a far set's terms keep."""
+    v = p.vertices
     s = 0.0
     for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1]):
-        s += (ax - ox) * (by - oy) - (bx - ox) * (ay - oy)
+        s += ax * by - bx * ay
     return 0.5 * s
 
 
@@ -695,9 +686,10 @@ def clip_by(s: ConvexPolygon, lines: Sequence[Line]) -> ConvexPolygon | None:
     if ring is None:
         hull = _prune(_hull_chain(sorted(set(pts))))
         if len(hull) < 3:
-            box = ConvexPolygon.box(*_bbox(pts))
-            return box if _shoelace(box.vertices, *pts[0]) < _shoelace(
-                s.vertices, *pts[0]) else s
+            # about a point of the clip, where far sets' areas do not cancel
+            box, (x, y) = ConvexPolygon.box(*_bbox(pts)), pts[0]
+            return box if area(translate(box, -x, -y)) < area(
+                translate(s, -x, -y)) else s
         ring = _canonical(hull)
     return ConvexPolygon(ring)
 

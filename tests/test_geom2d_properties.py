@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 import exact
 from geom_checks import validate
 from setloc import geom2d
-from setloc.geom2d import (FULL_CIRCLE, TWO_PI, AngleInterval, ConvexPolygon,
-                           Interval, wrap_angle)
+from setloc.geom2d import (TWO_PI, AngleInterval, ConvexPolygon, Interval,
+                           wrap_angle)
 
 coord = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False,
                   allow_infinity=False, allow_subnormal=False)
@@ -121,9 +121,10 @@ def hull_of_cut(s: ConvexPolygon, pts) -> ConvexPolygon:
     vertices left by _prune) the box about it or s, whichever has the
     smaller area, both taken about the ring's first point."""
     hull = ConvexPolygon.from_points(pts)
+    x, y = pts[0]
     if len(geom2d._prune(geom2d._hull_chain(sorted(set(pts))))) < 3 and \
-            geom2d._shoelace(s.vertices, *pts[0]) <= geom2d._shoelace(
-                hull.vertices, *pts[0]):
+            geom2d.area(geom2d.translate(s, -x, -y)) <= geom2d.area(
+                geom2d.translate(hull, -x, -y)):
         return s
     return hull
 
