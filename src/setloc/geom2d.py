@@ -879,13 +879,12 @@ def sector_outer_polygon(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
     that its corners nearly meet, down to a segment or a point), the box
     about the ring is returned instead (_outer_ring).
     """
-    if angle.half_width >= math.pi / 2.0:
-        raise ValueError(f"sector half-width {angle.half_width:.4f} >= pi/2")
+    c, w = angle.center, angle.half_width
+    if w >= math.pi / 2.0:
+        raise ValueError(f"sector half-width {w:.4f} >= pi/2")
     if rng.lo < 0.0:
         raise ValueError("range lower bound must be >= 0")
     r_lo, r_hi = rng.lo, rng.hi
-    c = angle.center
-    w = angle.half_width
     m = max(2, math.ceil(2.0 * w / _SECTOR_MAX_STEP))
     step = 2.0 * w / m
     rc = r_hi / math.cos(0.5 * step)
@@ -1011,6 +1010,7 @@ def settle_by_inner_bounds(theta: AngleInterval, sensor_xy: ConvexPolygon,
     sx, sy, rho_s = _centre(sensor_xy)
     out_s = _outer_radius(sensor_xy, sx, sy)
     scale_s = max(map(abs, sensor_xy.bbox))
+    theta_c, theta_w = theta.center, theta.half_width
     keeps_theta = True
     kept = set()
     for q, j in pairs:
@@ -1024,11 +1024,11 @@ def settle_by_inner_bounds(theta: AngleInterval, sensor_xy: ConvexPolygon,
             if gap > 0.0:
                 margin = INNER_MARGIN * (1.0 + scale / gap)
                 off = abs(wrap_angle(math.atan2(dy, dx)
-                                     - bearings[q] - theta.center))
+                                     - bearings[q] - theta_c))
                 keeps_theta = (
                     math.asin(1.0 - gap / d) + eps_bearing
                     < 0.5 * math.pi - 2.0 * margin
-                    and off + theta.half_width + margin
+                    and off + theta_w + margin
                     <= math.asin((rho_s + rho_m) / d) + eps_bearing)
             else:
                 keeps_theta = False
