@@ -219,31 +219,28 @@ def enclose_spans(spans: Iterable[tuple[float, float]]) -> AngleInterval:
 # convex polygons
 # ---------------------------------------------------------------------------
 
-def _hull_chain(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Andrew's monotone chain over distinct points in lexicographic order,
-    such as sorted(set(points)); each turn is the cross product
-    (a - o) x (p - o), written out."""
-    lower: list[tuple[float, float]] = []
+def _half_chain(pts: Iterable[tuple[float, float]]
+                ) -> list[tuple[float, float]]:
+    """One half of Andrew's monotone chain: the points kept where each turn,
+    the cross product (a - o) x (p - o) written out, is strictly left."""
+    chain: list[tuple[float, float]] = []
     for p in pts:
         px, py = p
-        while len(lower) >= 2:
-            (ox, oy), (ax, ay) = lower[-2], lower[-1]
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
             if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
-                lower.pop()
+                chain.pop()
             else:
                 break
-        lower.append(p)
-    upper: list[tuple[float, float]] = []
-    for p in reversed(pts):
-        px, py = p
-        while len(upper) >= 2:
-            (ox, oy), (ax, ay) = upper[-2], upper[-1]
-            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
-                upper.pop()
-            else:
-                break
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+        chain.append(p)
+    return chain
+
+
+def _hull_chain(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Andrew's monotone chain over distinct points in lexicographic order,
+    such as sorted(set(points)): the lower half forward, the upper half
+    backward."""
+    return _half_chain(pts)[:-1] + _half_chain(reversed(pts))[:-1]
 
 
 def _prune(verts: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -298,7 +295,7 @@ def _canonical(verts: Sequence[tuple[float, float]]
 
 def _canonical_ring(pts: Sequence[tuple[float, float]]
                     ) -> tuple[tuple[float, float], ...] | None:
-    """_canonical(pts) if pts is a CCW ring that _hull_vertices would return
+    """_canonical(pts) if pts is a CCW ring that _chain_hull would return
     unchanged, else None; one walk around the ring.
 
     Each vertex must turn strictly left, the ring must rise and then fall
@@ -334,23 +331,22 @@ def _canonical_ring(pts: Sequence[tuple[float, float]]
     return ring
 
 
-def _hull_vertices(pts: Sequence[tuple[float, float]]
-                   ) -> tuple[tuple[float, float], ...]:
-    """Canonical vertices of the convex hull of pts (non-empty).  A ring
-    that is canonical already is returned as such (_canonical_ring), any
-    other point list goes through _chain_hull."""
+def _hull(pts: Sequence[tuple[float, float]]
+          ) -> tuple[tuple[float, float], ...] | None:
+    """Canonical vertices of the convex hull of pts (non-empty), None where
+    it has no area.  A ring that is canonical already is returned as such
+    (_canonical_ring), any other point list goes through _chain_hull; each
+    caller picks what stands in for None."""
     return _canonical_ring(pts) or _chain_hull(sorted(set(pts)))
 
 
 def _chain_hull(pts: list[tuple[float, float]]
-                ) -> tuple[tuple[float, float], ...]:
+                ) -> tuple[tuple[float, float], ...] | None:
     """Canonical vertices of the hull of distinct points in lexicographic
-    order: the chain and _prune, or where fewer than three vertices are
-    left, the box about the points (ConvexPolygon.box)."""
+    order: the chain and _prune, None where fewer than three vertices are
+    left."""
     hull = _prune(_hull_chain(pts))
-    if len(hull) < 3:
-        return ConvexPolygon.box(*_bbox(pts)).vertices
-    return _canonical(hull)
+    return _canonical(hull) if len(hull) >= 3 else None
 
 
 def _side(lo: float, hi: float) -> tuple[float, float]:
@@ -381,7 +377,7 @@ class ConvexPolygon:
         pts = [(float(x), float(y)) for x, y in points]
         if not pts:
             raise ValueError("a polygon needs at least one point")
-        return cls(_hull_vertices(pts))
+        return cls(_hull(pts) or cls.box(*_bbox(pts)).vertices)
 
     @classmethod
     def from_sorted_points(cls, points: list[tuple[float, float]]
@@ -390,7 +386,7 @@ class ConvexPolygon:
         lexicographic order: _chain_hull without the set, the sort and the
         canonical walk, which on such a list is a shortcut to the same
         vertices."""
-        return cls(_chain_hull(points))
+        return cls(_chain_hull(points) or cls.box(*_bbox(points)).vertices)
 
     @classmethod
     def box(cls, x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> "ConvexPolygon":
@@ -418,11 +414,12 @@ class ConvexPolygon:
         return negate(self)
 
     @cached_property
-    def inner_disk(self) -> tuple[float, float, float] | None:
+    def inner_disk(self) -> tuple[float, float, float]:
         """(x, y, radius) of a disk inside the polygon, computed when first
         read: the vertex mean and its least distance to an edge line, less
         INNER_MARGIN times the largest coordinate magnitude, which covers
-        the rounding of both.  None when the margin leaves no disk."""
+        the rounding of both.  Radius 0 where the margin leaves no disk: the
+        mean is then a point of the polygon up to its rounding."""
         return _inner_disk(self.vertices, self.bbox)
 
 
@@ -448,7 +445,7 @@ def _dist_point_segment(px: float, py: float, ax: float, ay: float,
 
 def _inner_disk(v: Sequence[tuple[float, float]],
                 box: tuple[float, float, float, float]
-                ) -> tuple[float, float, float] | None:
+                ) -> tuple[float, float, float]:
     n = len(v)
     cx = sum(x for x, _ in v) / n
     cy = sum(y for _, y in v) / n
@@ -460,7 +457,7 @@ def _inner_disk(v: Sequence[tuple[float, float]],
                      (ex * (cy - ay) - ey * (cx - ax)) / math.hypot(ex, ey))
         ax, ay = bx, by
     radius -= INNER_MARGIN * max(map(abs, box))
-    return (cx, cy, radius) if radius > 0.0 else None
+    return cx, cy, (radius if radius > 0.0 else 0.0)
 
 
 def contains(p: ConvexPolygon, q: tuple[float, float], tol: float = EPS_GEOM) -> bool:
@@ -565,7 +562,8 @@ def _merge_edges(a: Sequence[tuple[float, float]],
 
 
 def minkowski_sum(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
-    """Exact Minkowski sum {p + q : p in a, q in b} (no vertex cap applied)."""
+    """Exact Minkowski sum {p + q : p in a, q in b} (no vertex cap applied):
+    the hull of the edge merge's ring."""
     return ConvexPolygon.from_points(_merge_edges(a.vertices, b.vertices))
 
 
@@ -670,10 +668,9 @@ def clip_by(s: ConvexPolygon, lines: Sequence[Line]) -> ConvexPolygon | None:
     """s clipped by the left sides of lines, in their order: s itself when
     no line cuts it, None when the clip is empty.
 
-    A cut ring goes through the hull, as in _hull_vertices, which mends
-    the duplicate, collinear or reflex vertices that rounding can leave.  A
-    ring that collapses, with fewer than three vertices left by _prune, has
-    no hull; the box about it and s both hold the exact clip, and the one
+    A cut ring goes through _hull, which mends the duplicate, collinear or
+    reflex vertices that rounding can leave.  A ring that collapses has no
+    hull; the box about it and s both hold the exact clip, and the one
     with the smaller area about a point of the clip is returned (the box
     can be larger than s).
     """
@@ -682,15 +679,12 @@ def clip_by(s: ConvexPolygon, lines: Sequence[Line]) -> ConvexPolygon | None:
         return s
     if pts is None:
         return None
-    ring = _canonical_ring(pts)
+    ring = _hull(pts)
     if ring is None:
-        hull = _prune(_hull_chain(sorted(set(pts))))
-        if len(hull) < 3:
-            # about a point of the clip, where far sets' areas do not cancel
-            box, (x, y) = ConvexPolygon.box(*_bbox(pts)), pts[0]
-            return box if area(translate(box, -x, -y)) < area(
-                translate(s, -x, -y)) else s
-        ring = _canonical(hull)
+        # about a point of the clip, where far sets' areas do not cancel
+        box, (x, y) = ConvexPolygon.box(*_bbox(pts)), pts[0]
+        return box if area(translate(box, -x, -y)) < area(
+            translate(s, -x, -y)) else s
     return ConvexPolygon(ring)
 
 
@@ -722,15 +716,16 @@ def _sum_lines(a: ConvexPolygon, b: ConvexPolygon) -> list[Line]:
     """Boundary lines of a + b: the edges of the merge ring (de Berg et
     al., section 13.3) where it turns strictly left at every vertex, the
     boundary of a + b up to rounding; else, where rounding left a
-    duplicate, collinear or reflex vertex, the edges of its hull
-    (_hull_vertices).  The merge ring winds once by construction, so left
-    turns alone show it convex.  A ring that turns left throughout but
-    fails the canonical walk's keep test keeps its own lines here, while
-    minkowski_sum(a, b) builds its pruned hull.
+    duplicate, collinear or reflex vertex, the edges of its hull (_hull,
+    the box where it has none).  The merge ring winds once by construction,
+    so left turns alone show it convex.  A ring that turns left throughout
+    but fails the canonical walk's keep test keeps its own lines here,
+    while minkowski_sum(a, b) builds its pruned hull.
     """
     ring = _merge_edges(a.vertices, b.vertices)
     lines = _left_turn_lines(ring)
-    return lines if lines is not None else _edge_lines(_hull_vertices(ring))
+    return lines if lines is not None else _edge_lines(
+        _hull(ring) or ConvexPolygon.box(*_bbox(ring)).vertices)
 
 
 class SumBoundary(NamedTuple):
@@ -929,18 +924,6 @@ def sector_inner_rectangle(angle: AngleInterval, rng: Interval, inner: float
 Cone = tuple[AngleInterval, Interval]
 
 
-def _centre(p: ConvexPolygon) -> tuple[float, float, float]:
-    """(x, y, rho): a disk of radius rho about (x, y) inside p.  Its inner
-    disk where it has one, else the vertex mean with radius 0: a point of
-    p up to the rounding of the mean."""
-    disk = p.inner_disk
-    if disk is None:
-        v = p.vertices
-        disk = (sum(x for x, _ in v) / len(v), sum(y for _, y in v) / len(v),
-                0.0)
-    return disk
-
-
 def _outer_radius(p: ConvexPolygon, cx: float, cy: float) -> float:
     """A radius about (cx, cy) that holds p: the farthest corner of its
     bounding box."""
@@ -985,7 +968,7 @@ def settle_by_inner_bounds(theta: AngleInterval, sensor_xy: ConvexPolygon,
     sensor_xy), is sure to return sensor_xy itself, for the slots'
     bearings and the sectors of their cones.
 
-    Each set is a disk about its centre (_centre), inside it, and a radius
+    Each set is its inner disk (ConvexPolygon.inner_disk) and a radius
     about that centre that holds it (_outer_radius).  Per pair the offset
     m0 - s0 between the centres and the coordinate scale serve both bounds.
 
@@ -1007,7 +990,7 @@ def settle_by_inner_bounds(theta: AngleInterval, sensor_xy: ConvexPolygon,
     Each bound keeps a margin above the rounding of the exact phase, which
     grows as the sets near each other.
     """
-    sx, sy, rho_s = _centre(sensor_xy)
+    sx, sy, rho_s = sensor_xy.inner_disk
     out_s = _outer_radius(sensor_xy, sx, sy)
     scale_s = max(map(abs, sensor_xy.bbox))
     theta_c, theta_w = theta.center, theta.half_width
@@ -1015,7 +998,7 @@ def settle_by_inner_bounds(theta: AngleInterval, sensor_xy: ConvexPolygon,
     kept = set()
     for q, j in pairs:
         marker = markers[j]
-        mx, my, rho_m = _centre(marker)
+        mx, my, rho_m = marker.inner_disk
         dx, dy = mx - sx, my - sy
         scale = max(scale_s, *map(abs, marker.bbox))
         if keeps_theta:
@@ -1105,8 +1088,8 @@ def simplify_outer(p: ConvexPolygon, v_max: int = V_MAX) -> ConvexPolygon:
     Repeatedly removes the edge whose deletion (extending its neighbours to
     their intersection) adds the least area.
     """
-    if v_max < 3:
-        raise ValueError("v_max must be >= 3")
+    if v_max < 4:
+        raise ValueError("v_max must be >= 4")
     if p.n <= v_max:
         return p
     verts = list(p.vertices)
@@ -1141,9 +1124,9 @@ def simplify_outer(p: ConvexPolygon, v_max: int = V_MAX) -> ConvexPolygon:
                 best_cost = cost
                 best = (i, w)
         if best is None:
-            # no edge's neighbours meet: the ring is a parallelogram, up to
-            # rounding, and a box would have four vertices
-            return _enclosing_triangle(verts, p)
+            # no edge's neighbours meet, up to rounding: the box about p has
+            # four vertices and holds p at tol 0
+            return ConvexPolygon.box(*p.bbox)
         i, w = best
         j = (i + 1) % len(verts)
         verts[i] = w
@@ -1162,32 +1145,6 @@ def grow_by_box(p: ConvexPolygon, x_lo: float, x_hi: float, y_lo: float,
         return simplify_outer(translate(p, x_lo, y_lo))
     return simplify_outer(minkowski_sum(
         p, ConvexPolygon.box(x_lo, x_hi, y_lo, y_hi)))
-
-
-def _enclosing_triangle(ring: Sequence[tuple[float, float]],
-                        p: ConvexPolygon) -> ConvexPolygon:
-    """A triangle containing p, which the CCW ring contains: the ring's
-    first vertex A and A + k(B - A), A + k(D - A) along the edges to its
-    neighbours B and D, with k the largest s + t of a vertex A + s(B - A)
-    + t(D - A) (k = 2 for the parallelogram ABCD).  The ring lies in the
-    angle at A, so the triangle holds it; grown about its centroid until p
-    is inside at tol = 0, which rounding can otherwise spoil by an ulp."""
-    (ax, ay), (bx, by), (dx, dy) = ring[0], ring[1], ring[-1]
-    ux, uy, vx, vy = bx - ax, by - ay, dx - ax, dy - ay
-    det = ux * vy - uy * vx
-    k = max(((x - ax) * (vy - uy) - (y - ay) * (vx - ux)) / det
-            for x, y in ring)
-    corners = ((ax, ay), (ax + k * ux, ay + k * uy), (ax + k * vx, ay + k * vy))
-    gx = sum(x for x, _ in corners) / 3.0
-    gy = sum(y for _, y in corners) / 3.0
-    grow = 1e-9
-    while True:
-        tri = ConvexPolygon.from_points(
-            [(gx + (1.0 + grow) * (x - gx), gy + (1.0 + grow) * (y - gy))
-             for x, y in corners])
-        if grow >= 1.0 or contains_polygon(tri, p, 0.0):
-            return tri
-        grow *= 1e3
 
 
 # --- sampling (tests, particle initialization) ------------------------------

@@ -168,11 +168,9 @@ class StepRecord:
     set_metrics: Metrics | None = None
     set_contained_markers: bool | None = None
     set_contained_sensors: bool | None = None
-    set_body_area: float | None = None
     set_heading_width: float | None = None
     set_wall_ms: float | None = None
     fs_metrics: Metrics | None = None
-    fs_body_area: float | None = None
     fs_heading_width: float | None = None
     fs_wall_ms: float | None = None
 
@@ -221,7 +219,7 @@ class RunRecord:
                           str(int(r.set_metrics.contained_heading)),
                           str(int(r.set_contained_markers)),
                           str(int(r.set_contained_sensors)),
-                          repr(r.set_body_area), repr(r.set_heading_width),
+                          repr(r.set_metrics.area), repr(r.set_heading_width),
                           repr(r.set_wall_ms) if include_timings else "0"]
             else:
                 cells += [""] * 9
@@ -229,7 +227,7 @@ class RunRecord:
                 cells += [repr(r.fs_metrics.m1), repr(r.fs_metrics.m2),
                           str(int(r.fs_metrics.contained_body)),
                           str(int(r.fs_metrics.contained_heading)),
-                          repr(r.fs_body_area), repr(r.fs_heading_width),
+                          repr(r.fs_metrics.area), repr(r.fs_heading_width),
                           repr(r.fs_wall_ms) if include_timings else "0"]
             else:
                 cells += [""] * 7
@@ -653,7 +651,6 @@ def _score_set(row: StepRecord, state: est.EstimatorState, truth: Truth,
     row.set_contained_markers = all(
         geom2d.contains(p, t) for p, t in zip(state.markers, truth.markers))
     row.set_contained_sensors = sensors.held(state)
-    row.set_body_area = row.set_metrics.area
     row.set_heading_width = state.heading.width
     return body
 
@@ -711,7 +708,6 @@ def simulate_run(cfg: ScenarioConfig, steps: int | None = None,
             row.fs_wall_ms = 1e3 * (time.perf_counter() - t0)
             row.fs_metrics = compute_metrics(*fs_dump, truth.region,
                                              truth.heading)
-            row.fs_body_area = row.fs_metrics.area
             row.fs_heading_width = fs_dump[1].width
             rec.fs_degenerate_resets = ps.degenerate_resets
 

@@ -2,8 +2,8 @@
 
 The shortcuts must not move a single output bit, so every test compares
 exactly (``==`` on float tuples).  The general paths are kept here as they
-were before the shortcuts: the sort-and-chain hull (``_hull_chain`` and
-``_prune``), the sector through that hull where its ring is canonical,
+were before the shortcuts: the sort-and-chain hull (``_chain_hull``),
+the sector through that hull where its ring is canonical,
 and the edge merge with modular indices.
 """
 
@@ -28,13 +28,10 @@ def bounding_box(pts) -> ConvexPolygon:
 
 
 def general_hull(pts):
-    """_hull_vertices without the canonical-ring shortcut: the sort-and-chain
-    hull, or where it leaves fewer than three vertices, the box about the
+    """from_points' vertices without the canonical-ring shortcut: the
+    sort-and-chain hull, or where it has no area, the box about the
     points."""
-    hull = geom2d._prune(geom2d._hull_chain(sorted(set(pts))))
-    if len(hull) < 3:
-        return bounding_box(pts).vertices
-    return geom2d._canonical(hull)
+    return geom2d._chain_hull(sorted(set(pts))) or bounding_box(pts).vertices
 
 
 def general_sector(angle: AngleInterval, rng: Interval) -> ConvexPolygon:
@@ -188,9 +185,11 @@ def near_boundary(draw):
 @example([(1.0, 1.0), (0.0, 1.0), (0.0, 0.0), (1.0, 0.0),
           (1.0 + 1e-13, 0.5 * EPS_GEOM)])
 @example([(0.0, 0.0), (1.0, 0.0), (2.0, 1e-10)])
-def test_hull_vertices_is_the_general_hull(ring):
-    assert geom2d._hull_vertices(ring) == general_hull(ring)
-    assert geom2d._hull_vertices(tuple(ring)) == general_hull(ring)
+def test_hull_is_the_general_hull(ring):
+    chain = geom2d._chain_hull(sorted(set(ring)))
+    assert geom2d._hull(ring) == chain
+    assert geom2d._hull(tuple(ring)) == chain
+    assert ConvexPolygon.from_points(ring).vertices == general_hull(ring)
 
 
 # Pairs of sectors at adjacent floats of one argument, at the thin, wide

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -89,6 +90,40 @@ def test_minkowski_sum_matches_hull_of_pairwise_sums(a, b):
     validate(out)
 
 
+@settings(max_examples=400, deadline=None)
+@given(polygons, polygons)
+def test_sum_boundary_lines_are_the_edges_of_the_sum(a, b):
+    """sum_boundary(a, b) and minkowski_sum(a, b) start from one merge
+    ring.  Where it does not turn strictly left throughout, both take its
+    hull; where it passes the canonical walk, both keep it.  A ring that
+    turns left throughout but fails the walk's keep test is the one case
+    where they part (test_sum_rules_part_where_the_walk_prunes)."""
+    ring = geom2d._merge_edges(a.vertices, b.vertices)
+    if geom2d._left_turn_lines(ring) is None or \
+            geom2d._canonical_ring(ring) is not None:
+        assert set(geom2d._edge_lines(geom2d.minkowski_sum(a, b).vertices)) \
+            == set(geom2d.sum_boundary(a, b).lines)
+
+
+def test_sum_rules_part_where_the_walk_prunes():
+    # a marker set and a distance disk of a parking refinement sum (world
+    # seed 7000): the merge ring turns left at all 22 vertices, but one
+    # fails the canonical walk's keep test, and _prune drops it
+    marker = ConvexPolygon((
+        (11.995878819263881, 6.8205130497506845),
+        (12.054456550806226, 6.791184445797525),
+        (12.159612990085485, 6.879521731268928),
+        (12.125314054234588, 6.962326687375128),
+        (12.0432201910533, 6.978456791928604),
+        (12.002089037231762, 6.972970595546094)))
+    ball = geom2d.ball_outer_polygon(4.0)
+    ring = geom2d._merge_edges(marker.vertices, ball.vertices)
+    assert geom2d._left_turn_lines(ring) is not None
+    assert geom2d._canonical_ring(ring) is None
+    assert geom2d.sum_boundary(marker, ball).lines == geom2d._edge_lines(ring)
+    assert len(ring) == 22 and geom2d.minkowski_sum(marker, ball).n == 21
+
+
 @settings(max_examples=300, deadline=None)
 @given(polygons)
 def test_negate_matches_hull_of_negated_vertices(p):
@@ -117,12 +152,12 @@ def test_intersect_matches_hull_of_clip_output(a, b):
 
 
 def hull_of_cut(s: ConvexPolygon, pts) -> ConvexPolygon:
-    """The hull of a cut ring, where the ring collapses (fewer than three
-    vertices left by _prune) the box about it or s, whichever has the
-    smaller area, both taken about the ring's first point."""
+    """The hull of a cut ring, where the ring collapses (no hull, _hull)
+    the box about it or s, whichever has the smaller area, both taken about
+    the ring's first point."""
     hull = ConvexPolygon.from_points(pts)
     x, y = pts[0]
-    if len(geom2d._prune(geom2d._hull_chain(sorted(set(pts))))) < 3 and \
+    if geom2d._hull(pts) is None and \
             geom2d.area(geom2d.translate(s, -x, -y)) <= geom2d.area(
                 geom2d.translate(hull, -x, -y)):
         return s
@@ -248,7 +283,7 @@ def test_intersect_does_not_depend_on_the_order_of_its_operands(case, swap):
         held = r.vertices
         pts = geom2d._clip_ring(p.vertices, p.bbox,
                                 geom2d._edge_lines(q.vertices))
-        if len(geom2d._prune(geom2d._hull_chain(sorted(set(pts))))) < 3:
+        if geom2d._hull(pts) is None:
             collapsed = True
             assert r == hull_of_cut(p, pts)
             held = pts
@@ -434,8 +469,8 @@ def test_intersects_sum_agrees_with_intersect_of_the_sum(s, a, b):
 
 def hull_path(pts) -> ConvexPolygon:
     """What from_points returns through the sort-and-chain hull."""
-    return ConvexPolygon(geom2d._chain_hull(
-        sorted({(float(x), float(y)) for x, y in pts})))
+    return ConvexPolygon.from_sorted_points(
+        sorted({(float(x), float(y)) for x, y in pts}))
 
 
 def rotated(pts, k: int):
@@ -507,7 +542,7 @@ def assert_float_pairs_and_box(p: ConvexPolygon) -> None:
 
 
 @settings(max_examples=400, deadline=None)
-@given(cloud(), polygons, polygons, polygons, coord, coord, st.integers(3, 8))
+@given(cloud(), polygons, polygons, polygons, coord, coord, st.integers(4, 8))
 def test_operations_return_float_pairs_and_their_bounding_box(
         pts, s, a, b, dx, dy, v_max):
     total = geom2d.minkowski_sum(a, b)
@@ -969,11 +1004,29 @@ def parallelograms(draw):
                                       (ax + vx, ay + vy)])
 
 
+def regular_ring(n: int, r: float, x: float, y: float, turn: float
+                 ) -> ConvexPolygon:
+    return ConvexPolygon.from_points(
+        [(x + r * math.cos(turn + TWO_PI * k / n),
+          y + r * math.sin(turn + TWO_PI * k / n)) for k in range(n)])
+
+
+@st.composite
+def tiny_rings(draw):
+    """Regular 5- to 8-gons 4 to 6 EPS_GEOM across at 1e6 offsets: what
+    _prune leaves of them is so small against its coordinates that
+    simplify_outer takes every two edges for parallel, up to rounding."""
+    return regular_ring(draw(st.integers(5, 8)), draw(st.floats(2e-9, 3e-9)),
+                        draw(st.sampled_from([1e6, -1e6])), draw(offset),
+                        draw(st.floats(0.0, TWO_PI)))
+
+
+TINY_HEXAGON = regular_ring(6, 2.5e-9, 1e6, 0.0, 0.0)
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(hulls, parallelograms()), st.integers(3, 12))
-@example(ConvexPolygon.box(0.0, 1.0, 0.0, 1.0), 3)
-@example(ConvexPolygon.from_points([(0.0, 0.0), (2.0, 1.0), (3.0, 4.0),
-                                    (1.0, 3.0)]), 3)
+@given(st.one_of(hulls, parallelograms(), tiny_rings()), st.integers(4, 12))
+@example(TINY_HEXAGON, 4)
 def test_simplify_outer_holds_its_input_within_the_budget(p, v_max):
     out = geom2d.simplify_outer(p, v_max)
     assert out.n <= v_max
@@ -981,14 +1034,21 @@ def test_simplify_outer_holds_its_input_within_the_budget(p, v_max):
 
 
 @settings(max_examples=300, deadline=None)
-@given(parallelograms())
+@given(st.one_of(parallelograms(), tiny_rings()))
 @example(ConvexPolygon.box(0.0, 1.0, 0.0, 1.0))
+@example(ConvexPolygon.from_points([(0.0, 0.0), (2.0, 1.0), (3.0, 4.0),
+                                    (1.0, 3.0)]))
 # edges that converge only by rounding once put a corner near 1e16
 @example(ConvexPolygon.from_points([(0.0, 0.0), (17.0, 0.0), (17.4, 1.0),
                                     (0.4, 1.0)]))
-def test_simplify_outer_encloses_a_parallelogram_in_a_triangle(p):
-    if p.n < 4:                 # pruned to a triangle: returned as it is
+@example(TINY_HEXAGON)
+def test_simplify_outer_rejects_budget_3_and_boxes_where_no_edges_meet(p):
+    with pytest.raises(ValueError):
+        geom2d.simplify_outer(p, 3)
+    out = geom2d.simplify_outer(p, 4)
+    if p.n <= 4:                # a parallelogram fits the least budget
+        assert out is p
         return
-    out = geom2d.simplify_outer(p, 3)
-    assert out.n <= 3
+    # no edge's neighbours meet: the box about p, which holds it at tol 0
+    assert out == ConvexPolygon.box(*p.bbox)
     assert geom2d.contains_polygon(out, p, tol=0.0)

@@ -601,7 +601,7 @@ def test_replay_matches_recorded_run(parking):
     states = scenario.replay_run(cfg, rec.measurements, steps=20)
     assert len(states) == 20
     for row, state in zip(rec.rows, states):
-        assert geom2d.area(state.body) == row.set_body_area
+        assert geom2d.area(state.body) == row.set_metrics.area
         assert state.heading.width == row.set_heading_width
 
 
@@ -612,7 +612,7 @@ def test_replay_matches_recorded_omni_run():
     ball = geom2d.ball_outer_polygon(cfg.omni_radius)
     for row, state in zip(rec.rows, states):
         body = geom2d.minkowski_sum(state.markers[0], ball)
-        assert geom2d.area(body) == row.set_body_area
+        assert geom2d.area(body) == row.set_metrics.area
 
 
 @pytest.mark.parametrize("name", ["parking", "omni"])

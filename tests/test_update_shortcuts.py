@@ -4,8 +4,8 @@
 ``geom2d.settle_by_inner_bounds``; it skips the orientation phase when the
 pass shows that the phase would return the predicted interval, and a
 position clip when it shows that the clip would return the predicted set.  Both rest on inner
-bounds: ``ConvexPolygon.inner_disk`` (or the vertex mean of a set too thin
-for one) and ``geom2d.sector_inner_rectangle``, which must lie inside their
+bounds: ``ConvexPolygon.inner_disk`` (the vertex mean with radius 0 for a
+set too thin for a disk) and ``geom2d.sector_inner_rectangle``, which must lie inside their
 sets at tol = 0.  Whenever the pass keeps a value, the exact phase must
 return it: the equal interval, without a degenerate angle intersection, or
 the predicted set itself.  The marker phase clips each marker set once per
@@ -62,10 +62,11 @@ def ring(cx, cy, r, k=16):
 @example(ConvexPolygon.box(1e3, 1e3 + 1e-6, -1e4, -1e4 + 1e-6))
 @example(ConvexPolygon.box(1e3, 1e3, -1e4, -1e4))
 def test_inner_disk_lies_in_its_polygon(p):
-    disk = p.inner_disk
-    if disk is None:
+    cx, cy, rho = p.inner_disk
+    if rho == 0.0:
+        # no disk is left: the vertex mean, a point of p up to its rounding
+        assert geom2d.contains(p, (cx, cy))
         return
-    cx, cy, rho = disk
     assert rho > 0.0
     # the point of the circle nearest each edge, and 16 more around it
     v = p.vertices
