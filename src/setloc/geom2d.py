@@ -1083,10 +1083,12 @@ def _vertex_arc(pts: Sequence[tuple[float, float]]) -> AngleInterval:
 
 
 def simplify_outer(p: ConvexPolygon, v_max: int = V_MAX) -> ConvexPolygon:
-    """Outer simplification to at most v_max vertices (result contains p).
+    """Outer simplification to at most v_max (four or more) vertices
+    (result contains p).
 
     Repeatedly removes the edge whose deletion (extending its neighbours to
-    their intersection) adds the least area.
+    their intersection) adds the least area; where no edge's neighbours
+    meet, up to rounding, returns the box about p.
     """
     if v_max < 4:
         raise ValueError("v_max must be >= 4")
@@ -1124,8 +1126,7 @@ def simplify_outer(p: ConvexPolygon, v_max: int = V_MAX) -> ConvexPolygon:
                 best_cost = cost
                 best = (i, w)
         if best is None:
-            # no edge's neighbours meet, up to rounding: the box about p has
-            # four vertices and holds p at tol 0
+            # four vertices, and it holds p at tol 0
             return ConvexPolygon.box(*p.bbox)
         i, w = best
         j = (i + 1) % len(verts)

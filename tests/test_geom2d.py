@@ -480,7 +480,8 @@ def test_each_hull_job_has_one_code_path():
     assert calls["minkowski_sum"] == {"_merge_edges", "from_points"}
     assert {"_merge_edges", "_left_turn_lines", "_hull"} <= calls["_sum_lines"]
     assert callers("_left_turn_lines") == {"_sum_lines"}
-    assert not {"_hull_vertices", "_centre", "_enclosing_triangle"} & set(calls)
+    assert not {"_hull_vertices", "_centre",
+                "_enclosing_triangle"} & set(calls)
 
 
 # ---------------------------------------------------------------------------

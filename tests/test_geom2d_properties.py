@@ -92,7 +92,7 @@ def test_minkowski_sum_matches_hull_of_pairwise_sums(a, b):
 
 @settings(max_examples=400, deadline=None)
 @given(polygons, polygons)
-def test_sum_boundary_lines_are_the_edges_of_the_sum(a, b):
+def test_sum_boundary_lines_are_the_edges_of_the_sum_where_rules_agree(a, b):
     """sum_boundary(a, b) and minkowski_sum(a, b) start from one merge
     ring.  Where it does not turn strictly left throughout, both take its
     hull; where it passes the canonical walk, both keep it.  A ring that
